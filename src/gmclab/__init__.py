@@ -16,8 +16,8 @@ from .spectral import (SpectralProfile, bessel_j, si, logplus_hat,
                        logplus_hat_3d, radial_fourier,
                        check_positive_definite, default_check_grid)
 from .field import (GridSpec, ShellLadder, SpectralPlan, FieldSample,
-                    build_ladder, geometric_schedule, synthesize, refine,
-                    write_field, read_field)
+                    build_ladder, geometric_schedule, write_field,
+                    read_field)
 from .measure import (ChaosMeasure, Box, Ball, exponentiate, region_mass,
                       region_volume, convergence_trace, mrw_path,
                       dissipation_samples, DissipationSample,

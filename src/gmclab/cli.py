@@ -56,37 +56,57 @@ def _load_config(path):
         return json.load(fh)
 
 
+def _number(value, convert, name):
+    """convert(value) for a numeric setting; a value that does not convert
+    is refused with a ValidationError naming the setting."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"{name} must be a number, got {value!r}") from None
+
+
 def _parse_kernel_gate(cfg):
     """Kernel parsing with the spectral positivity gate in front: a log
     kernel in d >= 4 is refused because its spectral density oscillates in
     sign (no admissible synthesis), before KernelSpec validation."""
     kcfg = cfg.get("kernel", {})
-    d = int(kcfg.get("dimension", 1))
+    d = _number(kcfg.get("dimension", 1), int, "kernel.dimension")
     if d >= 4:
         raise GateError(
             "positivity gate: the log kernel is not positive definite for "
             "d >= 4 (sign-oscillating spectral density); synthesis refused",
             dimension=d)
-    spec, moll = kn.spec_from_json({**kcfg, "mollifier": cfg.get("mollifier", {})})
-    return spec, moll
+    try:
+        return kn.spec_from_json({**kcfg,
+                                  "mollifier": cfg.get("mollifier", {})})
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"kernel or mollifier config: {exc}") from None
+
+
+def _floats(values):
+    return tuple(float(v) for v in values)
 
 
 def _grid_from(cfg):
     g = cfg.get("grid", {})
+    origin = g.get("origin")
     return fd.GridSpec(dimension=int(cfg.get("kernel", {}).get("dimension", 1)),
-                       n=int(g.get("n", 2 ** 12)),
-                       length=float(g.get("length", 4.0)),
-                       origin=tuple(g["origin"]) if g.get("origin") else None)
+                       n=_number(g.get("n", 2 ** 12), int, "grid.n"),
+                       length=_number(g.get("length", 4.0), float,
+                                      "grid.length"),
+                       origin=_number(origin, _floats, "grid.origin")
+                       if origin else None)
 
 
 def _epsilons_from(cfg):
     lad = cfg.get("ladder", {})
     if "epsilons" in lad:
-        return tuple(float(e) for e in lad["epsilons"])
-    eps0 = float(lad.get("eps0", 2 ** -4))
-    shells = int(lad.get("shells", 0))
-    factor = float(lad.get("factor", 2.0))
-    return fd.geometric_schedule(eps0, shells, factor)
+        return _number(lad["epsilons"], _floats, "ladder.epsilons")
+    return fd.geometric_schedule(
+        _number(lad.get("eps0", 2 ** -4), float, "ladder.eps0"),
+        _number(lad.get("shells", 0), int, "ladder.shells"),
+        _number(lad.get("factor", 2.0), float, "ladder.factor"))
 
 
 def _positivity_certificate(spec: kn.KernelSpec):
@@ -111,14 +131,15 @@ def cmd_simulate(args):
     _positivity_certificate(spec)
     grid = _grid_from(cfg)
     epsilons = _epsilons_from(cfg)
+    seed = _number(cfg.get("seed", 0), int, "seed")
+    replicas = _number(cfg.get("replicas", 1), int, "replicas")
     ladder = fd.build_ladder(spec, moll, epsilons)
     plan = fd.SpectralPlan(ladder, grid)
     out = cfg.get("out", ".")
     os.makedirs(out, exist_ok=True)
     digest = _config_digest(cfg)
-    seed = int(cfg.get("seed", 0))
     names = []
-    for rep in range(int(cfg.get("replicas", 1))):
+    for rep in range(replicas):
         sample = plan.sample(seed, rep)
         measure = ms.exponentiate(sample)
         fname = f"field_r{rep:04d}.bin"
@@ -145,7 +166,7 @@ def _apply_overrides(cfg, args):
     if threads is None:
         threads = os.environ.get("GMC_LAB_THREADS")
     if threads is not None:
-        fd.set_workers(int(threads))
+        fd.set_workers(_number(threads, int, "thread count"))
 
 
 def cmd_estimate(args):
@@ -153,11 +174,11 @@ def cmd_estimate(args):
     _apply_overrides(cfg, args)
     spec, moll = _parse_kernel_gate(cfg)
     grid = _grid_from(cfg)
+    seed = _number(cfg.get("seed", 0), int, "seed")
+    n = _number(cfg.get("replicas", 100), int, "replicas")
     out = cfg.get("out", ".")
     os.makedirs(out, exist_ok=True)
     digest = _config_digest(cfg)
-    seed = int(cfg.get("seed", 0))
-    n = int(cfg.get("replicas", 100))
     params = cfg.get("estimate", {})
     kind = args.kind or params.get("kind")
 

@@ -120,12 +120,6 @@ class ScalingReport:
                 **self.meta}, fh, indent=2)
 
 
-def _box_moments_1d(cum, i_lo, i_hi, width_cells, p_list):
-    starts = np.arange(i_lo, i_hi - width_cells, width_cells)
-    bm = cum[starts + width_cells] - cum[starts]
-    return {p: float(np.mean(bm ** p)) for p in p_list}
-
-
 def _summed_area(masses):
     out = masses
     for ax in range(masses.ndim):
@@ -219,7 +213,8 @@ def moment_scaling(kernel: KernelSpec, mollifier: MollifierSpec,
     if regions == "balls":
         for c, w in zip(cs, widths):
             centers = _ball_centers(grid, window_halfwidth, c)
-            balls[c] = [_shifted_ball(grid, ctr, c) for ctr in centers]
+            balls[c] = [ms._region_weights(grid, ms.Ball(ctr, c), 0.0)
+                        for ctr in centers]
 
     acc = {(p, c): np.empty(n_replicas) for p in p_list for c in cs}
     wgt = np.ones(n_replicas)
@@ -242,25 +237,17 @@ def moment_scaling(kernel: KernelSpec, mollifier: MollifierSpec,
                 den += comp_w * float(np.mean(
                     np.exp(np.clip(s * xw - s * s * c0 / 2.0, -700, 700))))
             wgt[rep] = 1.0 / den
-        masses = np.exp(x - var / 2.0) * grid.cell_volume
+        masses = ms._cell_masses(x, var, grid.cell_volume)
         if regions == "boxes":
-            if d == 1:
-                cum = np.concatenate([[0.0], np.cumsum(masses)])
-                for c, w in zip(cs, widths):
-                    vals = _box_moments_1d(cum, i_lo, i_hi, w, p_list)
-                    for p in p_list:
-                        acc[(p, c)][rep] = vals[p]
-            else:
-                sat = _summed_area(masses)
-                for c, w in zip(cs, widths):
-                    starts = np.arange(i_lo, i_hi - w, w)
-                    bm = _box_sums_nd(sat, starts, w).ravel()
-                    for p in p_list:
-                        acc[(p, c)][rep] = float(np.mean(bm ** p))
+            sat = _summed_area(masses)
+            for c, w in zip(cs, widths):
+                starts = np.arange(i_lo, i_hi - w, w)
+                bm = _box_sums_nd(sat, starts, w).ravel()
+                for p in p_list:
+                    acc[(p, c)][rep] = float(np.mean(bm ** p))
         else:
-            flat = masses.reshape(-1)
             for c in cs:
-                bm = np.array([float(flat[idx] @ w) for idx, w in balls[c]])
+                bm = np.array([b.mass(masses) for b in balls[c]])
                 for p in p_list:
                     acc[(p, c)][rep] = float(np.mean(bm ** p))
 
@@ -313,10 +300,6 @@ def _ball_centers(grid, halfwidth, radius):
     grids = np.meshgrid(*([offs] * grid.dimension), indexing="ij")
     return [tuple(float(g.ravel()[i]) for g in grids)
             for i in range(grids[0].size)]
-
-
-def _shifted_ball(grid, center, radius):
-    return ms._ball_weights(grid, ms.Ball(center, radius))
 
 
 # ----------------------------------------------------------------------
@@ -437,13 +420,9 @@ def _ln_box_masses(kernel, mollifier_kind, grid, side, eps, seed, n):
     moll = MollifierSpec(mollifier_kind, eps, kernel.dimension)
     plan = SpectralPlan(build_ladder(kernel, moll, (eps,)), grid)
     box = ms.Box((0.0,) * kernel.dimension, (side,) * kernel.dimension)
-    out = np.empty(n)
-    var = plan.total_variance
-    for rep in range(n):
-        s = plan.sample(seed, rep)
-        masses = np.exp(s.values - var / 2.0) * grid.cell_volume
-        out[rep] = np.log(ms._box_mass(masses, grid, box))
-    return out
+    weights = ms._region_weights(grid, box, 0.0)
+    return np.array([np.log(weights.mass(plan.sample(seed, rep)))
+                     for rep in range(n)])
 
 
 # ----------------------------------------------------------------------
@@ -607,16 +586,10 @@ def run_dissipation(lam2, scale, radii, seed, n_replicas, mean_eps=1.0,
                 f"({2.5 * grid.step:g}); raise eps_ratio or n_side")
         moll = MollifierSpec("gaussian", eps, 3)
         plan = SpectralPlan(build_ladder(kernel, moll, (eps,)), grid)
-        idx, w = ms._ball_weights(grid, ms.Ball((0.0, 0.0, 0.0), l))
-        vol = float(w.sum()) * grid.cell_volume
-        vals = np.empty(n_replicas)
-        var = plan.total_variance
-        for rep in range(n_replicas):
-            s = plan.sample(seed + i, rep)
-            flat = s.values.reshape(-1)[idx]
-            mass = float(np.exp(flat - var / 2.0) @ w) * grid.cell_volume
-            vals[rep] = mean_eps * mass / vol
-        samples[float(l)] = vals
+        ball = ms._region_weights(grid, ms.Ball((0.0, 0.0, 0.0), l), 0.0)
+        samples[float(l)] = np.array([
+            mean_eps * ball.mass(plan.sample(seed + i, rep)) / ball.volume
+            for rep in range(n_replicas)])
     report = lognormality_report(samples, scale)
     report.meta.update({"lam2": lam2, "seed": seed, "replicas": n_replicas,
                         "n_side": n_side, "eps_ratio": eps_ratio,

@@ -45,8 +45,6 @@ __all__ = [
     "geometric_schedule",
     "SpectralPlan",
     "FieldSample",
-    "synthesize",
-    "refine",
     "write_grid_file",
     "read_grid_file",
     "default_workers",
@@ -239,8 +237,10 @@ def _lattice_radii(grid: GridSpec):
 class SpectralPlan:
     """Precomputed per-shell amplitudes for one (ladder, grid) pair.
 
-    Use a plan when drawing many replicas; `synthesize` wraps it for
-    one-shot calls.
+    Build one plan per (ladder, grid) pair and draw every replica and
+    stage from it with `sample` and `refine`: a plan evaluates each
+    shell's spectral weight on the whole frequency lattice, which costs
+    more than drawing a sample.
     """
 
     def __init__(self, ladder: ShellLadder, grid: GridSpec,
@@ -339,17 +339,6 @@ class SpectralPlan:
         return cov * self.grid.n ** self.grid.dimension
 
 
-def synthesize(ladder: ShellLadder, grid: GridSpec, seed, replica=0,
-               stage=None) -> FieldSample:
-    """One-shot synthesis; see SpectralPlan for replica loops."""
-    return SpectralPlan(ladder, grid).sample(seed, replica, stage)
-
-
-def refine(sample: FieldSample, ladder: ShellLadder) -> FieldSample:
-    """One-shot refinement of a sample under its ladder."""
-    return SpectralPlan(ladder, sample.grid).refine(sample)
-
-
 # ----------------------------------------------------------------------
 # binary grid format: one JSON header line + raw little-endian float64
 # ----------------------------------------------------------------------
@@ -370,6 +359,10 @@ def read_grid_file(path):
     if header.get("format") != "gmclab-grid-v1":
         raise ValidationError(f"not a gmclab grid file: {path}")
     grid = GridSpec.from_json(header["grid"])
+    need = 8 * grid.n ** grid.dimension
+    if len(raw) != need:
+        raise ValidationError(f"grid file {path}: {len(raw)} payload bytes, "
+                              f"its header's grid needs {need}")
     values = np.frombuffer(raw, dtype="<f8").reshape(grid.shape).copy()
     return header, grid, values
 

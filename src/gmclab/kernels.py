@@ -387,21 +387,23 @@ _HAT_CACHE = {}
 
 
 def _remainder_hat(spec: KernelSpec):
-    """Cached interpolant of the transform of a tabulated remainder."""
-    key = (spec.dimension, spec.scale, id(spec.remainder))
+    """Interpolant of the transform of a tabulated remainder, cached on
+    the table's contents so that equal tables share one entry."""
+    rem, d = spec.remainder, spec.dimension
+    key = (d, spec.scale, rem.radii.tobytes(), rem.values.tobytes())
     if key in _HAT_CACHE:
         return _HAT_CACHE[key]
-    support = float(spec.remainder.radii[-1])
+    support = float(rem.radii[-1])
     s_grid = np.concatenate([[0.0], np.geomspace(1e-3 / support, 60.0 / support, 400)])
-    vals = np.array([spectral.radial_fourier(spec.remainder, spec.dimension,
-                                             s, support)[0] for s in s_grid])
+    vals = np.array([spectral.radial_fourier(rem, d, s, support)[0]
+                     for s in s_grid])
 
     def ghat(s):
         s = np.asarray(s, dtype=float)
         out = np.interp(s, s_grid, vals)
         # beyond the tabulated range the transform has decayed below the
         # table resolution; clamp to the last computed magnitude envelope
-        out = np.where(s > s_grid[-1], vals[-1] * (s_grid[-1] / np.maximum(s, s_grid[-1])) ** spec.dimension, out)
+        out = np.where(s > s_grid[-1], vals[-1] * (s_grid[-1] / np.maximum(s, s_grid[-1])) ** d, out)
         return out
 
     _HAT_CACHE[key] = ghat

@@ -1,14 +1,19 @@
 """The multiplicative chaos measure and its two applied derivatives.
 
 A FieldSample X with exact lattice variance v becomes the measure with
-cell masses exp(X - v/2) * cell_volume (midpoint rule).  Because v is the
-exact variance of the synthesized field, the ensemble mean of every
-region mass equals its discrete volume exactly, and region masses along
-the shell ladder form a martingale.
+cell masses exp(X - v/2) * cell_volume (midpoint rule, `_cell_masses`).
+Because v is the exact variance of the synthesized field, the ensemble
+mean of every region mass equals its discrete volume exactly, and region
+masses along the shell ladder form a martingale.
 
 Regions are boxes or balls; boundary cells enter with their covered
 volume fraction (exact per-axis overlap for boxes, 3^d subsampling for
-balls).  On top of the d=1 measure sits the time-changed Brownian path
+balls).  Every region mass in gmclab goes through one pair:
+`_region_weights` checks a region against a grid and builds its weights
+once, and `_RegionWeights.mass` reduces cell masses, or the covered cells
+of a FieldSample, with them.
+
+On top of the d=1 measure sits the time-changed Brownian path
 X(t) = B(m[0,t]); on the d=3 measure sit the normalized ball masses
 eps_l = 3 <eps> / (4 pi l^3) * m(B(x,l)).
 """
@@ -63,10 +68,16 @@ class ChaosMeasure:
         return float(np.sum(self.cell_masses))
 
 
+def _cell_masses(values, variance, cell_volume):
+    """m_eps(cell) = exp(X(x_cell) - v/2) * cell_volume."""
+    return np.exp(values - variance / 2.0) * cell_volume
+
+
 def exponentiate(sample: FieldSample) -> ChaosMeasure:
-    """m_eps(cell) = exp(X(x_cell) - v/2) * cell_volume, with v the exact
-    variance carried by the sample; deterministic given the sample."""
-    masses = np.exp(sample.values - sample.variance / 2.0) * sample.grid.cell_volume
+    """The measure of a sample, normalized by the exact variance v carried
+    by the sample; deterministic given the sample."""
+    masses = _cell_masses(sample.values, sample.variance,
+                          sample.grid.cell_volume)
     return ChaosMeasure(grid=sample.grid, epsilon=sample.epsilon,
                         cell_masses=masses, seed=sample.seed,
                         replica=sample.replica, stage=sample.stage,
@@ -135,29 +146,11 @@ def _check_region_inside(grid: GridSpec, region, margin):
                 f"(margin {margin:g})")
 
 
-def _axis_weights(grid: GridSpec, ax, lo, hi):
-    """Covered length fraction of every cell [x_i - h/2, x_i + h/2)."""
-    x = grid.axis_coordinates(ax)
-    h = grid.step
-    left = x - h / 2.0
-    right = x + h / 2.0
-    cover = np.minimum(right, hi) - np.maximum(left, lo)
-    return np.clip(cover / h, 0.0, 1.0)
-
-
-def _box_mass(values, grid, box):
-    out = values
-    for ax in range(grid.dimension):
-        w = _axis_weights(grid, ax, box.lo[ax], box.hi[ax])
-        out = np.tensordot(out, w, axes=([0], [0]))
-    return float(out)
-
-
 _SUBDIV = 3  # per-axis subsampling of boundary cells of a ball
 
 
 def _ball_weights(grid: GridSpec, ball: Ball):
-    """(flat cell indices, weights) for the covered-volume fractions."""
+    """(cell index arrays, weights) for the covered-volume fractions."""
     d = grid.dimension
     h = grid.step
     axes = [grid.axis_coordinates(ax) - ball.center[ax] for ax in range(d)]
@@ -168,49 +161,84 @@ def _ball_weights(grid: GridSpec, ball: Ball):
     maybe = (dist2 < (ball.radius + half_diag) ** 2) & ~inside
     idx_in = np.flatnonzero(inside)
     idx_b = np.flatnonzero(maybe)
-    if len(idx_b):
-        coords = np.unravel_index(idx_b, grid.shape)
-        centers = np.stack([axes[ax][coords[ax]] for ax in range(d)], axis=-1)
-        offs = (np.arange(_SUBDIV) + 0.5) / _SUBDIV - 0.5
-        sub = np.stack(np.meshgrid(*([offs] * d), indexing="ij"),
-                       axis=-1).reshape(-1, d) * h
-        pts = centers[:, None, :] + sub[None, :, :]
-        frac = np.mean(np.sum(pts * pts, axis=-1) <= ball.radius ** 2, axis=1)
-        keep = frac > 0
-        idx_b, frac = idx_b[keep], frac[keep]
-    else:
-        frac = np.empty(0)
-    indices = np.concatenate([idx_in, idx_b])
-    weights = np.concatenate([np.ones(len(idx_in)), frac])
-    return indices, weights
+    coords = np.unravel_index(idx_b, grid.shape)
+    centers = np.stack([axes[ax][coords[ax]] for ax in range(d)], axis=-1)
+    offs = (np.arange(_SUBDIV) + 0.5) / _SUBDIV - 0.5
+    sub = np.stack(np.meshgrid(*([offs] * d), indexing="ij"),
+                   axis=-1).reshape(-1, d) * h
+    pts = centers[:, None, :] + sub[None, :, :]
+    frac = np.mean(np.sum(pts * pts, axis=-1) <= ball.radius ** 2, axis=1)
+    keep = frac > 0
+    indices = np.concatenate([idx_in, idx_b[keep]])
+    weights = np.concatenate([np.ones(len(idx_in)), frac[keep]])
+    return np.unravel_index(indices, grid.shape), weights
+
+
+@dataclass(frozen=True)
+class _RegionWeights:
+    """Covered volume fractions of the cells a region touches: `cells`
+    selects a Box's bounding slab or a Ball's touched cells (as one flat
+    run), and each vector in `fractions` contracts one leading axis."""
+
+    cells: tuple
+    fractions: tuple
+    cell_volume: float
+
+    @property
+    def volume(self):
+        """Sum of covered cell fractions times the cell volume."""
+        return float(np.prod([np.sum(w) for w in self.fractions])) \
+            * self.cell_volume
+
+    def mass(self, source):
+        """Region mass from an array of cell masses, or from a FieldSample,
+        of which only the selected cells are exponentiated."""
+        if isinstance(source, FieldSample):
+            vals = _cell_masses(source.values[self.cells], source.variance,
+                                self.cell_volume)
+        else:
+            vals = source[self.cells]
+        for w in self.fractions:
+            vals = np.tensordot(vals, w, axes=([0], [0]))
+        return float(vals)
+
+
+def _region_weights(grid: GridSpec, region, margin) -> _RegionWeights:
+    """Check that a Box or Ball stays inside the grid interior by `margin`
+    and build its weights."""
+    if not isinstance(region, (Box, Ball)):
+        raise ValidationError("region must be a Box or a Ball")
+    _check_region_inside(grid, region, margin)
+    if isinstance(region, Ball):
+        cells, w = _ball_weights(grid, region)
+        return _RegionWeights(cells, (w,), grid.cell_volume)
+    # a Box: covered length fraction of every cell [x_i - h/2, x_i + h/2)
+    # along each axis, cut to the cells it touches
+    h, cells, fractions = grid.step, [], []
+    for ax in range(grid.dimension):
+        x = grid.axis_coordinates(ax)
+        cover = (np.minimum(x + h / 2.0, region.hi[ax])
+                 - np.maximum(x - h / 2.0, region.lo[ax]))
+        w = np.clip(cover / h, 0.0, 1.0)
+        nz = np.flatnonzero(w > 0)
+        cells.append(slice(nz[0], nz[-1] + 1))
+        fractions.append(w[nz[0]:nz[-1] + 1])
+    return _RegionWeights(tuple(cells), tuple(fractions), grid.cell_volume)
 
 
 def region_volume(grid: GridSpec, region):
     """Discrete volume of a region: sum of covered cell fractions times
     the cell volume (the exact normalizer of the mean-measure law)."""
-    if isinstance(region, Box):
-        return float(np.prod([
-            np.sum(_axis_weights(grid, ax, region.lo[ax], region.hi[ax]))
-            for ax in range(grid.dimension)])) * grid.cell_volume
-    if isinstance(region, Ball):
-        _, w = _ball_weights(grid, region)
-        return float(np.sum(w)) * grid.cell_volume
-    raise ValidationError("region must be a Box or a Ball")
+    return _region_weights(grid, region, 0.0).volume
 
 
 def region_mass(measure: ChaosMeasure, region, margin=None):
     """Mass of a box or ball; boundary cells weighted by covered volume
     fraction.  The region must stay inside the grid interior by at least
     one mollification width (override with `margin`)."""
-    grid = measure.grid
     margin = measure.epsilon if margin is None else margin
-    _check_region_inside(grid, region, margin)
-    if isinstance(region, Box):
-        return _box_mass(measure.cell_masses, grid, region)
-    if isinstance(region, Ball):
-        idx, w = _ball_weights(grid, region)
-        return float(np.dot(measure.cell_masses.reshape(-1)[idx], w))
-    raise ValidationError("region must be a Box or a Ball")
+    return _region_weights(measure.grid, region, margin).mass(
+        measure.cell_masses)
 
 
 # ----------------------------------------------------------------------
@@ -235,39 +263,18 @@ def convergence_trace(plan: SpectralPlan, region, seed, n_replicas,
     lad, grid = plan.ladder, plan.grid
     n_stages = lad.n_stages
     masses = np.empty((n_replicas, n_stages))
-    vol = grid.cell_volume
+    weights = _region_weights(grid, region, 0.0)
     for rep in range(n_replicas):
         sample = plan.sample(seed, rep, stage=0)
-        masses[rep, 0] = _region_mass_raw(sample, region, vol)
+        masses[rep, 0] = weights.mass(sample)
         for k in range(1, n_stages):
             sample = plan.refine(sample)
-            masses[rep, k] = _region_mass_raw(sample, region, vol)
+            masses[rep, k] = weights.mass(sample)
     med = np.median(masses, axis=0)
     profile = np.abs(np.diff(med) / np.maximum(med[:-1], 1e-300))
     plateau = bool(n_stages >= 3 and np.all(profile[-2:] < rel_tol))
     return TraceResult(epsilons=lad.epsilons, masses=masses, median=med,
                        cauchy_profile=profile, plateau=plateau)
-
-
-def _region_mass_raw(sample: FieldSample, region, cell_volume):
-    grid = sample.grid
-    _check_region_inside(grid, region, 0.0)
-    if isinstance(region, Box):
-        # exponentiate only the bounding slab of the box
-        slices, sub = [], []
-        for ax in range(grid.dimension):
-            w = _axis_weights(grid, ax, region.lo[ax], region.hi[ax])
-            nz = np.flatnonzero(w > 0)
-            slices.append(slice(nz[0], nz[-1] + 1))
-            sub.append(w[nz[0]:nz[-1] + 1])
-        vals = np.exp(sample.values[tuple(slices)] - sample.variance / 2.0) \
-            * cell_volume
-        for w in sub:
-            vals = np.tensordot(vals, w, axes=([0], [0]))
-        return float(vals)
-    vals = np.exp(sample.values - sample.variance / 2.0) * cell_volume
-    idx, w = _ball_weights(grid, region)
-    return float(np.dot(vals.reshape(-1)[idx], w))
 
 
 # ----------------------------------------------------------------------
@@ -302,16 +309,15 @@ def _cumulative_mass(measure: ChaosMeasure, positions):
     grid = measure.grid
     h = grid.step
     left_edges = grid.axis_coordinates(0) - h / 2.0
-    cum = np.concatenate([[0.0], np.cumsum(measure.cell_masses)])
+    cells = measure.cell_masses
+    cum = np.concatenate([[0.0], np.cumsum(cells)])
 
     def mass_below(p):
-        j = int(np.searchsorted(left_edges, p, side="right") - 1)
-        j = min(max(j, 0), grid.n - 1)
-        frac = np.clip((p - left_edges[j]) / h, 0.0, 1.0)
-        return cum[j] + frac * measure.cell_masses[j]
+        j = np.clip(np.searchsorted(left_edges, p, side="right") - 1,
+                    0, grid.n - 1)
+        return cum[j] + np.clip((p - left_edges[j]) / h, 0.0, 1.0) * cells[j]
 
-    zero = mass_below(0.0)
-    return np.array([mass_below(p) for p in positions]) - zero
+    return mass_below(np.asarray(positions, dtype=float)) - mass_below(0.0)
 
 
 def quadratic_variation(path, every=1):

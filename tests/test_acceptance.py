@@ -114,10 +114,7 @@ def test_mollifier_independence():
     for kind in ("gaussian", "fejer"):
         moll = kn.MollifierSpec(kind, eps, 1)
         plan = fd.SpectralPlan(fd.build_ladder(kernel, moll, (eps,)), grid)
-        vals = np.empty(n)
-        for r in range(n):
-            s = plan.sample(777, r)
-            vals[r] = ms._region_mass_raw(s, box, grid.cell_volume) ** alpha
+        vals = ms.convergence_trace(plan, box, 777, n).masses[:, 0] ** alpha
         stats[kind] = (vals.mean(), vals.std() / np.sqrt(n))
     gap = abs(stats["gaussian"][0] - stats["fejer"][0])
     budget = 3.0 * float(np.hypot(stats["gaussian"][1], stats["fejer"][1]))

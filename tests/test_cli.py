@@ -162,3 +162,37 @@ def test_threads_flag_does_not_change_bytes(tmp_path):
                     "--threads", "2"]) == 0
     assert (out1 / "field_r0000.bin").read_bytes() \
         == (out2 / "field_r0000.bin").read_bytes()
+
+
+@pytest.mark.parametrize("command, overrides, env", [
+    ("simulate", {"grid": {"n": "lots", "length": 4.0}}, None),
+    ("simulate", {"grid": {"n": 2 ** 12, "length": "long"}}, None),
+    ("simulate", {"grid": {"n": 1e400, "length": 4.0}}, None),
+    ("simulate", {"grid": {"n": 2 ** 12, "length": 4.0,
+                           "origin": ["left"]}}, None),
+    ("simulate", {"ladder": {"eps0": "coarse", "shells": 2}}, None),
+    ("simulate", {"ladder": {"eps0": 2 ** -5, "shells": "two"}}, None),
+    ("simulate", {"ladder": {"eps0": 2 ** -5, "shells": 2,
+                             "factor": [2]}}, None),
+    ("simulate", {"ladder": {"epsilons": [0.1, "fine"]}}, None),
+    ("simulate", {"kernel": {"dimension": "one", "lambda2": 0.5}}, None),
+    ("simulate", {"kernel": {"dimension": 1, "lambda2": "half"}}, None),
+    ("simulate", {"seed": "forty-two"}, None),
+    ("simulate", {"replicas": None}, None),
+    ("simulate", {}, "abc"),
+    ("estimate", {"seed": [42]}, None),
+    ("estimate", {"replicas": "many"}, None),
+])
+def test_non_numeric_settings_are_refused(tmp_path, capsys, monkeypatch,
+                                          command, overrides, env):
+    if env is not None:
+        monkeypatch.setenv("GMC_LAB_THREADS", env)
+    cfg = tmp_path / "cfg.json"
+    write_cfg(cfg, **overrides)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    if command == "estimate":
+        argv += ["--kind", "mrw"]
+    assert run_cli(argv) == cli.EXIT_VALIDATION
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ValidationError"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gmclab import field as fd
 from gmclab import kernels as kn
@@ -133,14 +135,6 @@ def test_workers_do_not_change_values():
     b = plan.sample(5, 0)
     fd.set_workers(1)
     assert np.array_equal(a.values, b.values)
-
-
-def test_one_shot_wrappers():
-    _, ladder, grid = make_plan(shells=2)
-    s = fd.synthesize(ladder, grid, 9, 1, stage=1)
-    s2 = fd.refine(s, ladder)
-    assert s2.stage == 2
-    assert s2.epsilon == ladder.epsilons[2]
 
 
 # ----------------------------------------------------------------------
@@ -277,6 +271,34 @@ def test_field_binary_roundtrip(tmp_path):
         assert doc["format"] == "gmclab-grid-v1"
         raw = np.frombuffer(fh.read(), dtype="<f8")
     assert raw.shape[0] == s.grid.n
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), log_n=st.integers(2, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_grid_file_roundtrip(tmp_path_factory, d, log_n, seed):
+    grid = fd.GridSpec(d, 2 ** log_n, 3.0)
+    values = np.random.default_rng(seed).normal(size=grid.shape)
+    path = tmp_path_factory.mktemp("grid") / "g.bin"
+    fd.write_grid_file(path, grid, values, {"kind": "field", "seed": seed})
+    header, back_grid, back = fd.read_grid_file(path)
+    assert back_grid == grid
+    assert header["seed"] == seed
+    assert np.array_equal(back, values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cut=st.integers(1, 8 * 4 ** 2))
+@example(cut=8)
+@example(cut=3)
+def test_truncated_grid_file_refused(tmp_path_factory, cut):
+    grid = fd.GridSpec(2, 4, 3.0)
+    path = tmp_path_factory.mktemp("grid") / "g.bin"
+    fd.write_grid_file(path, grid, np.ones(grid.shape), {"kind": "field"})
+    data = path.read_bytes()
+    path.write_bytes(data[:-cut])
+    with pytest.raises(ValidationError):
+        fd.read_grid_file(path)
 
 
 def test_read_rejects_wrong_kind(tmp_path):

@@ -290,3 +290,19 @@ def test_spec_json_table_remainder_roundtrip():
     assert spec2.remainder.kind == "table"
     assert abs(spec2.remainder(0.5) - spec.remainder(0.5)) < 1e-15
     assert spec2.sup_remainder == spec.sup_remainder
+
+
+def test_remainder_transform_cached_on_table_contents():
+    radii = np.linspace(0.0, 1.0, 9)
+
+    def spec(values):
+        return kn.KernelSpec(1, 0.5, 1.0, kn.Remainder(
+            "table", radii=radii.copy(), values=values))
+
+    before = len(kn._HAT_CACHE)
+    a = kn.kernel_hat(spec(0.17 * np.cos(radii)))
+    b = kn.kernel_hat(spec(0.17 * np.cos(radii)))
+    c = kn.kernel_hat(spec(0.23 * np.cos(radii)))
+    assert len(kn._HAT_CACHE) == before + 2
+    assert a(0.0) == b(0.0)
+    assert a(0.0) != c(0.0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gmclab import field as fd
 from gmclab import kernels as kn
@@ -150,6 +152,22 @@ def test_trace_martingale_mean_and_stability():
     assert tr.cauchy_profile.shape == (5,)
 
 
+@pytest.mark.parametrize("region", [ms.Box((-0.31,), (0.77,)),
+                                    ms.Ball((0.1,), 0.45)])
+def test_trace_matches_region_mass_of_each_stage(region):
+    kernel = kn.KernelSpec(1, 0.5, 1.0)
+    moll = kn.MollifierSpec("gaussian", 2 ** -7, 1)
+    plan = fd.SpectralPlan(fd.build_ladder(kernel, moll,
+                                           fd.geometric_schedule(2 ** -4, 3)),
+                           fd.GridSpec(1, 2 ** 10, 4.0))
+    tr = ms.convergence_trace(plan, region, seed=8, n_replicas=3)
+    for r in range(3):
+        for k in range(plan.ladder.n_stages):
+            m = ms.exponentiate(plan.sample(8, r, stage=k))
+            want = ms.region_mass(m, region, margin=0.0)
+            assert abs(tr.masses[r, k] - want) <= 1e-12 * want
+
+
 # ----------------------------------------------------------------------
 # multifractal random walk
 # ----------------------------------------------------------------------
@@ -214,6 +232,23 @@ def test_mrw_requires_d1_and_interior():
     _, m1 = make_measure()
     with pytest.raises(ValidationError):
         ms.mrw_path(m1, np.array([3.5]), seed=1)
+
+
+_, _CUM_MEASURE = make_measure(n=2 ** 10)
+_CUM_EDGE = 0.5 - 2.0 ** -9     # a cell edge of the 2^10-point grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=st.floats(1e-3, 1.5))
+@example(t=_CUM_EDGE)
+@example(t=_CUM_EDGE + 2.0 ** -8)
+def test_cumulative_mass_matches_box_mass(t):
+    # m[0, t] is a difference of cumulative sums from the grid's edge, so
+    # its round-off scales with the grid's total mass
+    m = _CUM_MEASURE
+    cum = ms._cumulative_mass(m, np.array([t]))[0]
+    want = ms.region_mass(m, ms.Box((0.0,), (t,)), margin=0.0)
+    assert abs(cum - want) <= 1e-12 * m.total_mass
 
 
 def test_mrw_path_reproducible():
