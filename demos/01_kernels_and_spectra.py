@@ -54,4 +54,4 @@ for d in (1, 2, 3, 4):
     print(f"  d={d}: certificate = {rep.certificate}, "
           f"min fhat = {rep.fhat.min():.3e}")
 print("closed form check, d=3 at xi=1:",
-      f"{sp.logplus_hat_3d(1.0):.12f}")
+      f"{sp.logplus_hat(1.0, 3):.12f}")

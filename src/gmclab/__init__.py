@@ -12,8 +12,7 @@ from .kernels import (KernelSpec, MollifierSpec, Remainder, eval_kernel,
                       eval_cone_kernel, sigma_positive_layer,
                       mollified_covariance, field_variance, kernel_hat,
                       spec_to_json, spec_from_json)
-from .spectral import (SpectralProfile, bessel_j, si, logplus_hat,
-                       logplus_hat_3d, radial_fourier,
+from .spectral import (SpectralProfile, logplus_hat, radial_fourier,
                        check_positive_definite, default_check_grid)
 from .field import (GridSpec, ShellLadder, SpectralPlan, FieldSample,
                     build_ladder, geometric_schedule, write_field,

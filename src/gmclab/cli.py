@@ -182,11 +182,15 @@ def cmd_estimate(args):
     params = cfg.get("estimate", {})
     kind = args.kind or params.get("kind")
 
+    def param(name, default, convert=float):
+        return _number(params.get(name, default), convert, f"estimate.{name}")
+
     if kind == "zeta":
         report = est.moment_scaling(
             spec, moll, grid,
-            p_list=params.get("p_list", [0.5, 1.0, 2.0]),
-            c_list=params.get("c_list", [2.0 ** -k for k in range(7, 2, -1)]),
+            p_list=param("p_list", [0.5, 1.0, 2.0], _floats),
+            c_list=param("c_list", [2.0 ** -k for k in range(7, 2, -1)],
+                         _floats),
             seed=seed, n_replicas=n,
             regions=params.get("regions", "boxes"))
         report.meta["config_digest"] = digest
@@ -198,9 +202,9 @@ def cmd_estimate(args):
     elif kind == "scale-invariance":
         report = est.run_scale_invariance(
             spec, moll.kind, grid,
-            side=float(params.get("side", spec.scale / 2)),
-            c=float(params.get("c", 0.5)),
-            eps_a=float(params.get("eps_a", moll.epsilon)),
+            side=param("side", spec.scale / 2),
+            c=param("c", 0.5),
+            eps_a=param("eps_a", moll.epsilon),
             seed=seed, n_replicas=n)
         report.meta["config_digest"] = digest
         report.write(os.path.join(out, "scale_invariance.json"))
@@ -210,14 +214,14 @@ def cmd_estimate(args):
               f"(target {report.var_gain_target:.4f}), "
               f"KS rejected: {report.ks_rejected}")
     elif kind == "degeneracy":
-        region_side = float(params.get("region_side", 1.0))
+        region_side = param("region_side", 1.0)
         region = ms.Box((0.0,) * spec.dimension,
                         (region_side,) * spec.dimension)
         report = est.degeneracy_scan(
-            params.get("lam2_list", [spec.lam2]),
+            param("lam2_list", [spec.lam2], _floats),
             spec.dimension, spec.scale, moll.kind, grid,
             _epsilons_from(cfg), region,
-            alpha=float(params.get("alpha", 0.5)),
+            alpha=param("alpha", 0.5),
             seed=seed, n_replicas=n)
         report.meta["config_digest"] = digest
         report.write(os.path.join(out, "degeneracy.csv"))
@@ -228,10 +232,11 @@ def cmd_estimate(args):
     elif kind == "dissipation":
         samples, report = est.run_dissipation(
             lam2=spec.lam2, scale=spec.scale,
-            radii=params.get("radii", [0.5, 0.25, 0.125, 0.0625]),
+            radii=param("radii", [0.5, 0.25, 0.125, 0.0625], _floats),
             seed=seed, n_replicas=n,
-            mean_eps=float(params.get("mean_eps", 1.0)),
-            n_side=int(cfg.get("grid", {}).get("n", 2 ** 7)))
+            mean_eps=param("mean_eps", 1.0),
+            n_side=_number(cfg.get("grid", {}).get("n", 2 ** 7), int,
+                           "grid.n"))
         report.meta["config_digest"] = digest
         report.write(os.path.join(out, "dissipation.csv"))
         rows = []
@@ -245,8 +250,8 @@ def cmd_estimate(args):
         print(f"dissipation: Var(ln eps_l) slope {report.slope:.4f} "
               f"+- {report.slope_se:.4f} (lam2 = {spec.lam2})")
     elif kind == "mrw":
-        times = np.linspace(0.0, float(params.get("t_max", 1.0)),
-                            int(params.get("n_times", 1024)) + 1)[1:]
+        times = np.linspace(0.0, param("t_max", 1.0),
+                            param("n_times", 1024, int) + 1)[1:]
         plan = fd.SpectralPlan(fd.build_ladder(spec, moll, (moll.epsilon,)),
                                grid)
         paths = []

@@ -157,7 +157,9 @@ def _ball_weights(grid: GridSpec, ball: Ball):
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     dist2 = sum(m * m for m in mesh)
     half_diag = h * np.sqrt(d) / 2.0
-    inside = dist2 <= (ball.radius - half_diag) ** 2
+    # a cell lies wholly inside only when the ball can hold its diagonal
+    inside = (ball.radius >= half_diag) \
+        & (dist2 <= (ball.radius - half_diag) ** 2)
     maybe = (dist2 < (ball.radius + half_diag) ** 2) & ~inside
     idx_in = np.flatnonzero(inside)
     idx_b = np.flatnonzero(maybe)

@@ -9,10 +9,11 @@ so for a radial profile f(|x|) in dimension d
     fhat(xi) = (2 pi / xi^((d-2)/2)) * integral_0^inf rho^(d/2)
                J_((d-2)/2)(2 pi xi rho) f(rho) drho.
 
-The module provides its own sine-integral and Bessel evaluations (series +
-asymptotic branches with a recorded switch point), closed forms for the
-transform of ln+(T/r) in d = 1..4, a panel quadrature that splits at the
-oscillation period, and a grid-based positive-definiteness checker.
+The module provides closed forms for the transform of ln+(T/r) in
+d = 1..4 (built from scipy's sine integral and Bessel J0/J1, with series
+below a = 0.5 where the closed forms cancel), a panel quadrature that
+splits at the oscillation period, and a grid-based positive-definiteness
+checker.
 """
 
 from __future__ import annotations
@@ -22,100 +23,23 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import j0, j1, jv, sici
 
 from .errors import GateError, ValidationError
 
 __all__ = [
-    "si",
     "si_minus_sin",
-    "bessel_j",
-    "BESSEL_SWITCH",
-    "SI_SWITCH",
     "logplus_hat",
-    "logplus_hat_3d",
     "radial_fourier",
     "SpectralProfile",
     "check_positive_definite",
     "default_check_grid",
 ]
 
-# Branch switch points (absolute error of both branches stays below 1e-12
-# for Si and 1e-13 for J_nu at these values; see tests against scipy).
-SI_SWITCH = 4.0
-BESSEL_SWITCH = 15.0
-
 
 # ----------------------------------------------------------------------
-# sine integral
+# closed-form transforms of ln+(T/r)
 # ----------------------------------------------------------------------
-
-def _si_series(x):
-    """Power series of Si, adequate for |x| <= SI_SWITCH."""
-    x = np.asarray(x, dtype=float)
-    total = np.zeros_like(x)
-    term = x.copy()  # k = 0: x / (1 * 1!)
-    x2 = x * x
-    k = 0
-    while True:
-        total += term / (2 * k + 1)
-        k += 1
-        term = -term * x2 / ((2 * k) * (2 * k + 1))
-        if k > 30 or np.all(np.abs(term) < 1e-18):
-            total += term / (2 * k + 1)
-            break
-    return total
-
-
-def _si_aux_fg(x):
-    """Auxiliary functions f, g with Si(x) = pi/2 - f cos x - g sin x (x > 4).
-
-    Double-precision rational approximations (Pade in 1/x^2).
-    """
-    y = 1.0 / (x * x)
-    f = (1. + y*(7.44437068161936700618e2 + y*(1.96396372895146869801e5 +
-         y*(2.37750310125431834034e7 + y*(1.43073403821274636888e9 +
-         y*(4.33736238870432522765e10 + y*(6.40533830574022022911e11 +
-         y*(4.20968180571076940208e12 + y*(1.00795182980368574617e13 +
-         y*(4.94816688199951963482e12 + y*(-4.94701168645415959931e11)))))))))))\
-        / (x*(1. + y*(7.46437068161927678031e2 + y*(1.97865247031583951450e5 +
-          y*(2.41535670165126845144e7 + y*(1.47478952192985464958e9 +
-          y*(4.58595115847765779830e10 + y*(7.08501308149515401563e11 +
-          y*(5.06084464593475076774e12 + y*(1.43468549171581016479e13 +
-          y*(1.11535493509914254097e13)))))))))))
-    g = y*(1. + y*(8.1359520115168615e2 + y*(2.35239181626478200e5 +
-        y*(3.12557570795778731e7 + y*(2.06297595146763354e9 +
-        y*(6.83052205423625007e10 + y*(1.09049528450362786e12 +
-        y*(7.57664583257834349e12 + y*(1.81004487464664575e13 +
-        y*(6.43291613143049485e12 + y*(-1.36517137670871689e12)))))))))))\
-        / (1. + y*(8.19595201151451564e2 + y*(2.40036752835578777e5 +
-          y*(3.26026661647090822e7 + y*(2.23355543278099360e9 +
-          y*(7.87465017341829930e10 + y*(1.39866710696414565e12 +
-          y*(1.17164723371736605e13 + y*(4.01839087307656620e13 +
-          y*(3.99653257887490811e13))))))))))
-    return f, g
-
-
-def si(x):
-    """Sine integral Si(x) = integral_0^x sin(t)/t dt, vectorized.
-
-    Series below SI_SWITCH, auxiliary-function form above; absolute error
-    below 1e-12 on the real line.
-    """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-    ax = np.abs(x)
-    small = ax <= SI_SWITCH
-    if np.any(small):
-        out[small] = _si_series(x[small])
-    big = ~small
-    if np.any(big):
-        xb = ax[big]
-        f, g = _si_aux_fg(xb)
-        out[big] = np.sign(x[big]) * (np.pi / 2 - f * np.cos(xb) - g * np.sin(xb))
-    return out[0] if scalar else out
-
 
 def si_minus_sin(x):
     """l(x) = Si(x) - sin(x), evaluated without cancellation near 0.
@@ -143,88 +67,9 @@ def si_minus_sin(x):
         out[small] = total
     big = ~small
     if np.any(big):
-        out[big] = si(x[big]) - np.sin(x[big])
+        out[big] = sici(x[big])[0] - np.sin(x[big])
     return out[0] if scalar else out
 
-
-# ----------------------------------------------------------------------
-# Bessel J
-# ----------------------------------------------------------------------
-
-def _bessel_series(nu, x):
-    """Ascending series, adequate for x <= BESSEL_SWITCH."""
-    from scipy.special import gammaln
-
-    x = np.asarray(x, dtype=float)
-    q = x * x / 4.0
-    t = np.exp(nu * np.log(x / 2.0) - gammaln(nu + 1.0))
-    total = t.copy()
-    for k in range(1, 80):
-        t = -t * q / (k * (nu + k))
-        total += t
-        if np.all(np.abs(t) <= 1e-18 * (np.abs(total) + 1e-300)):
-            break
-    return total
-
-
-def _bessel_asymptotic(nu, x):
-    """Hankel expansion with optimal truncation, for x >= BESSEL_SWITCH.
-
-    Terminates exactly for half-integer nu.
-    """
-    x = np.asarray(x, dtype=float)
-    mu = 4.0 * nu * nu
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
-    ak = 1.0  # a_k(nu) scalar recursion; node-independent
-    sign_p, sign_q = -1.0, 1.0
-    prev = None
-    for k in range(1, 40):
-        ak = ak * (mu - (2 * k - 1) ** 2) / (k * 8.0)
-        if ak == 0.0:
-            break
-        term = ak / np.power(x, k)
-        size = np.max(np.abs(term))
-        if prev is not None and size > prev:
-            break  # divergent tail reached; stop at the smallest term
-        prev = size
-        if k % 2 == 1:
-            q += sign_q * term
-            sign_q = -sign_q
-        else:
-            p += sign_p * term
-            sign_p = -sign_p
-        if size < 1e-18:
-            break
-    chi = x - (2.0 * nu + 1.0) * np.pi / 4.0
-    return np.sqrt(2.0 / (np.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
-
-
-def bessel_j(nu, x):
-    """Bessel function J_nu(x) for nu >= 0, x > 0, vectorized in x.
-
-    Series branch below BESSEL_SWITCH, Hankel asymptotic branch above;
-    absolute error below 1e-10 on (0, 1e4] for nu in {0, 1/2, 1, 3/2, 2}.
-    """
-    if nu < 0:
-        raise ValidationError("bessel_j requires nu >= 0")
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if np.any(x <= 0):
-        raise ValidationError("bessel_j requires x > 0")
-    out = np.empty_like(x)
-    small = x <= BESSEL_SWITCH
-    if np.any(small):
-        out[small] = _bessel_series(nu, x[small])
-    if np.any(~small):
-        out[~small] = _bessel_asymptotic(nu, x[~small])
-    return out[0] if scalar else out
-
-
-# ----------------------------------------------------------------------
-# closed-form transforms of ln+(T/r)
-# ----------------------------------------------------------------------
 
 def _one_minus_j0_over_a2(a):
     out = np.empty_like(a)
@@ -234,7 +79,7 @@ def _one_minus_j0_over_a2(a):
         - a2 * a2 * a2 / 147456.0 + a2 ** 4 / 14745600.0
     big = ~small
     if np.any(big):
-        out[big] = (1.0 - bessel_j(0.0, a[big])) / (a[big] * a[big])
+        out[big] = (1.0 - j0(a[big])) / (a[big] * a[big])
     return out
 
 
@@ -247,7 +92,7 @@ def _d4_profile(a):
     big = ~small
     if np.any(big):
         ab = a[big]
-        out[big] = (2.0 - 2.0 * bessel_j(0.0, ab) - ab * bessel_j(1.0, ab)) / ab ** 4
+        out[big] = (2.0 - 2.0 * j0(ab) - ab * j1(ab)) / ab ** 4
     return out
 
 
@@ -278,7 +123,7 @@ def logplus_hat(xi, d, T=1.0):
         tiny = a < 1e-10
         out[tiny] = 2.0 * T
         nt = ~tiny
-        out[nt] = si(a[nt]) / (np.pi * xi[nt])
+        out[nt] = sici(a[nt])[0] / (np.pi * xi[nt])
     elif d == 2:
         out = 2.0 * np.pi * T * T * _one_minus_j0_over_a2(a)
     elif d == 3:
@@ -293,15 +138,6 @@ def logplus_hat(xi, d, T=1.0):
     else:
         out = 4.0 * np.pi ** 2 * T ** 4 * _d4_profile(a)
     return out[0] if scalar else out
-
-
-def logplus_hat_3d(xi, T=1.0):
-    """d = 3 closed form (Si(2 pi xi T) - sin(2 pi xi T)) / (2 pi^2 xi^3).
-
-    Strictly nonnegative; evaluated through the cancellation-free expansion
-    of Si - sin below a = 0.5.
-    """
-    return logplus_hat(xi, 3, T=T)
 
 
 # ----------------------------------------------------------------------
@@ -340,6 +176,13 @@ def _oscillation_edges(xi, support, points_per_period=1.0):
     first = base[1]
     graded = first * 2.0 ** (-np.arange(36, 0, -1, dtype=float))
     return np.concatenate([[0.0], graded, base[1:]])
+
+
+# J_nu for the orders of d = 2, 3, 4; J_1/2 in its elementary form,
+# because scipy's general jv is markedly slower there
+_BESSEL = {0.0: j0,
+           0.5: lambda x: np.sqrt(2.0 / (np.pi * x)) * np.sin(x),
+           1.0: j1}
 
 
 def radial_fourier(profile, d, xi, support, order=16):
@@ -381,9 +224,10 @@ def radial_fourier(profile, d, xi, support, order=16):
         scale = 1.0
     else:
         nu = (d - 2) / 2.0
+        bessel = _BESSEL.get(nu, lambda x: jv(nu, x))
 
         def fn(r):
-            return np.power(r, d / 2.0) * bessel_j(nu, 2.0 * np.pi * xi * r) * profile(r)
+            return np.power(r, d / 2.0) * bessel(2.0 * np.pi * xi * r) * profile(r)
         scale = 2.0 * np.pi / xi ** nu
 
     lo = _panel_integrate(fn, edges, order)

@@ -137,7 +137,7 @@ def test_spectral_dichotomy():
         repd = sp.check_positive_definite(prof, d, grid, support=1.0)
         certs[d] = repd.certificate
         if d == 3:
-            closed = sp.logplus_hat_3d(repd.xi)
+            closed = sp.logplus_hat(repd.xi, 3)
             agree = float(np.max(np.abs(repd.fhat - closed)))
     ok = (certs[1] == certs[2] == certs[3] == sp.CERT_NONNEGATIVE
           and certs[4] == sp.CERT_OSCILLATING and agree <= 1e-8)

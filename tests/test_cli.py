@@ -182,6 +182,24 @@ def test_threads_flag_does_not_change_bytes(tmp_path):
     ("simulate", {}, "abc"),
     ("estimate", {"seed": [42]}, None),
     ("estimate", {"replicas": "many"}, None),
+    ("estimate", {"estimate": {"kind": "zeta", "p_list": ["half"]}}, None),
+    ("estimate", {"estimate": {"kind": "zeta", "c_list": 0.1}}, None),
+    ("estimate", {"estimate": {"kind": "scale-invariance",
+                               "side": "half"}}, None),
+    ("estimate", {"estimate": {"kind": "scale-invariance", "c": None}}, None),
+    ("estimate", {"estimate": {"kind": "scale-invariance",
+                               "eps_a": [0.01]}}, None),
+    ("estimate", {"estimate": {"kind": "degeneracy",
+                               "region_side": "one"}}, None),
+    ("estimate", {"estimate": {"kind": "degeneracy", "alpha": "half"}}, None),
+    ("estimate", {"estimate": {"kind": "degeneracy", "lam2_list": ["x"]},
+                  "ladder": {"eps0": 2 ** -5, "shells": 5}}, None),
+    ("estimate", {"estimate": {"kind": "dissipation",
+                               "mean_eps": "unit"}}, None),
+    ("estimate", {"estimate": {"kind": "dissipation",
+                               "radii": ["half"]}}, None),
+    ("estimate", {"estimate": {"kind": "mrw", "t_max": "long"}}, None),
+    ("estimate", {"estimate": {"kind": "mrw", "n_times": "many"}}, None),
 ])
 def test_non_numeric_settings_are_refused(tmp_path, capsys, monkeypatch,
                                           command, overrides, env):
@@ -191,7 +209,7 @@ def test_non_numeric_settings_are_refused(tmp_path, capsys, monkeypatch,
     write_cfg(cfg, **overrides)
     argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
     if command == "estimate":
-        argv += ["--kind", "mrw"]
+        argv += ["--kind", overrides.get("estimate", {}).get("kind", "mrw")]
     assert run_cli(argv) == cli.EXIT_VALIDATION
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1

@@ -79,6 +79,13 @@ def test_region_volume_matches_geometry():
     assert abs(vol_b - np.pi * 0.25) < np.pi * 0.25 * 5e-3
 
 
+def test_small_ball_covers_part_of_one_cell():
+    # radius below half a cell diagonal: no cell is wholly inside
+    g = fd.GridSpec(3, 8, 3.0)
+    vol = ms.region_volume(g, ms.Ball((0.0, 0.0, 0.0), 0.1))
+    assert 0.0 < vol < g.cell_volume
+
+
 def test_fractional_boundary_cells():
     g = fd.GridSpec(1, 2 ** 6, 4.0)
     # box ends midway through cells: volume still exact

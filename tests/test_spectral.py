@@ -1,44 +1,9 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import jv, sici
 
 from gmclab import spectral as sp
 from gmclab.errors import GateError, ValidationError
-
-
-def test_si_against_scipy():
-    x = np.concatenate([np.linspace(1e-8, 4.0, 1500),
-                        np.geomspace(4.0, 1e4, 2500)])
-    assert np.max(np.abs(sp.si(x) - sici(x)[0])) < 1e-12
-
-
-def test_si_scalar_and_sign():
-    assert sp.si(0.0) == 0.0
-    assert abs(sp.si(-2.0) + sp.si(2.0)) < 1e-15
-
-
-@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 2.0])
-def test_bessel_against_scipy(nu):
-    x = np.geomspace(1e-3, 1e4, 3000)
-    assert np.max(np.abs(sp.bessel_j(nu, x) - jv(nu, x))) < 1e-10
-
-
-def test_bessel_half_closed_form():
-    # J_1/2(x) = sqrt(2/(pi x)) sin x: zero at pi, 2/pi at pi/2
-    assert abs(sp.bessel_j(0.5, np.pi)) < 1e-12
-    assert abs(sp.bessel_j(0.5, np.pi / 2) - 2.0 / np.pi) < 1e-12
-
-
-def test_bessel_at_origin_limit():
-    assert abs(sp.bessel_j(0.0, 1e-8) - 1.0) < 1e-8
-
-
-def test_bessel_rejects_bad_input():
-    with pytest.raises(ValidationError):
-        sp.bessel_j(-1.0, 1.0)
-    with pytest.raises(ValidationError):
-        sp.bessel_j(0.0, 0.0)
 
 
 def test_si_minus_sin_nonnegative_and_cubic():
@@ -63,22 +28,22 @@ def test_logplus_hat_zero_frequency_is_integral(d, expected):
     assert abs(sp.logplus_hat(0.0, d) - val) < 1e-9
 
 
-def test_logplus_hat_3d_nonnegative_everywhere():
+def test_logplus_hat_d3_nonnegative_everywhere():
     xi = np.geomspace(1e-4, 1e3, 5000)
-    vals = sp.logplus_hat_3d(xi)
+    vals = sp.logplus_hat(xi, 3)
     assert np.all(vals >= -1e-12)
 
 
-def test_logplus_hat_3d_large_xi_envelope():
+def test_logplus_hat_d3_large_xi_envelope():
     # |Si| <= pi/2 + eps, |sin| <= 1: fhat <= (pi/2 + 1)/(2 pi^2 xi^3)
     xi = np.geomspace(10.0, 1e4, 50)
     bound = (np.pi / 2 + 1.0) / (2.0 * np.pi ** 2 * xi ** 3)
-    assert np.all(sp.logplus_hat_3d(xi) <= bound)
+    assert np.all(sp.logplus_hat(xi, 3) <= bound)
 
 
 def test_logplus_hat_small_xi_expansion_3d():
     # l(x) ~ x^3/9 gives fhat -> 4 pi /9 as xi -> 0
-    assert abs(sp.logplus_hat_3d(1e-6) - 4 * np.pi / 9) < 1e-9
+    assert abs(sp.logplus_hat(1e-6, 3) - 4 * np.pi / 9) < 1e-9
 
 
 def test_radial_fourier_indicator_d1():
@@ -89,11 +54,13 @@ def test_radial_fourier_indicator_d1():
         assert abs(val - np.sin(2 * np.pi * xi) / (np.pi * xi)) < 5e-9
 
 
-def test_radial_fourier_matches_closed_form_d3():
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_radial_fourier_matches_closed_form(d):
+    # quadrature with J_0, J_1/2 and J_1 against the Si and J_0/J_1 closed forms
     prof = lambda r: np.where(r < 1.0, np.log(1.0 / np.maximum(r, 1e-300)), 0.0)
     for xi in np.geomspace(1e-2, 1e3, 12):
-        val, err = sp.radial_fourier(prof, 3, xi, support=1.0)
-        assert abs(val - sp.logplus_hat_3d(xi)) < 1e-8
+        val, err = sp.radial_fourier(prof, d, xi, support=1.0)
+        assert abs(val - sp.logplus_hat(xi, d)) < 1e-8
 
 
 def test_radial_fourier_zero_frequency_d3():
