@@ -148,7 +148,7 @@ def cmd_simulate(args):
         ms.write_measure(os.path.join(out, mname), measure)
         names.extend([fname, mname])
     manifest = {"config": cfg, "digest": digest, "outputs": names,
-                "ladder_digest": ladder.digest}
+                "ladder_digest": ladder.digest, "synthesis": fd.SYNTHESIS}
     with open(os.path.join(out, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     print(f"simulate: {len(names)} files in {out} (digest {digest})")
@@ -250,8 +250,13 @@ def cmd_estimate(args):
         print(f"dissipation: Var(ln eps_l) slope {report.slope:.4f} "
               f"+- {report.slope_se:.4f} (lam2 = {spec.lam2})")
     elif kind == "mrw":
-        times = np.linspace(0.0, param("t_max", 1.0),
-                            param("n_times", 1024, int) + 1)[1:]
+        t_max = param("t_max", 1.0)
+        n_times = param("n_times", 1024, int)
+        if not (t_max > 0 and n_times >= 1):
+            raise ValidationError(
+                f"estimate.t_max must be > 0 and estimate.n_times >= 1, "
+                f"got t_max={t_max!r}, n_times={n_times!r}")
+        times = np.linspace(0.0, t_max, n_times + 1)[1:]
         plan = fd.SpectralPlan(fd.build_ladder(spec, moll, (moll.epsilon,)),
                                grid)
         paths = []

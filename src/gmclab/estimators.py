@@ -168,6 +168,9 @@ def moment_scaling(kernel: KernelSpec, mollifier: MollifierSpec,
     d = kernel.dimension
     p_list = [float(p) for p in p_list]
     c_list = sorted(float(c) for c in c_list)
+    if regions not in ("boxes", "balls"):
+        raise ValidationError(
+            f"regions must be 'boxes' or 'balls', got {regions!r}")
     if len(c_list) < 4:
         raise ValidationError("need at least 4 scales for the fit")
     if np.log10(c_list[-1] / c_list[0]) < 1.2 - 1e-9:

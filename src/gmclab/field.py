@@ -21,6 +21,15 @@ the circulant embedding of the mollified covariance up to periodization.
 The exact lattice variance sum_j w_j / L^d is carried on every sample and
 is the normalizer that makes the measure mean exactly Lebesgue.
 
+The weights are radial, so a plan evaluates each shell once per distinct
+lattice radius: on |j| / L in d = 1, and on sqrt(k2) / L for every integer
+k2 = sum_i j_i^2 up to d (n/2)^2 in d >= 2; the lattice gathers from that
+table.  The sum sum_j b_j (cos - sin)(2 pi j . x / n) of a real array b is
+a Hartley transform, computed from one real forward FFT F = rfftn(b) as
+Re F + Im F on the stored half-spectrum and Re F - Im F on its mirror
+image (Hermitian symmetry).  `SYNTHESIS` names this algorithm in every
+field file and `simulate` manifest.
+
 Randomness: counter-based Philox streams keyed by (seed, replica, shell),
 so replicas and shells are reproducible and order-independent.
 """
@@ -28,6 +37,7 @@ so replicas and shells are reproducible and order-independent.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 from dataclasses import dataclass, replace
@@ -39,6 +49,7 @@ from .errors import GateError, ValidationError
 from .kernels import KernelSpec, MollifierSpec, kernel_hat, spec_to_json
 
 __all__ = [
+    "SYNTHESIS",
     "GridSpec",
     "ShellLadder",
     "build_ladder",
@@ -49,6 +60,8 @@ __all__ = [
     "read_grid_file",
     "default_workers",
 ]
+
+SYNTHESIS = "rfftn-hartley-1"
 
 _WORKERS = None
 
@@ -226,21 +239,51 @@ class FieldSample:
         self.values.setflags(write=False)
 
 
-def _lattice_radii(grid: GridSpec):
-    freqs = [np.fft.fftfreq(grid.n, d=grid.step) for _ in range(grid.dimension)]
+def _radial_table(grid: GridSpec):
+    """(index, radii): each lattice mode's index into the table `radii` of
+    lattice radii |xi|.  d >= 2 indexes by the integer k2 = sum_i j_i^2
+    (d (n/2)^2 + 1 radii, not all of them on the lattice); d = 1 indexes by
+    |j| (n/2 + 1 radii), where a k2 table would need (n/2)^2 entries."""
+    h = grid.n // 2
+    j = np.fft.ifftshift(np.arange(-h, h))
     if grid.dimension == 1:
-        return np.abs(freqs[0])
-    mesh = np.meshgrid(*freqs, indexing="ij", sparse=True)
-    return np.sqrt(sum(f * f for f in mesh))
+        return np.abs(j), np.arange(h + 1) / grid.length
+    squares = np.meshgrid(*([j * j] * grid.dimension), indexing="ij",
+                          sparse=True)
+    radii = np.sqrt(np.arange(grid.dimension * h * h + 1)) / grid.length
+    return sum(squares), radii
+
+
+def _hartley(b):
+    """sum_j b_j (cos - sin)(2 pi j . x / n) at every node x of a real
+    array b with n points per axis.  F = rfftn(b) holds sum_j b_j
+    (cos - i sin), so the sum is Re F + Im F on the stored half-spectrum;
+    a node x with last index m > n/2 takes Re F - Im F at (-x mod n), whose
+    last index n - m is stored (F(-x) = conj F(x) for real b)."""
+    h = b.shape[-1] // 2
+    f = sfft.rfftn(b, workers=default_workers())
+    re, im = f.real, f.imag
+    out = np.empty(b.shape)
+    np.add(re, im, out=out[..., :h + 1])
+    # on a leading axis, x -> -x mod n keeps 0 and reverses 1..n-1
+    negate = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+    for blocks in itertools.product(negate, repeat=b.ndim - 1):
+        dst = tuple(d for d, _ in blocks) + (slice(h + 1, None),)
+        src = tuple(s for _, s in blocks) + (slice(h - 1, 0, -1),)
+        np.subtract(re[src], im[src], out=out[dst])
+    return out
 
 
 class SpectralPlan:
     """Precomputed per-shell amplitudes for one (ladder, grid) pair.
 
     Build one plan per (ladder, grid) pair and draw every replica and
-    stage from it with `sample` and `refine`: a plan evaluates each
-    shell's spectral weight on the whole frequency lattice, which costs
-    more than drawing a sample.
+    stage from it with `sample` and `refine`.  The plan evaluates each
+    shell's radial weight once per distinct lattice radius (see
+    `_radial_table`) and gathers the amplitudes sqrt(w / L^d) onto the
+    lattice.  A shell is then one Philox draw of standard normals g, the
+    product g * amp in place, and one `rfftn` that gives the (cos - sin)
+    sum (see `_hartley`).
     """
 
     def __init__(self, ladder: ShellLadder, grid: GridSpec,
@@ -249,21 +292,22 @@ class SpectralPlan:
             raise ValidationError("grid and kernel dimensions differ")
         self.ladder = ladder
         self.grid = grid
-        xi = _lattice_radii(grid)
+        index, radii = _radial_table(grid)
+        modes = np.bincount(index.ravel(), minlength=radii.size)  # per radius
         cell = 1.0 / grid.length ** grid.dimension   # spectral cell d xi
         self.amps = []
         self.stage_variance = []            # per-shell variance increments
         trace = 0.0
         clipped = 0.0
         for k in range(ladder.n_stages):
-            w = ladder.weight(k, xi)
+            w = ladder.weight(k, radii)
             neg = w < 0
             if np.any(neg):
-                clipped += -float(np.sum(w[neg])) * cell
+                clipped += -float(modes[neg] @ w[neg]) * cell
                 w = np.where(neg, 0.0, w)
-            inc = float(np.sum(w)) * cell
+            inc = float(modes @ w) * cell
             trace += inc
-            self.amps.append(np.sqrt(w * cell))
+            self.amps.append(np.sqrt(w * cell)[index])
             self.stage_variance.append(inc)
         if clipped > clip_tolerance * max(trace, 1e-300):
             raise GateError("embedding weights substantially negative",
@@ -299,10 +343,8 @@ class SpectralPlan:
                                      spawn_key=(int(replica), int(stage)))
         rng = np.random.Generator(np.random.Philox(seq))
         g = rng.standard_normal(self.grid.shape)
-        a = (g * self.amps[stage]).astype(np.complex128)
-        a *= (1.0 + 1.0j)
-        out = sfft.ifftn(a, workers=default_workers())
-        return out.real * self.grid.n ** self.grid.dimension
+        g *= self.amps[stage]
+        return _hartley(g)
 
     def sample(self, seed, replica=0, stage=None) -> FieldSample:
         """Field at ladder stage `stage` (default: the finest)."""
@@ -310,8 +352,8 @@ class SpectralPlan:
             stage = self.ladder.n_stages - 1
         if not (0 <= stage < self.ladder.n_stages):
             raise ValidationError("stage outside the ladder")
-        x = np.zeros(self.grid.shape)
-        for k in range(stage + 1):
+        x = self._shell_field(seed, replica, 0)
+        for k in range(1, stage + 1):
             x += self._shell_field(seed, replica, k)
         return FieldSample(grid=self.grid, epsilon=self.ladder.epsilons[stage],
                            values=x, variance=self.variance_through(stage),
@@ -330,13 +372,14 @@ class SpectralPlan:
                        variance=self.variance_through(nxt), stage=nxt)
 
     def discrete_covariance(self):
-        """Exact grid covariance as an array over lag indices (via FFT of
-        the total spectral mass at the finest stage)."""
-        xi = _lattice_radii(self.grid)
-        w = np.maximum(self.ladder.telescoped(self.ladder.n_stages - 1, xi), 0.0)
+        """Exact grid covariance as an array over lag indices: the
+        transform of the finest stage's total spectral mass, whose even
+        weight leaves only the cosine part."""
+        index, radii = _radial_table(self.grid)
+        w = np.maximum(self.ladder.telescoped(self.ladder.n_stages - 1, radii),
+                       0.0)
         cell = 1.0 / self.grid.length ** self.grid.dimension
-        cov = sfft.ifftn(w * cell, workers=default_workers()).real
-        return cov * self.grid.n ** self.grid.dimension
+        return _hartley((w * cell)[index])
 
 
 # ----------------------------------------------------------------------
@@ -372,7 +415,7 @@ def write_field(path, sample: FieldSample):
         "kind": "field", "epsilon": sample.epsilon,
         "variance": sample.variance, "seed": sample.seed,
         "replica": sample.replica, "stage": sample.stage,
-        "ladder_digest": sample.ladder_digest})
+        "ladder_digest": sample.ladder_digest, "synthesis": SYNTHESIS})
 
 
 def read_field(path):

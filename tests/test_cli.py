@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gmclab import cli
+from gmclab import field as fd
 
 
 def run_cli(argv):
@@ -36,6 +37,7 @@ def test_simulate_writes_and_replays(tmp_path, capsys):
     assert manifest["digest"] == json.loads(
         (out2 / "manifest.json").read_text())["digest"]
     assert len(manifest["outputs"]) == 4
+    assert manifest["synthesis"] == fd.SYNTHESIS
 
 
 def test_simulate_refuses_d4_at_gate(tmp_path, capsys):
@@ -205,6 +207,23 @@ def test_non_numeric_settings_are_refused(tmp_path, capsys, monkeypatch,
                                           command, overrides, env):
     if env is not None:
         monkeypatch.setenv("GMC_LAB_THREADS", env)
+    assert_refused(tmp_path, capsys, command, overrides)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"estimate": {"kind": "mrw", "n_times": -5}},
+    {"estimate": {"kind": "mrw", "n_times": 0}},
+    {"estimate": {"kind": "mrw", "t_max": 0.0}},
+    {"estimate": {"kind": "mrw", "t_max": -1.0}},
+    {"estimate": {"kind": "zeta", "regions": "spheres"}},
+], ids=["n_times-negative", "n_times-zero", "t_max-zero", "t_max-negative",
+        "regions-unknown"])
+def test_out_of_range_settings_are_refused(tmp_path, capsys, overrides):
+    assert_refused(tmp_path, capsys, "estimate", overrides)
+
+
+def assert_refused(tmp_path, capsys, command, overrides):
+    """The command exits 2 with one JSON line naming a ValidationError."""
     cfg = tmp_path / "cfg.json"
     write_cfg(cfg, **overrides)
     argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]

@@ -137,6 +137,63 @@ def test_workers_do_not_change_values():
     assert np.array_equal(a.values, b.values)
 
 
+def test_workers_do_not_change_values_d3():
+    kernel = kn.KernelSpec(3, 1.0, 1.0)
+    moll = kn.MollifierSpec("gaussian", 0.1, 3)
+    plan = fd.SpectralPlan(fd.build_ladder(kernel, moll, (0.2, 0.1)),
+                           fd.GridSpec(3, 32, 2.5))
+    fd.set_workers(1)
+    a = plan.sample(5, 0)
+    fd.set_workers(2)
+    b = plan.sample(5, 0)
+    fd.set_workers(1)
+    assert np.array_equal(a.values, b.values)
+
+
+def small_plan(d, n=8, length=2.0):
+    """A plan whose grid is small enough for O(N^2) sums over the lattice."""
+    kernel = kn.KernelSpec(d, 0.5, 1.0)
+    moll = kn.MollifierSpec("gaussian", 0.4, d)
+    ladder = fd.build_ladder(kernel, moll, (0.5, 0.4))
+    return fd.SpectralPlan(ladder, fd.GridSpec(d, n, length))
+
+
+def lattice_radii(grid):
+    """|xi_j| on the lattice, mode by mode, in FFT order."""
+    freqs = np.meshgrid(*[np.fft.fftfreq(grid.n, d=grid.step)] * grid.dimension,
+                        indexing="ij")
+    return np.sqrt(sum(f * f for f in freqs))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_shell_field_matches_direct_sum(d):
+    plan = small_plan(d)
+    n = plan.grid.n
+    idx = np.indices(plan.grid.shape).reshape(d, -1)     # j and x, as integers
+    phase = 2.0 * np.pi * (idx.T @ idx) / n              # [x, j]
+    for stage in range(plan.ladder.n_stages):
+        seq = np.random.SeedSequence(entropy=23, spawn_key=(4, stage))
+        g = np.random.Generator(np.random.Philox(seq)).standard_normal(
+            plan.grid.shape)
+        b = (g * plan.amps[stage]).ravel()
+        direct = ((np.cos(phase) - np.sin(phase)) @ b).reshape(plan.grid.shape)
+        got = plan._shell_field(23, 4, stage)
+        np.testing.assert_allclose(got, direct, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(direct)))
+
+
+@pytest.mark.parametrize("d, n", [(1, 2 ** 12), (2, 64), (3, 32)])
+def test_plan_amplitudes_match_pointwise_weights(d, n):
+    plan = small_plan(d, n=n, length=3.0)
+    xi = lattice_radii(plan.grid)
+    cell = 1.0 / plan.grid.length ** d
+    for stage in range(plan.ladder.n_stages):
+        w = np.maximum(plan.ladder.weight(stage, xi), 0.0)
+        want = np.sqrt(w * cell)
+        np.testing.assert_allclose(plan.amps[stage], want, rtol=1e-13,
+                                   atol=1e-13 * np.max(want))
+
+
 # ----------------------------------------------------------------------
 # law checks (ensemble statistics)
 # ----------------------------------------------------------------------
@@ -269,6 +326,7 @@ def test_field_binary_roundtrip(tmp_path):
         import json
         doc = json.loads(header)
         assert doc["format"] == "gmclab-grid-v1"
+        assert doc["synthesis"] == fd.SYNTHESIS
         raw = np.frombuffer(fh.read(), dtype="<f8")
     assert raw.shape[0] == s.grid.n
 
