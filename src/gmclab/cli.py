@@ -9,7 +9,8 @@ replicas, seed, per-command parameters); command-line flags override the
 file.  Every output embeds the config digest, and rerunning a manifest
 reproduces byte-identical binaries.  Exit codes: 0 success, 2 validation
 error, 3 certified oracle/acceptance failure.  GMC_LAB_THREADS (or
---threads) sets FFT worker count and never changes results.
+--threads, at least 1) sets the FFT worker count of `simulate` and
+`estimate` and never changes results.
 """
 
 from __future__ import annotations
@@ -64,6 +65,14 @@ def _number(value, convert, name):
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(
             f"{name} must be a number, got {value!r}") from None
+
+
+def _count(value, name, least):
+    """An integer setting of at least `least`, or a ValidationError."""
+    n = _number(value, int, name)
+    if n < least:
+        raise ValidationError(f"{name} must be >= {least}, got {n}")
+    return n
 
 
 def _parse_kernel_gate(cfg):
@@ -132,7 +141,7 @@ def cmd_simulate(args):
     grid = _grid_from(cfg)
     epsilons = _epsilons_from(cfg)
     seed = _number(cfg.get("seed", 0), int, "seed")
-    replicas = _number(cfg.get("replicas", 1), int, "replicas")
+    replicas = _count(cfg.get("replicas", 1), "replicas", 0)
     ladder = fd.build_ladder(spec, moll, epsilons)
     plan = fd.SpectralPlan(ladder, grid)
     out = cfg.get("out", ".")
@@ -166,16 +175,17 @@ def _apply_overrides(cfg, args):
     if threads is None:
         threads = os.environ.get("GMC_LAB_THREADS")
     if threads is not None:
-        fd.set_workers(_number(threads, int, "thread count"))
+        fd.set_workers(_count(threads, "thread count", 1))
 
 
 def cmd_estimate(args):
     cfg = _load_config(args.config)
     _apply_overrides(cfg, args)
     spec, moll = _parse_kernel_gate(cfg)
+    _positivity_certificate(spec)
     grid = _grid_from(cfg)
     seed = _number(cfg.get("seed", 0), int, "seed")
-    n = _number(cfg.get("replicas", 100), int, "replicas")
+    n = _count(cfg.get("replicas", 100), "replicas", 1)
     out = cfg.get("out", ".")
     os.makedirs(out, exist_ok=True)
     digest = _config_digest(cfg)
@@ -311,8 +321,8 @@ def build_parser():
     for p in (sim, est_p, orc):
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=None)
     for p in (sim, est_p):
+        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--replicas", type=int, default=None)
     return ap
 

@@ -9,13 +9,13 @@ degeneracy dichotomy across lam2 = 2d, and the lognormal statistics of
 coarse-grained dissipation.
 
 Moment estimation near the heavy-tail boundary p* = 2d/lam2 uses a
-defensive mixture importance sampler: with some probability the field is
-shifted by s * C(. - x0) (a Cameron-Martin element whose likelihood ratio
-is exp(s X(x0) - s^2 C(0)/2)), with x0 uniform over the evaluation window
-and s from a small grid reaching past max(p).  The weighted estimator is
-unbiased by Girsanov and keeps the near-p* tails in view at desk-scale
-replica counts; plain Monte Carlo provably misses them (the sample mean
-of m(c)^p loses the u^(-p*) tail at any feasible n).
+defensive mixture importance sampler: with probability 1 - PLAIN_FRACTION
+the field is shifted by s * C(. - x0) (a Cameron-Martin element whose
+likelihood ratio is exp(s X(x0) - s^2 C(0)/2)), with x0 uniform over the
+evaluation window and s from a small grid reaching past max(p).  The
+weighted estimator is unbiased by Girsanov and keeps the near-p* tails in
+view at desk-scale replica counts; plain Monte Carlo provably misses them
+(the sample mean of m(c)^p loses the u^(-p*) tail at any feasible n).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .field import GridSpec, SpectralPlan, build_ladder
+from .field import GridSpec, SpectralPlan, _philox, build_ladder
 from .kernels import KernelSpec, MollifierSpec
 from . import measure as ms
 
@@ -50,6 +50,11 @@ __all__ = [
 
 _TILT_KEY = (1 << 20) + 1   # rng spawn slot for tilt decisions
 _OMEGA_KEY = (1 << 20) + 2  # rng slot for the scale-invariance comparison
+
+PLAIN_FRACTION = 0.4  # share of untilted replicas in the tilt mixture
+FLAG_REL_SE = 0.5     # a moment whose standard error exceeds this share of
+                      # it is flagged as a heavy-tail point
+KS_LEVEL = 0.01       # level of the permutation-calibrated KS test
 
 
 # ----------------------------------------------------------------------
@@ -81,6 +86,15 @@ def _wls_line(x, y, se):
     tot = y - np.average(y, weights=w)
     r2 = 1.0 - float(np.sum(w * resid ** 2) / max(np.sum(w * tot ** 2), 1e-300))
     return float(beta[0]), float(beta[1]), float(np.sqrt(cov[0, 0])), r2
+
+
+def _var_se(x):
+    """Standard error of the sample variance of x (from its fourth central
+    moment)."""
+    n = len(x)
+    m2 = x.var(ddof=1)
+    m4 = float(((x - x.mean()) ** 4).mean())
+    return np.sqrt(max(m4 - m2 * m2 * (n - 3) / (n - 1), 0.0) / n)
 
 
 # ----------------------------------------------------------------------
@@ -120,29 +134,7 @@ class ScalingReport:
                 **self.meta}, fh, indent=2)
 
 
-def _summed_area(masses):
-    out = masses
-    for ax in range(masses.ndim):
-        out = np.cumsum(out, axis=ax)
-    return out
-
-
-def _box_sums_nd(sat, starts, w):
-    """Box sums from a summed-area table for cubic boxes of w cells whose
-    lower corners run over the index grid `starts` along each axis."""
-    d = sat.ndim
-    pads = np.pad(sat, [(1, 0)] * d)
-    total = None
-    for corner in range(1 << d):
-        idx = [starts + w if corner >> ax & 1 else starts for ax in range(d)]
-        sign = (-1) ** (d - bin(corner).count("1"))
-        grids = np.meshgrid(*idx, indexing="ij")
-        term = pads[tuple(grids)]
-        total = term * sign if total is None else total + term * sign
-    return total
-
-
-def default_tilt_strengths(p_max, d, lam2):
+def _tilt_strengths(p_max, d, lam2):
     """Graded tilt ladder reaching just past the heavy-moment boundary."""
     if p_max <= 1:
         return ()
@@ -154,16 +146,19 @@ def default_tilt_strengths(p_max, d, lam2):
 
 def moment_scaling(kernel: KernelSpec, mollifier: MollifierSpec,
                    grid: GridSpec, p_list, c_list, seed, n_replicas,
-                   regions="boxes", window_halfwidth=None,
-                   tilt_strengths=None, plain_fraction=0.4,
-                   flag_rel_se=0.5):
+                   regions="boxes"):
     """Fit zeta_hat_p from box (or ball) masses over the scale grid.
 
     Positive p must stay below p*; negative p are estimated on balls.
     Scales must lie in [8 * grid.step, R/4] and span >= 4 values over at
-    least 1.2 decades.  Returns a ScalingReport with per-(p, c) sample
-    moments (importance-weighted for p > 1), flags for heavy-tail points,
-    and weighted log-log fits per p.
+    least 1.2 decades; each is snapped to w whole cells.  Everything is
+    measured in the window of half-width (L - 2R)/2 about the origin,
+    whose nodes run over the index range [i_lo, i_hi) on every axis.
+    Box masses at width w are the whole-cell cubes tiling the window from
+    i_lo (`measure._tile_masses`); balls sit on a grid of centers 2c
+    apart.  Returns a ScalingReport with per-(p, c) sample moments
+    (importance-weighted for max(p) > 1), flags for heavy-tail points and
+    weighted log-log fits per p.
     """
     d = kernel.dimension
     p_list = [float(p) for p in p_list]
@@ -189,24 +184,19 @@ def moment_scaling(kernel: KernelSpec, mollifier: MollifierSpec,
     ladder = build_ladder(kernel, mollifier, (mollifier.epsilon,))
     plan = SpectralPlan(ladder, grid)
     h = grid.step
-    if window_halfwidth is None:
-        window_halfwidth = (grid.length - 2 * kernel.scale) / 2.0
-    if window_halfwidth <= 0:
+    halfwidth = (grid.length - 2 * kernel.scale) / 2.0
+    if halfwidth <= 0:
         raise ValidationError("grid too small: no usable window inside 2R")
-    grid.check_wraparound(kernel.scale, 2 * window_halfwidth)
     axis = grid.axis_coordinates(0)
-    i_lo = int(np.searchsorted(axis, -window_halfwidth))
-    i_hi = int(np.searchsorted(axis, window_halfwidth))
+    i_lo = int(np.searchsorted(axis, -halfwidth))
+    i_hi = int(np.searchsorted(axis, halfwidth))
+    W, window = i_hi - i_lo, (slice(i_lo, i_hi),) * d
 
-    if tilt_strengths is None:
-        tilt_strengths = default_tilt_strengths(max(p_list), d, kernel.lam2)
-    tilt_strengths = tuple(tilt_strengths)
-    use_tilt = len(tilt_strengths) > 0
-    if use_tilt:
+    tilts = _tilt_strengths(max(p_list), d, kernel.lam2)
+    if tilts:
         cov = plan.discrete_covariance()
         c0 = float(cov.flat[0])
-        win_flat = _window_flat_indices(grid, i_lo, i_hi)
-        comp_w = (1.0 - plain_fraction) / len(tilt_strengths)
+        comp_w = (1.0 - PLAIN_FRACTION) / len(tilts)
 
     # snap scales to whole cells; the snapped values enter the fit
     widths = sorted({max(1, int(round(c / h))) for c in c_list})
@@ -214,45 +204,36 @@ def moment_scaling(kernel: KernelSpec, mollifier: MollifierSpec,
 
     balls = {}
     if regions == "balls":
-        for c, w in zip(cs, widths):
-            centers = _ball_centers(grid, window_halfwidth, c)
+        for c in cs:
             balls[c] = [ms._region_weights(grid, ms.Ball(ctr, c), 0.0)
-                        for ctr in centers]
+                        for ctr in _ball_centers(grid, halfwidth, c)]
 
     acc = {(p, c): np.empty(n_replicas) for p in p_list for c in cs}
     wgt = np.ones(n_replicas)
     var = plan.total_variance
     for rep in range(n_replicas):
-        sample = plan.sample(seed, rep)
-        x = sample.values
-        if use_tilt:
-            rng = _stream(seed, rep, _TILT_KEY)
+        x = plan.sample(seed, rep).values
+        if tilts:
+            rng = _philox(seed, rep, _TILT_KEY)
             u = rng.random()
-            if u >= plain_fraction:
-                j = min(int((u - plain_fraction) / comp_w), len(tilt_strengths) - 1)
-                k0 = win_flat[rng.integers(len(win_flat))]
-                shift = np.unravel_index(k0, grid.shape)
-                x = x + tilt_strengths[j] * np.roll(cov, shift,
-                                                    axis=tuple(range(d)))
-            den = plain_fraction
-            xw = x.reshape(-1)[win_flat]
-            for s in tilt_strengths:
-                den += comp_w * float(np.mean(
-                    np.exp(np.clip(s * xw - s * s * c0 / 2.0, -700, 700))))
+            if u >= PLAIN_FRACTION:
+                j = min(int((u - PLAIN_FRACTION) / comp_w), len(tilts) - 1)
+                k0 = rng.integers(W ** d)
+                shift = np.add(np.unravel_index(k0, (W,) * d), i_lo)
+                x = x + tilts[j] * np.roll(cov, shift, axis=tuple(range(d)))
+            den = PLAIN_FRACTION
+            for s in tilts:
+                den += comp_w * float(np.mean(np.exp(np.clip(
+                    s * x[window] - s * s * c0 / 2.0, -700, 700))))
             wgt[rep] = 1.0 / den
         masses = ms._cell_masses(x, var, grid.cell_volume)
-        if regions == "boxes":
-            sat = _summed_area(masses)
-            for c, w in zip(cs, widths):
-                starts = np.arange(i_lo, i_hi - w, w)
-                bm = _box_sums_nd(sat, starts, w).ravel()
-                for p in p_list:
-                    acc[(p, c)][rep] = float(np.mean(bm ** p))
-        else:
-            for c in cs:
+        for c, w in zip(cs, widths):
+            if regions == "boxes":
+                bm = ms._tile_masses(masses, i_lo, (W - 1) // w, w)
+            else:
                 bm = np.array([b.mass(masses) for b in balls[c]])
-                for p in p_list:
-                    acc[(p, c)][rep] = float(np.mean(bm ** p))
+            for p in p_list:
+                acc[(p, c)][rep] = float(np.mean(bm ** p))
 
     rows, zeta_hat, zeta_an = [], {}, {}
     for p in p_list:
@@ -261,7 +242,7 @@ def moment_scaling(kernel: KernelSpec, mollifier: MollifierSpec,
             prod = wgt * acc[(p, c)]
             est = float(np.mean(prod))
             se = float(np.std(prod) / np.sqrt(n_replicas))
-            flagged = se > flag_rel_se * abs(est)
+            flagged = se > FLAG_REL_SE * abs(est)
             rows.append(MomentRow(p=p, c=c, moment=est, se=se, flagged=flagged))
             lE.append(np.log(est))
             lc.append(np.log(c))
@@ -275,23 +256,9 @@ def moment_scaling(kernel: KernelSpec, mollifier: MollifierSpec,
         scale_range=(cs[0], cs[-1]),
         meta={"seed": seed, "replicas": n_replicas, "grid": grid.to_json(),
               "ladder_digest": ladder.digest, "regions": regions,
-              "tilt_strengths": list(tilt_strengths),
-              "plain_fraction": plain_fraction if use_tilt else 1.0,
+              "tilt_strengths": list(tilts),
+              "plain_fraction": PLAIN_FRACTION if tilts else 1.0,
               "epsilon": mollifier.epsilon})
-
-
-def _stream(seed, replica, slot):
-    seq = np.random.SeedSequence(entropy=int(seed),
-                                 spawn_key=(int(replica), int(slot)))
-    return np.random.Generator(np.random.Philox(seq))
-
-
-def _window_flat_indices(grid, i_lo, i_hi):
-    sl = np.arange(i_lo, i_hi)
-    if grid.dimension == 1:
-        return sl
-    grids = np.meshgrid(*([sl] * grid.dimension), indexing="ij")
-    return np.ravel_multi_index([g.ravel() for g in grids], grid.shape)
 
 
 def _ball_centers(grid, halfwidth, radius):
@@ -340,14 +307,14 @@ def _ks_two_sample(a, b):
 
 
 def scale_invariance_test(ln_mass_a, ln_mass_ca, c, d, lam2, seed,
-                          n_permutations=400, level=0.01):
+                          n_permutations=400):
     """Compare ln m(cA) against ln m(A) + Omega_c in distribution.
 
     Omega_c ~ Normal(-(d + lam2/2) ln(1/c), lam2 ln(1/c)) is drawn from a
     seeded stream and added to the A-ensemble; the two-sample KS statistic
-    is calibrated by label permutation (the null ensemble itself), per the
-    equality-in-law statement.  Also reports the direct mean-shift and
-    variance-gain estimates with their standard errors.
+    is calibrated by label permutation (the null ensemble itself) at level
+    KS_LEVEL, per the equality-in-law statement.  Also reports the direct
+    mean-shift and variance-gain estimates with their standard errors.
     """
     a = np.asarray(ln_mass_a, dtype=float)
     b = np.asarray(ln_mass_ca, dtype=float)
@@ -361,16 +328,10 @@ def scale_invariance_test(ln_mass_a, ln_mass_ca, c, d, lam2, seed,
     shift_se = float(np.hypot(a.std() / np.sqrt(len(a)),
                               b.std() / np.sqrt(len(b))))
 
-    def var_se(x):
-        m2 = x.var(ddof=1)
-        m4 = float(((x - x.mean()) ** 4).mean())
-        return np.sqrt(max(m4 - m2 * m2 * (len(x) - 3) / (len(x) - 1), 0.0)
-                       / len(x))
-
     gain = float(b.var(ddof=1) - a.var(ddof=1))
-    gain_se = float(np.hypot(var_se(a), var_se(b)))
+    gain_se = float(np.hypot(_var_se(a), _var_se(b)))
 
-    rng = _stream(seed, 0, _OMEGA_KEY)
+    rng = _philox(seed, 0, _OMEGA_KEY)
     omega = rng.normal(target_shift, np.sqrt(max(target_gain, 0.0)), len(a))
     s1 = a + omega
     obs = _ks_two_sample(s1, b)
@@ -379,7 +340,7 @@ def scale_invariance_test(ln_mass_a, ln_mass_ca, c, d, lam2, seed,
     for i in range(n_permutations):
         rng.shuffle(pool)
         perm[i] = _ks_two_sample(pool[:len(a)], pool[len(a):])
-    crit = float(np.quantile(perm, 1.0 - level))
+    crit = float(np.quantile(perm, 1.0 - KS_LEVEL))
 
     return ScaleInvarianceReport(
         c=c, dimension=d, lam2=lam2,
@@ -466,13 +427,14 @@ class DegeneracyReport:
 
 def degeneracy_scan(lam2_list, dimension, scale, mollifier_kind,
                     grid: GridSpec, epsilons, region, alpha, seed,
-                    n_replicas, plateau_tol=0.05):
+                    n_replicas):
     """Fit the decay exponent of E[m_eps(region)^alpha] along the ladder.
 
     Sign convention fixed against brute-force simulation: the reported
     exponent is b in E ~ eps^b, so b approx d - zeta_alpha > 0 (mass
     decaying as eps -> 0) above the threshold and b approx 0 with a
-    plateau below it.
+    plateau below it: a plateau when the moment's relative change over the
+    last two shells stays below `measure.PLATEAU_TOL`.
     """
     if len(epsilons) < 5:
         raise ValidationError("ladder needs enough shells to see decay")
@@ -481,8 +443,7 @@ def degeneracy_scan(lam2_list, dimension, scale, mollifier_kind,
         kernel = KernelSpec(dimension, float(lam2), scale)
         moll = MollifierSpec(mollifier_kind, epsilons[-1], dimension)
         plan = SpectralPlan(build_ladder(kernel, moll, epsilons), grid)
-        trace = ms.convergence_trace(plan, region, seed, n_replicas,
-                                     rel_tol=plateau_tol)
+        trace = ms.convergence_trace(plan, region, seed, n_replicas)
         E = np.mean(trace.masses ** alpha, axis=0)
         SE = np.std(trace.masses ** alpha, axis=0) / np.sqrt(n_replicas)
         slope, _, slope_se, _ = _wls_line(np.log(epsilons), np.log(E),
@@ -492,7 +453,7 @@ def degeneracy_scan(lam2_list, dimension, scale, mollifier_kind,
             lam2=float(lam2), alpha=float(alpha),
             exponent=slope, exponent_se=slope_se,
             predicted=dimension - zeta(alpha, dimension, lam2),
-            drift=drift, plateau=bool(drift < plateau_tol)))
+            drift=drift, plateau=bool(drift < ms.PLATEAU_TOL)))
     return DegeneracyReport(
         fits=fits, epsilons=tuple(epsilons),
         meta={"seed": seed, "replicas": n_replicas, "alpha": alpha,
@@ -545,9 +506,8 @@ def lognormality_report(samples_by_radius, scale):
         n = len(x)
         m2 = x.var(ddof=1)
         cen = x - x.mean()
-        m4 = float((cen ** 4).mean())
         V.append(m2)
-        SEv.append(np.sqrt(max(m4 - m2 * m2 * (n - 3) / (n - 1), 0.0) / n))
+        SEv.append(_var_se(x))
         e = np.exp(x)
         means.append(float(e.mean()))
         mses.append(float(e.std() / np.sqrt(n)))

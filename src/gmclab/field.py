@@ -47,6 +47,7 @@ import scipy.fft as sfft
 
 from .errors import GateError, ValidationError
 from .kernels import KernelSpec, MollifierSpec, kernel_hat, spec_to_json
+from .spectral import sphere_area
 
 __all__ = [
     "SYNTHESIS",
@@ -80,6 +81,13 @@ def default_workers():
 def set_workers(n):
     global _WORKERS
     _WORKERS = max(1, int(n))
+
+
+def _philox(seed, *key):
+    """The counter-based Philox generator keyed by (seed, *key)."""
+    seq = np.random.SeedSequence(entropy=int(seed),
+                                 spawn_key=tuple(int(k) for k in key))
+    return np.random.Generator(np.random.Philox(seq))
 
 
 @dataclass(frozen=True)
@@ -256,14 +264,15 @@ def _radial_table(grid: GridSpec):
 
 def _hartley(b):
     """sum_j b_j (cos - sin)(2 pi j . x / n) at every node x of a real
-    array b with n points per axis.  F = rfftn(b) holds sum_j b_j
-    (cos - i sin), so the sum is Re F + Im F on the stored half-spectrum;
-    a node x with last index m > n/2 takes Re F - Im F at (-x mod n), whose
-    last index n - m is stored (F(-x) = conj F(x) for real b)."""
+    float64 array b with n points per axis, written into b: b is consumed
+    and returned.  F = rfftn(b) holds sum_j b_j (cos - i sin), so the sum
+    is Re F + Im F on the stored half-spectrum; a node x with last index
+    m > n/2 takes Re F - Im F at (-x mod n), whose last index n - m is
+    stored (F(-x) = conj F(x) for real b)."""
     h = b.shape[-1] // 2
     f = sfft.rfftn(b, workers=default_workers())
     re, im = f.real, f.imag
-    out = np.empty(b.shape)
+    out = b
     np.add(re, im, out=out[..., :h + 1])
     # on a leading axis, x -> -x mod n keeps 0 and reverses 1..n-1
     negate = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
@@ -283,7 +292,9 @@ class SpectralPlan:
     `_radial_table`) and gathers the amplitudes sqrt(w / L^d) onto the
     lattice.  A shell is then one Philox draw of standard normals g, the
     product g * amp in place, and one `rfftn` that gives the (cos - sin)
-    sum (see `_hartley`).
+    sum (see `_hartley`).  A constant remainder g = c is a delta of mass c
+    at xi = 0 (absent from `kernel_hat`): stage 0 carries it as zero-mode
+    weight c L^d, so a negative c meets the clipped-mass gate.
     """
 
     def __init__(self, ladder: ShellLadder, grid: GridSpec,
@@ -297,10 +308,14 @@ class SpectralPlan:
         cell = 1.0 / grid.length ** grid.dimension   # spectral cell d xi
         self.amps = []
         self.stage_variance = []            # per-shell variance increments
+        self._spectrum = 0.0                # clipped radial weight, all shells
+        rem = ladder.kernel.remainder
         trace = 0.0
         clipped = 0.0
         for k in range(ladder.n_stages):
             w = ladder.weight(k, radii)
+            if k == 0 and rem.kind == "constant":
+                w[0] += rem.value * grid.length ** grid.dimension  # radius 0
             neg = w < 0
             if np.any(neg):
                 clipped += -float(modes[neg] @ w[neg]) * cell
@@ -309,6 +324,7 @@ class SpectralPlan:
             trace += inc
             self.amps.append(np.sqrt(w * cell)[index])
             self.stage_variance.append(inc)
+            self._spectrum = self._spectrum + w
         if clipped > clip_tolerance * max(trace, 1e-300):
             raise GateError("embedding weights substantially negative",
                             clipped_mass=clipped, trace=trace)
@@ -320,7 +336,7 @@ class SpectralPlan:
         lad, grid = self.ladder, self.grid
         d = grid.dimension
         nyq = grid.nyquist
-        surf = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[d]
+        surf = sphere_area(d)
         s = np.geomspace(nyq, nyq * 64.0, 2048)
         dens = np.maximum(lad.telescoped(lad.n_stages - 1, s), 0.0)
         tail = float(np.trapezoid(surf * s ** (d - 1) * dens, s))
@@ -339,10 +355,7 @@ class SpectralPlan:
         return float(sum(self.stage_variance[:stage + 1]))
 
     def _shell_field(self, seed, replica, stage):
-        seq = np.random.SeedSequence(entropy=int(seed),
-                                     spawn_key=(int(replica), int(stage)))
-        rng = np.random.Generator(np.random.Philox(seq))
-        g = rng.standard_normal(self.grid.shape)
+        g = _philox(seed, replica, stage).standard_normal(self.grid.shape)
         g *= self.amps[stage]
         return _hartley(g)
 
@@ -372,14 +385,13 @@ class SpectralPlan:
                        variance=self.variance_through(nxt), stage=nxt)
 
     def discrete_covariance(self):
-        """Exact grid covariance as an array over lag indices: the
-        transform of the finest stage's total spectral mass, whose even
-        weight leaves only the cosine part."""
-        index, radii = _radial_table(self.grid)
-        w = np.maximum(self.ladder.telescoped(self.ladder.n_stages - 1, radii),
-                       0.0)
+        """Exact grid covariance of the field the plan synthesizes at its
+        finest stage, as an array over lag indices: the transform of the
+        sum of the clipped shell weights, whose even weight leaves only the
+        cosine part."""
+        index, _ = _radial_table(self.grid)
         cell = 1.0 / self.grid.length ** self.grid.dimension
-        return _hartley((w * cell)[index])
+        return _hartley((self._spectrum * cell)[index])
 
 
 # ----------------------------------------------------------------------

@@ -39,8 +39,6 @@ __all__ = [
     "spec_from_json",
 ]
 
-_SURFACE = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
-
 
 # ----------------------------------------------------------------------
 # remainder profiles
@@ -355,7 +353,7 @@ def mollifier_diagnostics(moll: MollifierSpec, n_grid=512):
     on a grid, and the decay-bound constant.
     """
     d = moll.dimension
-    surf = _SURFACE[d]
+    surf = spectral.sphere_area(d)
     if moll.kind == "fejer":
         # finite window plus the analytic tail of sinc^2:
         # int_X^inf sinc(x)^2 dx = 1/(2 pi^2 X) + O(X^-2)
@@ -451,7 +449,7 @@ def mollified_covariance(spec: KernelSpec, moll: MollifierSpec, r,
 
     # truncation-tail estimate: |fhat| <= C/s^d style envelope at the cutoff
     tail = abs(float(fhat(np.asarray(s_max)))) * moll.theta_hat_eps(s_max) \
-        * _SURFACE[d] * s_max ** d
+        * spectral.sphere_area(d) * s_max ** d
     if tail > tail_tol:
         raise GateError("spectral tail truncation above tolerance",
                         tail=tail, tolerance=tail_tol, cutoff=s_max)

@@ -7,11 +7,12 @@ mean of every region mass equals its discrete volume exactly, and region
 masses along the shell ladder form a martingale.
 
 Regions are boxes or balls; boundary cells enter with their covered
-volume fraction (exact per-axis overlap for boxes, 3^d subsampling for
-balls).  Every region mass in gmclab goes through one pair:
-`_region_weights` checks a region against a grid and builds its weights
-once, and `_RegionWeights.mass` reduces cell masses, or the covered cells
-of a FieldSample, with them.
+volume fraction (exact per-axis overlap on a box's slab, `_slab`; 3^d
+subsampling of the cells of a ball's bounding slab).  Every region mass
+in gmclab goes through one pair: `_region_weights` checks a region
+against a grid and builds its weights once, and `_RegionWeights.mass`
+reduces cell masses, or the covered cells of a FieldSample, with them;
+`_tile_masses` sums the whole-cell tiles of the moment-scaling window.
 
 On top of the d=1 measure sits the time-changed Brownian path
 X(t) = B(m[0,t]); on the d=3 measure sit the normalized ball masses
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .field import FieldSample, GridSpec, SpectralPlan, read_grid_file, write_grid_file
+from .field import (FieldSample, GridSpec, SpectralPlan, _philox,
+                    read_grid_file, write_grid_file)
 
 __all__ = [
     "ChaosMeasure",
@@ -37,6 +39,7 @@ __all__ = [
     "region_volume",
     "TraceResult",
     "convergence_trace",
+    "PLATEAU_TOL",
     "mrw_path",
     "DissipationSample",
     "dissipation_samples",
@@ -146,14 +149,34 @@ def _check_region_inside(grid: GridSpec, region, margin):
                 f"(margin {margin:g})")
 
 
+def _slab(grid: GridSpec, lo, hi):
+    """(slices, fractions): per axis, the run of cells that [lo, hi]
+    covers and the covered length fraction of each cell
+    [x_i - h/2, x_i + h/2) in it."""
+    h, cells, fractions = grid.step, [], []
+    for ax in range(grid.dimension):
+        x = grid.axis_coordinates(ax)
+        cover = (np.minimum(x + h / 2.0, hi[ax])
+                 - np.maximum(x - h / 2.0, lo[ax]))
+        w = np.clip(cover / h, 0.0, 1.0)
+        nz = np.flatnonzero(w > 0)
+        cells.append(slice(nz[0], nz[-1] + 1))
+        fractions.append(w[nz[0]:nz[-1] + 1])
+    return tuple(cells), tuple(fractions)
+
+
 _SUBDIV = 3  # per-axis subsampling of boundary cells of a ball
 
 
 def _ball_weights(grid: GridSpec, ball: Ball):
-    """(cell index arrays, weights) for the covered-volume fractions."""
+    """(cell index arrays, weights) for the covered-volume fractions: cells
+    wholly inside, then boundary cells, each in flat order.  Only the
+    ball's bounding slab is scanned; no cell outside it is covered."""
     d = grid.dimension
     h = grid.step
-    axes = [grid.axis_coordinates(ax) - ball.center[ax] for ax in range(d)]
+    slab, _ = _slab(grid, *ball.bounds())
+    axes = [grid.axis_coordinates(ax)[slab[ax]] - ball.center[ax]
+            for ax in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     dist2 = sum(m * m for m in mesh)
     half_diag = h * np.sqrt(d) / 2.0
@@ -161,9 +184,7 @@ def _ball_weights(grid: GridSpec, ball: Ball):
     inside = (ball.radius >= half_diag) \
         & (dist2 <= (ball.radius - half_diag) ** 2)
     maybe = (dist2 < (ball.radius + half_diag) ** 2) & ~inside
-    idx_in = np.flatnonzero(inside)
-    idx_b = np.flatnonzero(maybe)
-    coords = np.unravel_index(idx_b, grid.shape)
+    coords = np.nonzero(maybe)
     centers = np.stack([axes[ax][coords[ax]] for ax in range(d)], axis=-1)
     offs = (np.arange(_SUBDIV) + 0.5) / _SUBDIV - 0.5
     sub = np.stack(np.meshgrid(*([offs] * d), indexing="ij"),
@@ -171,9 +192,10 @@ def _ball_weights(grid: GridSpec, ball: Ball):
     pts = centers[:, None, :] + sub[None, :, :]
     frac = np.mean(np.sum(pts * pts, axis=-1) <= ball.radius ** 2, axis=1)
     keep = frac > 0
-    indices = np.concatenate([idx_in, idx_b[keep]])
-    weights = np.concatenate([np.ones(len(idx_in)), frac[keep]])
-    return np.unravel_index(indices, grid.shape), weights
+    cells = tuple(np.concatenate([i_in, i_b[keep]]) + s.start
+                  for i_in, i_b, s in zip(np.nonzero(inside), coords, slab))
+    weights = np.concatenate([np.ones(np.count_nonzero(inside)), frac[keep]])
+    return cells, weights
 
 
 @dataclass(frozen=True)
@@ -205,6 +227,14 @@ class _RegionWeights:
         return float(vals)
 
 
+def _tile_masses(masses, lo, k, w):
+    """Masses of the k^d cubes of w^d whole cells that tile
+    masses[lo:lo + k w, ...] along every axis, in row-major tile order."""
+    d = masses.ndim
+    tiles = masses[(slice(lo, lo + k * w),) * d].reshape((k, w) * d)
+    return tiles.sum(axis=tuple(range(1, 2 * d, 2)))
+
+
 def _region_weights(grid: GridSpec, region, margin) -> _RegionWeights:
     """Check that a Box or Ball stays inside the grid interior by `margin`
     and build its weights."""
@@ -214,18 +244,8 @@ def _region_weights(grid: GridSpec, region, margin) -> _RegionWeights:
     if isinstance(region, Ball):
         cells, w = _ball_weights(grid, region)
         return _RegionWeights(cells, (w,), grid.cell_volume)
-    # a Box: covered length fraction of every cell [x_i - h/2, x_i + h/2)
-    # along each axis, cut to the cells it touches
-    h, cells, fractions = grid.step, [], []
-    for ax in range(grid.dimension):
-        x = grid.axis_coordinates(ax)
-        cover = (np.minimum(x + h / 2.0, region.hi[ax])
-                 - np.maximum(x - h / 2.0, region.lo[ax]))
-        w = np.clip(cover / h, 0.0, 1.0)
-        nz = np.flatnonzero(w > 0)
-        cells.append(slice(nz[0], nz[-1] + 1))
-        fractions.append(w[nz[0]:nz[-1] + 1])
-    return _RegionWeights(tuple(cells), tuple(fractions), grid.cell_volume)
+    return _RegionWeights(*_slab(grid, region.lo, region.hi),
+                          grid.cell_volume)
 
 
 def region_volume(grid: GridSpec, region):
@@ -256,12 +276,14 @@ class TraceResult:
     plateau: bool
 
 
-def convergence_trace(plan: SpectralPlan, region, seed, n_replicas,
-                      rel_tol=0.05):
+PLATEAU_TOL = 0.05  # relative change per shell below which a run plateaus
+
+
+def convergence_trace(plan: SpectralPlan, region, seed, n_replicas):
     """Per-replica region mass at every ladder stage plus a plateau
     diagnostic: plateau when the median's relative change stays below
-    rel_tol over the last two successive shells.  Non-convergence is data,
-    not an error."""
+    PLATEAU_TOL over the last two successive shells.  Non-convergence is
+    data, not an error."""
     lad, grid = plan.ladder, plan.grid
     n_stages = lad.n_stages
     masses = np.empty((n_replicas, n_stages))
@@ -274,7 +296,7 @@ def convergence_trace(plan: SpectralPlan, region, seed, n_replicas,
             masses[rep, k] = weights.mass(sample)
     med = np.median(masses, axis=0)
     profile = np.abs(np.diff(med) / np.maximum(med[:-1], 1e-300))
-    plateau = bool(n_stages >= 3 and np.all(profile[-2:] < rel_tol))
+    plateau = bool(n_stages >= 3 and np.all(profile[-2:] < PLATEAU_TOL))
     return TraceResult(epsilons=lad.epsilons, masses=masses, median=med,
                        cauchy_profile=profile, plateau=plateau)
 
@@ -298,9 +320,7 @@ def mrw_path(measure: ChaosMeasure, times, seed):
     edges = np.concatenate([[0.0], times])
     cum = _cumulative_mass(measure, edges)
     dm = np.diff(cum)
-    seq = np.random.SeedSequence(entropy=int(seed),
-                                 spawn_key=(int(measure.replica), 1 << 20))
-    rng = np.random.Generator(np.random.Philox(seq))
+    rng = _philox(seed, measure.replica, 1 << 20)
     increments = rng.standard_normal(len(dm)) * np.sqrt(dm)
     return np.cumsum(increments)
 

@@ -30,6 +30,8 @@ from scipy.integrate import quad
 from scipy.special import ndtri
 
 from .errors import ValidationError
+from .estimators import _wls_line
+from .field import _philox
 
 __all__ = [
     "GaussianVectorSpec",
@@ -285,8 +287,7 @@ def sup_comparison_check(spec_x: GaussianVectorSpec,
         return OracleVerdict(name="sup-comparison", passed=False,
                              certified=False, margin=0.0, budget=np.inf,
                              detail={"reason": "no Monte Carlo budget"})
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=int(seed), spawn_key=(3,))))
+    rng = _philox(seed, 3)
     g = rng.standard_normal((n_samples, n))
     sup_x = fn((g @ _sqrt_psd(spec_x.covariance).T).max(axis=1), arg)
     sup_y = fn((g @ _sqrt_psd(spec_y.covariance).T).max(axis=1), arg)
@@ -316,8 +317,7 @@ def sup_moment_growth(lam2, p, seed=0, n_samples=400_000,
         return OracleVerdict(name="sup-moment-growth", passed=False,
                              certified=False, margin=0.0, budget=np.inf,
                              detail={"reason": "no Monte Carlo budget"})
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=int(seed), spawn_key=(4,))))
+    rng = _philox(seed, 4)
     lens, means, ses = [], [], []
     for k in log2_n_grid:
         n = 2 ** k
@@ -330,14 +330,8 @@ def sup_moment_growth(lam2, p, seed=0, n_samples=400_000,
         means.append(float(vals.mean()))
         ses.append(float(vals.std() / np.sqrt(n_samples)))
         lens.append(np.log(n))
-    lens = np.asarray(lens)
-    ln_mu = np.log(means)
-    rel = np.asarray(ses) / np.asarray(means)
-    w = 1.0 / rel ** 2
-    A = np.vstack([lens, np.ones_like(lens)]).T
-    cov = np.linalg.inv(A.T @ (w[:, None] * A))
-    beta = cov @ A.T @ (w * ln_mu)
-    slope, slope_se = float(beta[0]), float(np.sqrt(cov[0, 0]))
+    slope, _, slope_se, _ = _wls_line(lens, np.log(means),
+                                      np.asarray(ses) / np.asarray(means))
     x_hat = slope / p
     x_se = slope_se / p
     margin = 1.0 - (x_hat + 3.0 * x_se)
@@ -431,8 +425,7 @@ def _random_admissible_pair(rng, n, scale=0.6):
 
 def run_all(seed=0, mc_samples=400_000, n_random=20):
     """The full oracle battery; returns a list of OracleVerdicts."""
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=int(seed), spawn_key=(9,))))
+    rng = _philox(seed, 9)
     verdicts = []
 
     # interpolation derivative on fixed instances

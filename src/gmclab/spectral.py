@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "si_minus_sin",
     "logplus_hat",
     "radial_fourier",
+    "sphere_area",
     "SpectralProfile",
     "check_positive_definite",
     "default_check_grid",
@@ -178,6 +180,14 @@ def _oscillation_edges(xi, support, points_per_period=1.0):
     return np.concatenate([[0.0], graded, base[1:]])
 
 
+_SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi, 4: 2.0 * np.pi ** 2}
+
+
+def sphere_area(d):
+    """Surface area of the unit sphere in R^d (2, the two points, in d = 1)."""
+    return _SPHERE_AREA.get(d, 2.0 * np.pi ** (d / 2.0) / math.gamma(d / 2.0))
+
+
 # J_nu for the orders of d = 2, 3, 4; J_1/2 in its elementary form,
 # because scipy's general jv is markedly slower there
 _BESSEL = {0.0: j0,
@@ -207,9 +217,7 @@ def radial_fourier(profile, d, xi, support, order=16):
     edges = _oscillation_edges(xi, support)
 
     if xi == 0.0:
-        import math
-        surf = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi, 4: 2.0 * np.pi ** 2}.get(
-            d, 2.0 * np.pi ** (d / 2.0) / math.gamma(d / 2.0))
+        surf = sphere_area(d)
 
         def fn(r):
             return np.power(r, d - 1) * profile(r)

@@ -51,6 +51,18 @@ def test_simulate_refuses_d4_at_gate(tmp_path, capsys):
     assert "positив" in doc["message"] or "positiv" in doc["message"]
 
 
+def test_simulate_refuses_negative_constant_remainder(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    write_cfg(cfg, kernel={"dimension": 1, "lambda2": 1.0, "scale": 1.0,
+                           "remainder": {"kind": "constant", "value": -3.0}})
+    code = run_cli(["simulate", "--config", str(cfg), "--out",
+                    str(tmp_path / "x")])
+    assert code == cli.EXIT_VALIDATION
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "GateError"
+
+
 def test_simulate_refuses_critical_lam2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     write_cfg(cfg, kernel={"dimension": 1, "lambda2": 2.0, "scale": 1.0})
@@ -210,23 +222,41 @@ def test_non_numeric_settings_are_refused(tmp_path, capsys, monkeypatch,
     assert_refused(tmp_path, capsys, command, overrides)
 
 
-@pytest.mark.parametrize("overrides", [
-    {"estimate": {"kind": "mrw", "n_times": -5}},
-    {"estimate": {"kind": "mrw", "n_times": 0}},
-    {"estimate": {"kind": "mrw", "t_max": 0.0}},
-    {"estimate": {"kind": "mrw", "t_max": -1.0}},
-    {"estimate": {"kind": "zeta", "regions": "spheres"}},
+@pytest.mark.parametrize("command, overrides, flags, env", [
+    ("estimate", {"estimate": {"kind": "mrw", "n_times": -5}}, [], None),
+    ("estimate", {"estimate": {"kind": "mrw", "n_times": 0}}, [], None),
+    ("estimate", {"estimate": {"kind": "mrw", "t_max": 0.0}}, [], None),
+    ("estimate", {"estimate": {"kind": "mrw", "t_max": -1.0}}, [], None),
+    ("estimate", {"estimate": {"kind": "zeta", "regions": "spheres"}}, [],
+     None),
+    ("estimate", {"estimate": {"kind": "zeta"}}, ["--replicas", "-1"], None),
+    ("estimate", {"estimate": {"kind": "zeta"}, "replicas": 0}, [], None),
+    ("estimate", {"estimate": {"kind": "scale-invariance"}, "replicas": 0},
+     [], None),
+    ("estimate", {"estimate": {"kind": "mrw"}, "replicas": 0}, [], None),
+    ("simulate", {}, ["--replicas", "-3"], None),
+    ("simulate", {}, ["--threads", "-4"], None),
+    ("simulate", {}, ["--threads", "0"], None),
+    ("simulate", {}, [], "0"),
+    ("estimate", {}, [], "-2"),
 ], ids=["n_times-negative", "n_times-zero", "t_max-zero", "t_max-negative",
-        "regions-unknown"])
-def test_out_of_range_settings_are_refused(tmp_path, capsys, overrides):
-    assert_refused(tmp_path, capsys, "estimate", overrides)
+        "regions-unknown", "zeta-replicas-negative", "zeta-replicas-zero",
+        "scale-invariance-replicas-zero", "mrw-replicas-zero",
+        "simulate-replicas-negative", "threads-negative", "threads-zero",
+        "env-threads-zero", "env-threads-negative"])
+def test_out_of_range_settings_are_refused(tmp_path, capsys, monkeypatch,
+                                           command, overrides, flags, env):
+    if env is not None:
+        monkeypatch.setenv("GMC_LAB_THREADS", env)
+    assert_refused(tmp_path, capsys, command, overrides, flags)
 
 
-def assert_refused(tmp_path, capsys, command, overrides):
+def assert_refused(tmp_path, capsys, command, overrides, flags=()):
     """The command exits 2 with one JSON line naming a ValidationError."""
     cfg = tmp_path / "cfg.json"
     write_cfg(cfg, **overrides)
-    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o"),
+            *flags]
     if command == "estimate":
         argv += ["--kind", overrides.get("estimate", {}).get("kind", "mrw")]
     assert run_cli(argv) == cli.EXIT_VALIDATION

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,37 @@ def test_moment_scaling_second_moment_against_quadrature():
                              n_replicas=400)
     row = [r for r in rep.rows if abs(r.c - c) < 1e-12 and r.p == 2.0][0]
     assert abs(row.moment - exact) < 4 * row.se + 0.01 * exact
+
+
+@pytest.mark.parametrize("d, n", [(1, 2 ** 12), (2, 2 ** 11)])
+def test_box_moments_are_mean_tile_masses(d, n):
+    # p = 1 and one replica: no tilt and unit weight, so each row is the
+    # mean of the Box masses of the w-cell cubes that tile the window
+    # [i_lo, i_hi) from i_lo along every axis
+    kernel = kn.KernelSpec(d, 0.5, 1.0)
+    grid = fd.GridSpec(d, n, 2.5)
+    h = grid.step
+    moll = kn.MollifierSpec("gaussian", 4 * h, d)
+    cs = [8 * h * 2 ** k for k in range(5)]
+    rep = est.moment_scaling(kernel, moll, grid, [1.0], cs, seed=21,
+                             n_replicas=1)
+    plan = fd.SpectralPlan(fd.build_ladder(kernel, moll, (moll.epsilon,)),
+                           grid)
+    measure = ms.exponentiate(plan.sample(21, 0))
+    axis = grid.axis_coordinates(0)
+    halfwidth = (grid.length - 2 * kernel.scale) / 2
+    i_lo, i_hi = np.searchsorted(axis, [-halfwidth, halfwidth])
+    assert len(rep.rows) == len(cs)
+    for row in rep.rows:
+        w = int(round(row.c / h))
+        edges = axis[i_lo:i_hi:w] - h / 2   # tile corners per axis
+        k = (i_hi - i_lo - 1) // w
+        tiles = [ms.Box(lo, hi) for lo, hi in zip(
+            itertools.product(edges[:k], repeat=d),
+            itertools.product(edges[1:k + 1], repeat=d))]
+        want = np.mean([ms.region_mass(measure, b, margin=0.0)
+                        for b in tiles])
+        assert abs(row.moment - want) <= 1e-12 * want
 
 
 def test_negative_moment_on_balls():

@@ -217,6 +217,26 @@ def test_discrete_covariance_matches_continuum_lag():
     assert abs(cov[far]) < 1e-6
 
 
+def test_constant_remainder_is_zero_mode_variance():
+    # g = c adds c to the covariance at every lag: the plan carries it as
+    # zero-mode weight, so lattice variance and lag-0 covariance gain c
+    kernel = kn.KernelSpec(1, 1.0, 1.0, kn.Remainder("constant", 0.3))
+    moll = kn.MollifierSpec("gaussian", 2 ** -8, 1)
+    ladder = fd.build_ladder(kernel, moll, (2 ** -4, 2 ** -6, 2 ** -8))
+    plan = fd.SpectralPlan(ladder, fd.GridSpec(1, 2 ** 14, 4.0))
+    assert abs(plan.total_variance - kn.field_variance(kernel, moll)) < 1e-6
+    cov = plan.discrete_covariance()
+    assert abs(cov[0] - plan.total_variance) < 1e-12 * plan.total_variance
+
+
+def test_negative_constant_remainder_meets_clipped_mass_gate():
+    kernel = kn.KernelSpec(1, 1.0, 1.0, kn.Remainder("constant", -3.0))
+    moll = kn.MollifierSpec("gaussian", 2 ** -8, 1)
+    with pytest.raises(GateError):
+        fd.SpectralPlan(fd.build_ladder(kernel, moll, (2 ** -8,)),
+                        fd.GridSpec(1, 2 ** 14, 4.0))
+
+
 def test_ensemble_variance_and_covariance():
     plan, _, grid = make_plan(n=2 ** 11)
     n = 400

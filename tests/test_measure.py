@@ -86,6 +86,46 @@ def test_small_ball_covers_part_of_one_cell():
     assert 0.0 < vol < g.cell_volume
 
 
+def _whole_grid_ball_weights(grid, ball):
+    """Reference: 3^d subsampling scanned over every cell of the grid; the
+    cells wholly inside, then the covered boundary cells, in flat order."""
+    d, h, r = grid.dimension, grid.step, ball.radius
+    axes = [grid.axis_coordinates(ax) - ball.center[ax] for ax in range(d)]
+    dist2 = sum(m * m for m in np.meshgrid(*axes, indexing="ij", sparse=True))
+    half_diag = h * np.sqrt(d) / 2.0
+    inside = (r >= half_diag) & (dist2 <= (r - half_diag) ** 2)
+    idx_b = np.flatnonzero((dist2 < (r + half_diag) ** 2) & ~inside)
+    coords = np.unravel_index(idx_b, grid.shape)
+    centers = np.stack([axes[ax][coords[ax]] for ax in range(d)], axis=-1)
+    offs = (np.arange(3) + 0.5) / 3 - 0.5
+    sub = np.stack(np.meshgrid(*([offs] * d), indexing="ij"),
+                   axis=-1).reshape(-1, d) * h
+    pts = centers[:, None, :] + sub[None, :, :]
+    frac = np.mean(np.sum(pts * pts, axis=-1) <= r ** 2, axis=1)
+    flat = np.concatenate([np.flatnonzero(inside), idx_b[frac > 0]])
+    weights = np.concatenate([np.ones(np.count_nonzero(inside)),
+                              frac[frac > 0]])
+    return np.unravel_index(flat, grid.shape), weights
+
+
+@pytest.mark.parametrize("d, n, center, radius", [
+    (1, 2 ** 8, (0.013,), 0.41),
+    (2, 2 ** 6, (0.013, -0.21), 0.41),
+    (2, 2 ** 7, (-0.5, 0.33), 0.05),
+    (3, 2 ** 5, (0.1, -0.05, 0.02), 0.3),
+    (3, 2 ** 3, (0.01, 0.02, 0.03), 0.1),
+])
+def test_ball_weights_match_whole_grid_subsampling(d, n, center, radius):
+    grid = fd.GridSpec(d, n, 3.0)
+    ball = ms.Ball(center, radius)
+    weights = ms._region_weights(grid, ball, 0.0)
+    cells, fractions = _whole_grid_ball_weights(grid, ball)
+    assert len(weights.cells) == d
+    for got, want in zip(weights.cells, cells):
+        assert np.array_equal(got, want)
+    assert np.array_equal(weights.fractions[0], fractions)
+
+
 def test_fractional_boundary_cells():
     g = fd.GridSpec(1, 2 ** 6, 4.0)
     # box ends midway through cells: volume still exact
