@@ -29,7 +29,7 @@ from . import kernels as kn
 from . import measure as ms
 from . import oracles as oc
 from . import spectral as sp
-from .errors import GateError, ValidationError
+from .errors import GateError, ValidationError, parse_count, parse_number
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -57,30 +57,12 @@ def _load_config(path):
         return json.load(fh)
 
 
-def _number(value, convert, name):
-    """convert(value) for a numeric setting; a value that does not convert
-    is refused with a ValidationError naming the setting."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(
-            f"{name} must be a number, got {value!r}") from None
-
-
-def _count(value, name, least):
-    """An integer setting of at least `least`, or a ValidationError."""
-    n = _number(value, int, name)
-    if n < least:
-        raise ValidationError(f"{name} must be >= {least}, got {n}")
-    return n
-
-
 def _parse_kernel_gate(cfg):
     """Kernel parsing with the spectral positivity gate in front: a log
     kernel in d >= 4 is refused because its spectral density oscillates in
     sign (no admissible synthesis), before KernelSpec validation."""
     kcfg = cfg.get("kernel", {})
-    d = _number(kcfg.get("dimension", 1), int, "kernel.dimension")
+    d = parse_number(kcfg.get("dimension", 1), int, "kernel.dimension")
     if d >= 4:
         raise GateError(
             "positivity gate: the log kernel is not positive definite for "
@@ -101,27 +83,34 @@ def _grid_from(cfg):
     g = cfg.get("grid", {})
     origin = g.get("origin")
     return fd.GridSpec(dimension=int(cfg.get("kernel", {}).get("dimension", 1)),
-                       n=_number(g.get("n", 2 ** 12), int, "grid.n"),
-                       length=_number(g.get("length", 4.0), float,
-                                      "grid.length"),
-                       origin=_number(origin, _floats, "grid.origin")
+                       n=parse_number(g.get("n", 2 ** 12), int, "grid.n"),
+                       length=parse_number(g.get("length", 4.0), float,
+                                           "grid.length"),
+                       origin=parse_number(origin, _floats, "grid.origin")
                        if origin else None)
 
 
 def _epsilons_from(cfg):
     lad = cfg.get("ladder", {})
     if "epsilons" in lad:
-        return _number(lad["epsilons"], _floats, "ladder.epsilons")
+        return parse_number(lad["epsilons"], _floats, "ladder.epsilons")
     return fd.geometric_schedule(
-        _number(lad.get("eps0", 2 ** -4), float, "ladder.eps0"),
-        _number(lad.get("shells", 0), int, "ladder.shells"),
-        _number(lad.get("factor", 2.0), float, "ladder.factor"))
+        parse_number(lad.get("eps0", 2 ** -4), float, "ladder.eps0"),
+        parse_number(lad.get("shells", 0), int, "ladder.shells"),
+        parse_number(lad.get("factor", 2.0), float, "ladder.factor"))
 
 
 def _positivity_certificate(spec: kn.KernelSpec):
-    """Grid certificate for kernels with a nontrivial remainder; the pure
-    log part is nonnegative by the closed forms."""
-    if spec.remainder.kind != "table":
+    """Grid certificate for kernels with a table remainder; the pure log
+    part is nonnegative by the closed forms.  A constant remainder c adds
+    an atom of mass c at xi = 0 to the spectral measure, so c < 0 is
+    refused."""
+    rem = spec.remainder
+    if rem.kind == "constant" and rem.value < 0:
+        raise GateError("positivity gate: a negative constant remainder is "
+                        "a negative atom of the spectral measure at xi = 0",
+                        value=rem.value)
+    if rem.kind != "table":
         return True
     prof = lambda r: kn.eval_kernel(spec, np.maximum(r, 1e-12))
     grid = sp.default_check_grid(spec.scale)
@@ -140,8 +129,8 @@ def cmd_simulate(args):
     _positivity_certificate(spec)
     grid = _grid_from(cfg)
     epsilons = _epsilons_from(cfg)
-    seed = _number(cfg.get("seed", 0), int, "seed")
-    replicas = _count(cfg.get("replicas", 1), "replicas", 0)
+    seed = parse_number(cfg.get("seed", 0), int, "seed")
+    replicas = parse_count(cfg.get("replicas", 1), "replicas", 0)
     ladder = fd.build_ladder(spec, moll, epsilons)
     plan = fd.SpectralPlan(ladder, grid)
     out = cfg.get("out", ".")
@@ -175,7 +164,7 @@ def _apply_overrides(cfg, args):
     if threads is None:
         threads = os.environ.get("GMC_LAB_THREADS")
     if threads is not None:
-        fd.set_workers(_count(threads, "thread count", 1))
+        fd.set_workers(threads)
 
 
 def cmd_estimate(args):
@@ -184,8 +173,8 @@ def cmd_estimate(args):
     spec, moll = _parse_kernel_gate(cfg)
     _positivity_certificate(spec)
     grid = _grid_from(cfg)
-    seed = _number(cfg.get("seed", 0), int, "seed")
-    n = _count(cfg.get("replicas", 100), "replicas", 1)
+    seed = parse_number(cfg.get("seed", 0), int, "seed")
+    n = parse_count(cfg.get("replicas", 100), "replicas", 1)
     out = cfg.get("out", ".")
     os.makedirs(out, exist_ok=True)
     digest = _config_digest(cfg)
@@ -193,7 +182,8 @@ def cmd_estimate(args):
     kind = args.kind or params.get("kind")
 
     def param(name, default, convert=float):
-        return _number(params.get(name, default), convert, f"estimate.{name}")
+        return parse_number(params.get(name, default), convert,
+                            f"estimate.{name}")
 
     if kind == "zeta":
         report = est.moment_scaling(
@@ -240,21 +230,21 @@ def cmd_estimate(args):
                 f"decay exponent {f.exponent:.4f} (predicted {f.predicted:.4f})"
             print(f"lam2={f.lam2}: {verdict}")
     elif kind == "dissipation":
+        mean_eps = param("mean_eps", 1.0)
         samples, report = est.run_dissipation(
             lam2=spec.lam2, scale=spec.scale,
             radii=param("radii", [0.5, 0.25, 0.125, 0.0625], _floats),
-            seed=seed, n_replicas=n,
-            mean_eps=param("mean_eps", 1.0),
-            n_side=_number(cfg.get("grid", {}).get("n", 2 ** 7), int,
-                           "grid.n"))
+            seed=seed, n_replicas=n, mean_eps=mean_eps,
+            n_side=parse_number(cfg.get("grid", {}).get("n", 2 ** 7), int,
+                                "grid.n"))
         report.meta["config_digest"] = digest
         report.write(os.path.join(out, "dissipation.csv"))
         rows = []
         for l, vals in samples.items():
             for v in vals:
-                rows.append(ms.DissipationSample(center=(0.0, 0.0, 0.0),
-                                                 radius=l, mean_dissipation=1.0,
-                                                 value=float(v)))
+                rows.append(ms.DissipationSample(
+                    center=(0.0, 0.0, 0.0), radius=l,
+                    mean_dissipation=mean_eps, value=float(v)))
         ms.write_dissipation_csv(os.path.join(out, "dissipation_samples.csv"),
                                  rows)
         print(f"dissipation: Var(ln eps_l) slope {report.slope:.4f} "

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the parsers of numeric
+settings that raise them."""
 
 
 class ValidationError(ValueError):
@@ -16,3 +17,21 @@ class GateError(RuntimeError):
     def __init__(self, message, **detail):
         super().__init__(message)
         self.detail = detail
+
+
+def parse_number(value, convert, name):
+    """convert(value) for a numeric setting; a value that does not convert
+    is refused with a ValidationError naming the setting."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"{name} must be a number, got {value!r}") from None
+
+
+def parse_count(value, name, least):
+    """An integer setting of at least `least`, or a ValidationError."""
+    n = parse_number(value, int, name)
+    if n < least:
+        raise ValidationError(f"{name} must be >= {least}, got {n}")
+    return n

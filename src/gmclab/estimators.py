@@ -153,7 +153,8 @@ def moment_scaling(kernel: KernelSpec, mollifier: MollifierSpec,
     Scales must lie in [8 * grid.step, R/4] and span >= 4 values over at
     least 1.2 decades; each is snapped to w whole cells.  Everything is
     measured in the window of half-width (L - 2R)/2 about the origin,
-    whose nodes run over the index range [i_lo, i_hi) on every axis.
+    whose nodes run over the index range [i_lo, i_hi) on every axis; a
+    window that holds no whole box of the largest scale is refused.
     Box masses at width w are the whole-cell cubes tiling the window from
     i_lo (`measure._tile_masses`); balls sit on a grid of centers 2c
     apart.  Returns a ScalingReport with per-(p, c) sample moments
@@ -181,8 +182,6 @@ def moment_scaling(kernel: KernelSpec, mollifier: MollifierSpec,
         if p < 0 and regions != "balls":
             raise ValidationError("negative moments are estimated on balls")
 
-    ladder = build_ladder(kernel, mollifier, (mollifier.epsilon,))
-    plan = SpectralPlan(ladder, grid)
     h = grid.step
     halfwidth = (grid.length - 2 * kernel.scale) / 2.0
     if halfwidth <= 0:
@@ -192,15 +191,21 @@ def moment_scaling(kernel: KernelSpec, mollifier: MollifierSpec,
     i_hi = int(np.searchsorted(axis, halfwidth))
     W, window = i_hi - i_lo, (slice(i_lo, i_hi),) * d
 
+    # snap scales to whole cells; the snapped values enter the fit
+    widths = sorted({max(1, int(round(c / h))) for c in c_list})
+    cs = [w * h for w in widths]
+    if (W - 1) // widths[-1] < 1:
+        raise ValidationError(
+            f"window L - 2R = {2 * halfwidth:g} is narrower than the largest "
+            f"scale {cs[-1]:g}")
+
+    ladder = build_ladder(kernel, mollifier, (mollifier.epsilon,))
+    plan = SpectralPlan(ladder, grid)
     tilts = _tilt_strengths(max(p_list), d, kernel.lam2)
     if tilts:
         cov = plan.discrete_covariance()
         c0 = float(cov.flat[0])
         comp_w = (1.0 - PLAIN_FRACTION) / len(tilts)
-
-    # snap scales to whole cells; the snapped values enter the fit
-    widths = sorted({max(1, int(round(c / h))) for c in c_list})
-    cs = [w * h for w in widths]
 
     balls = {}
     if regions == "balls":

@@ -21,14 +21,18 @@ the circulant embedding of the mollified covariance up to periodization.
 The exact lattice variance sum_j w_j / L^d is carried on every sample and
 is the normalizer that makes the measure mean exactly Lebesgue.
 
-The weights are radial, so a plan evaluates each shell once per distinct
+The weights are radial, so a plan evaluates the ladder once per distinct
 lattice radius: on |j| / L in d = 1, and on sqrt(k2) / L for every integer
 k2 = sum_i j_i^2 up to d (n/2)^2 in d >= 2; the lattice gathers from that
-table.  The sum sum_j b_j (cos - sin)(2 pi j . x / n) of a real array b is
-a Hartley transform, computed from one real forward FFT F = rfftn(b) as
-Re F + Im F on the stored half-spectrum and Re F - Im F on its mirror
-image (Hermitian symmetry).  `SYNTHESIS` names this algorithm in every
-field file and `simulate` manifest.
+table.  All shells share one evaluation of fhat there
+(`ShellLadder.weights`).  The sum sum_j b_j (cos - sin)(2 pi j . x / n) of
+a real array b is a Hartley transform, computed from one real forward FFT
+F = rfftn(b) as Re F + Im F on the stored half-spectrum and Re F - Im F on
+its mirror image (Hermitian symmetry).  The transform is linear, so a
+sample at stage K adds its shells' coefficient arrays b_k = amp_k g_k in
+stage order and transforms the sum once; `refine` continues that sum.
+`SYNTHESIS` names this algorithm in every field file and `simulate`
+manifest.
 
 Randomness: counter-based Philox streams keyed by (seed, replica, shell),
 so replicas and shells are reproducible and order-independent.
@@ -40,12 +44,12 @@ import hashlib
 import itertools
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import GateError, ValidationError
+from .errors import GateError, ValidationError, parse_count
 from .kernels import KernelSpec, MollifierSpec, kernel_hat, spec_to_json
 from .spectral import sphere_area
 
@@ -62,25 +66,24 @@ __all__ = [
     "default_workers",
 ]
 
-SYNTHESIS = "rfftn-hartley-1"
+SYNTHESIS = "rfftn-hartley-2"
 
 _WORKERS = None
 
 
 def default_workers():
-    """FFT worker count; affects wall time only, never values."""
+    """FFT worker count; affects wall time only, never values.  Read once
+    from GMC_LAB_THREADS (default 1), which must be an integer >= 1."""
     global _WORKERS
     if _WORKERS is None:
-        try:
-            _WORKERS = max(1, int(os.environ.get("GMC_LAB_THREADS", "1")))
-        except ValueError:
-            _WORKERS = 1
+        _WORKERS = parse_count(os.environ.get("GMC_LAB_THREADS", 1),
+                               "GMC_LAB_THREADS", 1)
     return _WORKERS
 
 
 def set_workers(n):
     global _WORKERS
-    _WORKERS = max(1, int(n))
+    _WORKERS = parse_count(n, "thread count", 1)
 
 
 def _philox(seed, *key):
@@ -184,17 +187,24 @@ class ShellLadder:
         """Stages 0..K; stage k has mollification scale epsilons[k]."""
         return len(self.epsilons)
 
-    def weight(self, stage, xi):
-        """Radial spectral weight of one shell on |xi| values."""
+    def weights(self, xi):
+        """Every shell's radial weight on |xi| values, in stage order, from
+        one evaluation of fhat and one of theta_hat(eps_k .) per scale;
+        only the previous scale's theta_hat is held between shells."""
         xi = np.asarray(xi, dtype=float)
         fh = self._fhat(xi)
-        m = self.mollifier
-        if stage == 0:
-            w = fh * m.theta_hat(self.epsilons[0] * xi)
-        else:
-            w = fh * (m.theta_hat(self.epsilons[stage] * xi)
-                      - m.theta_hat(self.epsilons[stage - 1] * xi))
-        return w
+        prev = None
+        for eps in self.epsilons:
+            th = self.mollifier.theta_hat(eps * xi)
+            yield fh * th if prev is None else fh * (th - prev)
+            prev = th
+
+    def weight(self, stage, xi):
+        """Radial spectral weight of one shell on |xi| values."""
+        for k, w in enumerate(self.weights(xi)):
+            if k == stage:
+                return w
+        raise ValidationError("stage outside the ladder")
 
     def telescoped(self, stage, xi):
         """Total density after `stage` refinements: fhat * theta_hat(eps_k .)."""
@@ -218,8 +228,7 @@ def build_ladder(kernel: KernelSpec, mollifier: MollifierSpec, epsilons):
     ladder = ShellLadder(kernel, mollifier, epsilons)
     probe = np.geomspace(1e-3 / kernel.scale, 4.0 / epsilons[-1], 512)
     scale0 = float(np.max(np.abs(ladder.telescoped(ladder.n_stages - 1, probe)))) + 1e-300
-    for k in range(ladder.n_stages):
-        w = ladder.weight(k, probe)
+    for k, w in enumerate(ladder.weights(probe)):
         if np.min(w) < -1e-12 * scale0:
             raise GateError("negative shell weight", stage=k,
                             min_weight=float(np.min(w)))
@@ -232,7 +241,11 @@ def build_ladder(kernel: KernelSpec, mollifier: MollifierSpec, epsilons):
 
 @dataclass(frozen=True)
 class FieldSample:
-    """One realization of X_eps on a grid, with its shell history."""
+    """One realization of X_eps on a grid, with its shell history.
+
+    `_spectrum` is the running sum of the shells' spectral coefficients,
+    kept only while `SpectralPlan.refine` can add another shell; it is
+    never written to a file."""
 
     grid: GridSpec
     epsilon: float
@@ -242,9 +255,12 @@ class FieldSample:
     replica: int
     stage: int
     ladder_digest: str
+    _spectrum: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.values.setflags(write=False)
+        if self._spectrum is not None:
+            self._spectrum.setflags(write=False)
 
 
 def _radial_table(grid: GridSpec):
@@ -287,14 +303,19 @@ class SpectralPlan:
     """Precomputed per-shell amplitudes for one (ladder, grid) pair.
 
     Build one plan per (ladder, grid) pair and draw every replica and
-    stage from it with `sample` and `refine`.  The plan evaluates each
-    shell's radial weight once per distinct lattice radius (see
-    `_radial_table`) and gathers the amplitudes sqrt(w / L^d) onto the
-    lattice.  A shell is then one Philox draw of standard normals g, the
-    product g * amp in place, and one `rfftn` that gives the (cos - sin)
-    sum (see `_hartley`).  A constant remainder g = c is a delta of mass c
-    at xi = 0 (absent from `kernel_hat`): stage 0 carries it as zero-mode
-    weight c L^d, so a negative c meets the clipped-mass gate.
+    stage from it with `sample` and `refine`.  The plan evaluates the
+    shells' radial weights once per distinct lattice radius (see
+    `_radial_table`), with one evaluation of fhat for all of them, and
+    gathers the amplitudes sqrt(w / L^d) onto the lattice.  A shell is
+    then one Philox draw of standard normals g and the product g * amp in
+    place; `sample` adds the shells' products in stage order and runs one
+    `rfftn` on the sum, which gives the (cos - sin) sum (see `_hartley`).
+    A sample that can still be refined keeps that spectral sum, and
+    `refine` adds the next shell to it and transforms once more, so a
+    refined sample is bit-identical to one drawn at its stage.  A constant
+    remainder g = c is a delta of mass c at xi = 0 (absent from
+    `kernel_hat`): stage 0 carries it as zero-mode weight c L^d, so a
+    negative c meets the clipped-mass gate.
     """
 
     def __init__(self, ladder: ShellLadder, grid: GridSpec,
@@ -312,8 +333,7 @@ class SpectralPlan:
         rem = ladder.kernel.remainder
         trace = 0.0
         clipped = 0.0
-        for k in range(ladder.n_stages):
-            w = ladder.weight(k, radii)
+        for k, w in enumerate(ladder.weights(radii)):
             if k == 0 and rem.kind == "constant":
                 w[0] += rem.value * grid.length ** grid.dimension  # radius 0
             neg = w < 0
@@ -354,10 +374,22 @@ class SpectralPlan:
         """Exact lattice variance of the field at stage `stage`."""
         return float(sum(self.stage_variance[:stage + 1]))
 
-    def _shell_field(self, seed, replica, stage):
+    def _shell_coefficients(self, seed, replica, stage):
+        """One shell's spectral coefficients: its Philox normals times the
+        amplitudes, in place."""
         g = _philox(seed, replica, stage).standard_normal(self.grid.shape)
         g *= self.amps[stage]
-        return _hartley(g)
+        return g
+
+    def _field_sample(self, seed, replica, stage, spectrum):
+        """The sample at `stage` from its spectral sum, transformed once;
+        a copy of the sum stays on the sample while a refine can follow."""
+        keep = spectrum.copy() if stage + 1 < self.ladder.n_stages else None
+        return FieldSample(grid=self.grid, epsilon=self.ladder.epsilons[stage],
+                           values=_hartley(spectrum),
+                           variance=self.variance_through(stage),
+                           seed=seed, replica=replica, stage=stage,
+                           ladder_digest=self.ladder.digest, _spectrum=keep)
 
     def sample(self, seed, replica=0, stage=None) -> FieldSample:
         """Field at ladder stage `stage` (default: the finest)."""
@@ -365,24 +397,29 @@ class SpectralPlan:
             stage = self.ladder.n_stages - 1
         if not (0 <= stage < self.ladder.n_stages):
             raise ValidationError("stage outside the ladder")
-        x = self._shell_field(seed, replica, 0)
+        seed, replica = int(seed), int(replica)
+        spectrum = self._shell_coefficients(seed, replica, 0)
         for k in range(1, stage + 1):
-            x += self._shell_field(seed, replica, k)
-        return FieldSample(grid=self.grid, epsilon=self.ladder.epsilons[stage],
-                           values=x, variance=self.variance_through(stage),
-                           seed=int(seed), replica=int(replica), stage=stage,
-                           ladder_digest=self.ladder.digest)
+            spectrum += self._shell_coefficients(seed, replica, k)
+        return self._field_sample(seed, replica, stage, spectrum)
 
     def refine(self, sample: FieldSample) -> FieldSample:
-        """One more shell: X_(k+1) = X_k + independent increment."""
+        """One more shell: X_(k+1) = X_k + independent increment, added to
+        the sample's spectral sum in stage order, so the result is
+        bit-identical to `sample` at stage k + 1."""
         nxt = sample.stage + 1
         if nxt >= self.ladder.n_stages:
             raise ValidationError("shell index exhausted")
         if sample.ladder_digest != self.ladder.digest:
             raise ValidationError("sample was built from a different ladder")
-        x = sample.values + self._shell_field(sample.seed, sample.replica, nxt)
-        return replace(sample, epsilon=self.ladder.epsilons[nxt], values=x,
-                       variance=self.variance_through(nxt), stage=nxt)
+        if sample.grid != self.grid:
+            raise ValidationError("sample was drawn on a different grid")
+        if sample._spectrum is None:
+            raise ValidationError("sample carries no spectral sum (one read "
+                                  "from a file cannot be refined)")
+        spectrum = sample._spectrum + self._shell_coefficients(
+            sample.seed, sample.replica, nxt)
+        return self._field_sample(sample.seed, sample.replica, nxt, spectrum)
 
     def discrete_covariance(self):
         """Exact grid covariance of the field the plan synthesizes at its

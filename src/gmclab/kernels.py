@@ -393,8 +393,7 @@ def _remainder_hat(spec: KernelSpec):
         return _HAT_CACHE[key]
     support = float(rem.radii[-1])
     s_grid = np.concatenate([[0.0], np.geomspace(1e-3 / support, 60.0 / support, 400)])
-    vals = np.array([spectral.radial_fourier(rem, d, s, support)[0]
-                     for s in s_grid])
+    vals = spectral.radial_fourier_grid(rem, d, s_grid, support)[0]
 
     def ghat(s):
         s = np.asarray(s, dtype=float)
@@ -455,10 +454,7 @@ def mollified_covariance(spec: KernelSpec, moll: MollifierSpec, r,
                         tail=tail, tolerance=tail_tol, cutoff=s_max)
 
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    vals = np.empty_like(r_arr)
-    errs = np.empty_like(r_arr)
-    for i, ri in enumerate(r_arr):
-        vals[i], errs[i] = spectral.radial_fourier(product, d, ri, s_max)
+    vals, errs = spectral.radial_fourier_grid(product, d, r_arr, s_max)
     if spec.remainder.kind == "constant":
         vals = vals + spec.remainder.value
     scalar = np.asarray(r).ndim == 0

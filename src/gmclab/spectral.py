@@ -12,8 +12,9 @@ so for a radial profile f(|x|) in dimension d
 The module provides closed forms for the transform of ln+(T/r) in
 d = 1..4 (built from scipy's sine integral and Bessel J0/J1, with series
 below a = 0.5 where the closed forms cancel), a panel quadrature that
-splits at the oscillation period, and a grid-based positive-definiteness
-checker.
+splits at the oscillation period (on a grid of frequencies it evaluates
+the profile once per run of equal panels), and a grid-based
+positive-definiteness checker.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "si_minus_sin",
     "logplus_hat",
     "radial_fourier",
+    "radial_fourier_grid",
     "sphere_area",
     "SpectralProfile",
     "check_positive_definite",
@@ -155,29 +157,40 @@ def _gauss(order):
     return _GAUSS_CACHE[order]
 
 
-def _panel_integrate(fn, edges, order):
-    x, w = _gauss(order)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    vals = fn(nodes.ravel()).reshape(nodes.shape)
-    return float(np.sum(vals @ w * half))
-
-
-def _oscillation_edges(xi, support, points_per_period=1.0):
-    """Panel edges on [0, support] tracking the J(2 pi xi rho) period 1/xi."""
+def _panel_count(xi, support, points_per_period=1.0):
+    """Uniform panels on [0, support] tracking the J(2 pi xi rho) period
+    1/xi: 32 below two periods, at most 400000."""
     if xi <= 0 or xi * support < 2.0:
-        base = np.linspace(0.0, support, 33)
-    else:
-        step = 1.0 / (xi * points_per_period)
-        n = int(np.ceil(support / step))
-        n = min(n, 400000)
-        base = np.linspace(0.0, support, n + 1)
-    # graded refinement of the first panel: integrable endpoint
-    # singularities (ln rho) are resolved geometrically
-    first = base[1]
-    graded = first * 2.0 ** (-np.arange(36, 0, -1, dtype=float))
+        return 32
+    step = 1.0 / (xi * points_per_period)
+    return min(int(np.ceil(support / step)), 400000)
+
+
+def _panel_edges(n, support):
+    """n uniform panel edges on [0, support], the first panel graded
+    geometrically: integrable endpoint singularities (ln rho) resolve."""
+    base = np.linspace(0.0, support, n + 1)
+    graded = base[1] * 2.0 ** (-np.arange(36, 0, -1, dtype=float))
     return np.concatenate([[0.0], graded, base[1:]])
+
+
+class _Panels:
+    """Gauss-Legendre nodes `r` of one panel set at one order, and the
+    profile's values `f` on them."""
+
+    def __init__(self, profile, edges, order):
+        x, self.weights = _gauss(order)
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        self.half = 0.5 * (edges[1:] - edges[:-1])
+        nodes = mid[:, None] + self.half[:, None] * x[None, :]
+        self.shape = nodes.shape
+        self.r = nodes.ravel()
+        self.f = profile(self.r)
+
+    def integrate(self, vals):
+        """Integral of the integrand whose node values are `vals`."""
+        vals = vals.reshape(self.shape)
+        return float(np.sum(vals @ self.weights * self.half))
 
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi, 4: 2.0 * np.pi ** 2}
@@ -207,45 +220,60 @@ def radial_fourier(profile, d, xi, support, order=16):
     quadrature at `order` and at `order + 12` nodes per panel, panels being
     split at the oscillation period and geometrically refined near 0.
     Raises GateError when the two estimates disagree beyond any sensible
-    level (non-convergence), reporting the achieved bound.
+    level (non-convergence), reporting the achieved bound.  The one-point
+    case of `radial_fourier_grid`.
+    """
+    vals, errs = radial_fourier_grid(profile, d, [float(xi)], support, order)
+    return float(vals[0]), float(errs[0])
+
+
+def radial_fourier_grid(profile, d, xi, support, order=16):
+    """`radial_fourier` at every frequency of the 1-d array `xi`, as
+    (values, error_bounds) arrays, each entry bit-identical to a one-point
+    call.
+
+    Neighbouring frequencies with the same panel count share their panels,
+    so `profile` is evaluated once per run of equal panels at each of the
+    two orders; only the current run is held.  An increasing grid makes
+    the runs long.
     """
     if d < 1:
         raise ValidationError("dimension must be >= 1")
-    xi = float(xi)
-    if xi < 0:
+    xi = np.asarray(xi, dtype=float)
+    if np.any(xi < 0):
         raise ValidationError("xi must be nonnegative")
-    edges = _oscillation_edges(xi, support)
-
-    if xi == 0.0:
-        surf = sphere_area(d)
-
-        def fn(r):
-            return np.power(r, d - 1) * profile(r)
-
-        lo = _panel_integrate(fn, edges, order)
-        hi = _panel_integrate(fn, edges, order + 12)
-        return surf * hi, surf * abs(hi - lo) + 1e-300
-
-    if d == 1:
-        def fn(r):
-            return 2.0 * np.cos(2.0 * np.pi * xi * r) * profile(r)
-        scale = 1.0
-    else:
-        nu = (d - 2) / 2.0
-        bessel = _BESSEL.get(nu, lambda x: jv(nu, x))
-
-        def fn(r):
-            return np.power(r, d / 2.0) * bessel(2.0 * np.pi * xi * r) * profile(r)
-        scale = 2.0 * np.pi / xi ** nu
-
-    lo = _panel_integrate(fn, edges, order)
-    hi = _panel_integrate(fn, edges, order + 12)
-    err = scale * abs(hi - lo) + 1e-300
-    val = scale * hi
-    if err > 1e-3 * (abs(val) + 1.0):
-        raise GateError("radial transform did not converge",
-                        value=val, error_bound=err, xi=xi)
-    return val, err
+    nu = (d - 2) / 2.0
+    bessel = _BESSEL.get(nu, lambda x: jv(nu, x))
+    vals = np.empty_like(xi)
+    errs = np.empty_like(xi)
+    run = None                    # panel count of the current run
+    for i, x in enumerate(xi.tolist()):
+        n = _panel_count(x, support)
+        if n != run:
+            run, edges = n, _panel_edges(n, support)
+            panels = [_Panels(profile, edges, o) for o in (order, order + 12)]
+            if d > 1:
+                power = [np.power(p.r, d / 2.0) for p in panels]
+        if x == 0.0:
+            surf = sphere_area(d)
+            lo, hi = (p.integrate(np.power(p.r, d - 1) * p.f) for p in panels)
+            vals[i], errs[i] = surf * hi, surf * abs(hi - lo) + 1e-300
+            continue
+        if d == 1:
+            lo, hi = (p.integrate(2.0 * np.cos(2.0 * np.pi * x * p.r) * p.f)
+                      for p in panels)
+            scale = 1.0
+        else:
+            lo, hi = (p.integrate(pw * bessel(2.0 * np.pi * x * p.r) * p.f)
+                      for p, pw in zip(panels, power))
+            scale = 2.0 * np.pi / x ** nu
+        err = scale * abs(hi - lo) + 1e-300
+        val = scale * hi
+        if err > 1e-3 * (abs(val) + 1.0):
+            raise GateError("radial transform did not converge",
+                            value=val, error_bound=err, xi=x)
+        vals[i], errs[i] = val, err
+    return vals, errs
 
 
 # ----------------------------------------------------------------------
@@ -347,6 +375,10 @@ def check_positive_definite(profile, d, xi_grid, support=1.0, order=16):
     and must contain at least one dense window (>= 8 consecutive points at
     spacing <= 1/(2*support)) inside the oscillatory range; otherwise a
     GateError states the required resolution.
+
+    The transform is `radial_fourier_grid` on the increasing grid, so the
+    profile is evaluated once per run of frequencies sharing their panels,
+    not once per frequency.
     """
     xi_grid = np.asarray(xi_grid, dtype=float)
     if xi_grid.ndim != 1 or len(xi_grid) < 8:
@@ -361,10 +393,7 @@ def check_positive_definite(profile, d, xi_grid, support=1.0, order=16):
             "grid too coarse relative to the oscillation wavelength",
             required_spacing=1.0 / (2.0 * support), support=support)
 
-    vals = np.empty_like(xi_grid)
-    errs = np.empty_like(xi_grid)
-    for i, x in enumerate(xi_grid):
-        vals[i], errs[i] = radial_fourier(profile, d, x, support, order=order)
+    vals, errs = radial_fourier_grid(profile, d, xi_grid, support, order)
 
     bound = errs + 1e-12 * np.maximum(np.abs(vals), 1.0)
     negative = vals < -bound

@@ -63,6 +63,37 @@ def test_simulate_refuses_negative_constant_remainder(tmp_path, capsys):
     assert json.loads(lines[0])["error"] == "GateError"
 
 
+def test_simulate_refuses_small_negative_constant_remainder(tmp_path, capsys):
+    # f - 0.1 has a negative spectral atom at xi = 0, although the torus
+    # zero-mode weight stays positive
+    cfg = tmp_path / "cfg.json"
+    write_cfg(cfg, kernel={"dimension": 1, "lambda2": 1.0, "scale": 1.0,
+                           "remainder": {"kind": "constant", "value": -0.1}},
+              grid={"n": 2 ** 14, "length": 4.0})
+    code = run_cli(["simulate", "--config", str(cfg), "--out",
+                    str(tmp_path / "x")])
+    assert code == cli.EXIT_VALIDATION
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "GateError"
+
+
+def test_estimate_dissipation_rows_carry_mean_eps(tmp_path, capsys,
+                                                  monkeypatch):
+    written = []
+    monkeypatch.setattr(cli.ms, "write_dissipation_csv",
+                        lambda path, rows: written.extend(rows))
+    cfg = tmp_path / "cfg.json"
+    write_cfg(cfg, kernel={"dimension": 3, "lambda2": 0.5, "scale": 1.0},
+              grid={"n": 32}, replicas=3,
+              estimate={"kind": "dissipation", "mean_eps": 2.0,
+                        "radii": [0.5, 0.45, 0.4]})
+    assert run_cli(["estimate", "--config", str(cfg), "--out",
+                    str(tmp_path / "o")]) == cli.EXIT_OK
+    assert len(written) == 9
+    assert {r.mean_dissipation for r in written} == {2.0}
+
+
 def test_simulate_refuses_critical_lam2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     write_cfg(cfg, kernel={"dimension": 1, "lambda2": 2.0, "scale": 1.0})

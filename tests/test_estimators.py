@@ -67,6 +67,17 @@ def test_moment_scaling_validations():
                            [0.02, 0.08, 0.2, 0.5], 1, 10)
 
 
+@pytest.mark.parametrize("regions", ["boxes", "balls"])
+def test_moment_scaling_refuses_window_narrower_than_largest_scale(regions):
+    # L - 2R = 0.1 < 2^-3: no whole box of the largest scale fits
+    kernel, moll, _ = _small_setup()
+    grid = fd.GridSpec(1, 2 ** 13, 2.1)
+    cs = [2.0 ** -k for k in range(7, 2, -1)]
+    with pytest.raises(ValidationError, match="narrower"):
+        est.moment_scaling(kernel, moll, grid, [1.0, 2.0], cs, 1, 4,
+                           regions=regions)
+
+
 def test_moment_scaling_mean_slope_is_dimension():
     kernel, moll, grid = _small_setup()
     cs = [2.0 ** -k for k in range(7, 2, -1)]

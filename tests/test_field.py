@@ -72,6 +72,22 @@ def test_ladder_telescoping_identity():
     assert abs(total - ladder.telescoped(ladder.n_stages - 1, xi)) < 1e-12
 
 
+def test_ladder_weights_are_the_shell_formula_bit_for_bit():
+    _, ladder, _ = make_plan(shells=3)
+    xi = np.linspace(0.0, 60.0, 257)
+    fh = kn.kernel_hat(ladder.kernel)(xi)
+    th = [ladder.mollifier.theta_hat(e * xi) for e in ladder.epsilons]
+    want = [fh * th[0]] + [fh * (th[k] - th[k - 1])
+                           for k in range(1, ladder.n_stages)]
+    got = list(ladder.weights(xi))
+    assert len(got) == ladder.n_stages
+    for k in range(ladder.n_stages):
+        assert np.array_equal(got[k], want[k])
+        assert np.array_equal(ladder.weight(k, xi), want[k])
+    with pytest.raises(ValidationError):
+        ladder.weight(ladder.n_stages, xi)
+
+
 def test_ladder_rejects_bad_schedules():
     kernel = kn.KernelSpec(1, 0.5, 1.0)
     moll = kn.MollifierSpec("gaussian", 0.01, 1)
@@ -127,6 +143,48 @@ def test_refine_exhausts():
         plan.refine(s)
 
 
+def test_spectrum_is_kept_only_while_a_refine_can_follow():
+    plan, _, _ = make_plan(shells=2)
+    s = plan.sample(8, 1, stage=0)
+    assert s._spectrum is not None and not s._spectrum.flags.writeable
+    assert "_spectrum" not in repr(s)
+    s = plan.refine(plan.refine(s))
+    assert s.stage == 2 and s._spectrum is None
+    assert plan.sample(8, 1)._spectrum is None
+
+
+def test_refine_refuses_a_sample_read_from_a_file(tmp_path):
+    plan, _, _ = make_plan(n=2 ** 8, eps0=2 ** -3, shells=2)
+    path = tmp_path / "field.bin"
+    fd.write_field(path, plan.sample(77, 0, stage=0))
+    back = fd.read_field(path)
+    assert back._spectrum is None
+    with pytest.raises(ValidationError):
+        plan.refine(back)
+
+
+def test_refine_refuses_a_sample_from_another_grid():
+    plan, ladder, _ = make_plan(n=2 ** 10, shells=2)
+    other = fd.SpectralPlan(ladder, fd.GridSpec(1, 2 ** 10, 5.0))
+    with pytest.raises(ValidationError):
+        plan.refine(other.sample(3, 0, stage=0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: small_plan(1, n=2 ** 12, length=3.0),
+    lambda: small_plan(2, n=64, length=3.0),
+    lambda: small_plan(3, n=16, length=3.0),
+    lambda: make_plan(shells=6)[0],
+], ids=["d1", "d2", "d3", "d1-7-stages"])
+def test_one_transform_sample_matches_sum_of_shell_fields(make):
+    plan = make()
+    s = plan.sample(61, 2)
+    shells = sum(fd._hartley(plan._shell_coefficients(61, 2, k))
+                 for k in range(plan.ladder.n_stages))
+    np.testing.assert_allclose(s.values, shells, rtol=0,
+                               atol=1e-13 * np.sqrt(s.variance))
+
+
 def test_workers_do_not_change_values():
     plan, _, _ = make_plan(n=2 ** 10, shells=3)
     fd.set_workers(1)
@@ -148,6 +206,22 @@ def test_workers_do_not_change_values_d3():
     b = plan.sample(5, 0)
     fd.set_workers(1)
     assert np.array_equal(a.values, b.values)
+
+
+def test_default_workers_shares_the_cli_rule(monkeypatch):
+    for bad in ("-4", "0", "abc", "2.5"):
+        monkeypatch.setenv("GMC_LAB_THREADS", bad)
+        monkeypatch.setattr(fd, "_WORKERS", None)
+        with pytest.raises(ValidationError):
+            fd.default_workers()
+    monkeypatch.setenv("GMC_LAB_THREADS", "3")
+    monkeypatch.setattr(fd, "_WORKERS", None)
+    assert fd.default_workers() == 3
+    monkeypatch.delenv("GMC_LAB_THREADS")
+    monkeypatch.setattr(fd, "_WORKERS", None)
+    assert fd.default_workers() == 1
+    with pytest.raises(ValidationError):
+        fd.set_workers(0)
 
 
 def small_plan(d, n=8, length=2.0):
@@ -177,7 +251,7 @@ def test_shell_field_matches_direct_sum(d):
             plan.grid.shape)
         b = (g * plan.amps[stage]).ravel()
         direct = ((np.cos(phase) - np.sin(phase)) @ b).reshape(plan.grid.shape)
-        got = plan._shell_field(23, 4, stage)
+        got = fd._hartley(plan._shell_coefficients(23, 4, stage))
         np.testing.assert_allclose(got, direct, rtol=0,
                                    atol=1e-12 * np.max(np.abs(direct)))
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from gmclab import kernels as kn
 from gmclab import spectral as sp
 from gmclab.errors import GateError, ValidationError
 
@@ -81,6 +82,20 @@ def test_triangle_transform_is_squared_sinc():
 def _log_profile(r):
     return np.where(r < 1.0,
                     np.log(1.0 / np.maximum(r, 1e-300)), 0.0)
+
+
+_TABLE = kn.Remainder("table", radii=[0.0, 0.3, 0.7, 1.0],
+                      values=[0.4, 0.25, 0.1, 0.0])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("table", [False, True], ids=["log", "log+table"])
+def test_shared_panels_match_pointwise_transform(d, table):
+    prof = (lambda r: _log_profile(r) + _TABLE(r)) if table else _log_profile
+    xi = np.concatenate([[0.0], sp.default_check_grid(1.0, xi_max=120.0)])
+    vals, errs = sp.radial_fourier_grid(prof, d, xi, 1.0)
+    for i, x in enumerate(xi):
+        assert (vals[i], errs[i]) == sp.radial_fourier(prof, d, x, 1.0)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
