@@ -1,7 +1,8 @@
 """Coarse-grained dissipation in d = 3: the lognormal picture.
 
 Ball-averaged masses of the three-dimensional measure give the dissipation
-variables eps_l = 3 <eps> / (4 pi l^3) m(B(x, l)); their logarithms are
+variables eps_l = <eps> m(B(0, l)) / |B(0, l)|, with |B| the ball's
+discrete volume (`estimators.run_dissipation`); their logarithms are
 near-normal with variance growing as lam2 ln(R/l) plus a constant.  The
 demo runs a reduced ensemble (the acceptance suite uses 600 replicas per
 radius) and prints the fitted slope against lam2.
@@ -28,7 +29,5 @@ print("normality of ln eps_l (skewness z-scores):",
 print("mean dissipation per radius (target <eps> = 1):",
       [f"{m:.3f}+-{s:.3f}" for m, s in zip(report.means, report.mean_ses)])
 
-rows = [ms.DissipationSample((0.0, 0.0, 0.0), l, 1.0, float(v))
-        for l, vals in samples.items() for v in vals[:50]]
-ms.write_dissipation_csv("dissipation_demo.csv", rows)
-print("\nwrote a sample table to dissipation_demo.csv (x,y,z,l,eps_l)")
+ms.write_dissipation_csv("dissipation_demo.csv", samples, 1.0)
+print("\nwrote the samples to dissipation_demo.csv (l,replica,eps_l,mean_eps)")

@@ -19,7 +19,6 @@ from .field import (GridSpec, ShellLadder, SpectralPlan, FieldSample,
                     read_field)
 from .measure import (ChaosMeasure, Box, Ball, exponentiate, region_mass,
                       region_volume, convergence_trace, mrw_path,
-                      dissipation_samples, DissipationSample,
                       write_measure, read_measure)
 from .estimators import (zeta, p_star, moment_scaling, ScalingReport,
                          scale_invariance_test, run_scale_invariance,

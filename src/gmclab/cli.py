@@ -231,22 +231,20 @@ def cmd_estimate(args):
             print(f"lam2={f.lam2}: {verdict}")
     elif kind == "dissipation":
         mean_eps = param("mean_eps", 1.0)
+        radii = param("radii", [0.5, 0.25, 0.125, 0.0625], _floats)
+        if spec.dimension != 3 or not spec.remainder.is_zero:
+            raise ValidationError(
+                "dissipation runs the pure log kernel in d = 3: set "
+                "kernel.dimension to 3 and leave out kernel.remainder")
         samples, report = est.run_dissipation(
-            lam2=spec.lam2, scale=spec.scale,
-            radii=param("radii", [0.5, 0.25, 0.125, 0.0625], _floats),
+            lam2=spec.lam2, scale=spec.scale, radii=radii,
             seed=seed, n_replicas=n, mean_eps=mean_eps,
             n_side=parse_number(cfg.get("grid", {}).get("n", 2 ** 7), int,
                                 "grid.n"))
         report.meta["config_digest"] = digest
         report.write(os.path.join(out, "dissipation.csv"))
-        rows = []
-        for l, vals in samples.items():
-            for v in vals:
-                rows.append(ms.DissipationSample(
-                    center=(0.0, 0.0, 0.0), radius=l,
-                    mean_dissipation=mean_eps, value=float(v)))
         ms.write_dissipation_csv(os.path.join(out, "dissipation_samples.csv"),
-                                 rows)
+                                 samples, mean_eps)
         print(f"dissipation: Var(ln eps_l) slope {report.slope:.4f} "
               f"+- {report.slope_se:.4f} (lam2 = {spec.lam2})")
     elif kind == "mrw":

@@ -118,15 +118,14 @@ class ScalingReport:
     scale_range: tuple
     meta: dict = field(default_factory=dict)
 
-    def write(self, csv_path, sidecar_path=None):
+    def write(self, csv_path):
         with open(csv_path, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["p", "c", "moment", "se", "flagged"])
             for r in self.rows:
                 wr.writerow([r.p, repr(r.c), repr(r.moment), repr(r.se),
                              int(r.flagged)])
-        side = sidecar_path or str(csv_path) + ".json"
-        with open(side, "w") as fh:
+        with open(str(csv_path) + ".json", "w") as fh:
             json.dump({
                 "zeta_hat": {str(p): v for p, v in self.zeta_hat.items()},
                 "zeta_analytic": {str(p): v for p, v in self.zeta_analytic.items()},
@@ -167,6 +166,8 @@ def moment_scaling(kernel: KernelSpec, mollifier: MollifierSpec,
     if regions not in ("boxes", "balls"):
         raise ValidationError(
             f"regions must be 'boxes' or 'balls', got {regions!r}")
+    if not p_list:
+        raise ValidationError("p_list must hold at least one moment")
     if len(c_list) < 4:
         raise ValidationError("need at least 4 scales for the fit")
     if np.log10(c_list[-1] / c_list[0]) < 1.2 - 1e-9:
@@ -415,7 +416,7 @@ class DegeneracyReport:
     epsilons: tuple
     meta: dict = field(default_factory=dict)
 
-    def write(self, csv_path, sidecar_path=None):
+    def write(self, csv_path):
         with open(csv_path, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["lam2", "alpha", "exponent", "exponent_se",
@@ -424,8 +425,7 @@ class DegeneracyReport:
                 wr.writerow([f.lam2, f.alpha, repr(f.exponent),
                              repr(f.exponent_se), repr(f.predicted),
                              repr(f.drift), int(f.plateau)])
-        side = sidecar_path or str(csv_path) + ".json"
-        with open(side, "w") as fh:
+        with open(str(csv_path) + ".json", "w") as fh:
             json.dump({"epsilons": list(self.epsilons), **self.meta},
                       fh, indent=2)
 
@@ -482,7 +482,7 @@ class DissipationReport:
     skew_z: tuple           # skewness z-scores of ln eps_l per radius
     meta: dict = field(default_factory=dict)
 
-    def write(self, csv_path, sidecar_path=None):
+    def write(self, csv_path):
         with open(csv_path, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["l", "var_ln_eps", "var_se", "mean_eps", "mean_se",
@@ -490,8 +490,7 @@ class DissipationReport:
             for row in zip(self.radii, self.variances, self.variance_ses,
                            self.means, self.mean_ses, self.skew_z):
                 wr.writerow([repr(float(v)) for v in row])
-        side = sidecar_path or str(csv_path) + ".json"
-        with open(side, "w") as fh:
+        with open(str(csv_path) + ".json", "w") as fh:
             json.dump({"slope": self.slope, "slope_se": self.slope_se,
                        "intercept": self.intercept, **self.meta}, fh,
                       indent=2)
@@ -540,8 +539,12 @@ def run_dissipation(lam2, scale, radii, seed, n_replicas, mean_eps=1.0,
     Each radius gets the smallest torus with zero wrap-around
     contamination (the log kernel vanishes beyond R, so periodic images
     at distance >= L - 2l >= R + margin contribute nothing), which keeps
-    eps resolved: eps >= 2.5 * step is enforced.
+    eps resolved: eps >= 2.5 * step is enforced.  The slope fit needs at
+    least two distinct radii.
     """
+    if len(set(radii)) < 2:
+        raise ValidationError(
+            f"the Var(ln eps_l) fit needs two distinct radii, got {radii!r}")
     kernel = KernelSpec(3, lam2, scale)
     samples = {}
     for i, l in enumerate(sorted(radii, reverse=True)):

@@ -95,9 +95,10 @@ def _philox(seed, *key):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Periodic grid: n points per side (power of two), physical side
-    length `length`, cell centers at origin + (i + 1/2 offsets handled by
-    callers; here nodes sit at origin + i*step)."""
+    """Periodic grid: n points per side (power of two) and physical side
+    length `length`.  Node i sits at origin + i*step and is the centre of
+    the cell [node - step/2, node + step/2); the default origin -length/2
+    centres the grid on 0."""
 
     dimension: int
     n: int
@@ -318,8 +319,7 @@ class SpectralPlan:
     negative c meets the clipped-mass gate.
     """
 
-    def __init__(self, ladder: ShellLadder, grid: GridSpec,
-                 clip_tolerance=1e-8, tail_tolerance=1e-4):
+    def __init__(self, ladder: ShellLadder, grid: GridSpec):
         if grid.dimension != ladder.kernel.dimension:
             raise ValidationError("grid and kernel dimensions differ")
         self.ladder = ladder
@@ -345,14 +345,15 @@ class SpectralPlan:
             self.amps.append(np.sqrt(w * cell)[index])
             self.stage_variance.append(inc)
             self._spectrum = self._spectrum + w
-        if clipped > clip_tolerance * max(trace, 1e-300):
+        if clipped > 1e-8 * max(trace, 1e-300):
             raise GateError("embedding weights substantially negative",
                             clipped_mass=clipped, trace=trace)
-        self._check_resolution(tail_tolerance)
+        self._check_resolution()
 
-    def _check_resolution(self, tol):
-        """Nyquist must carry the finest shell: bound the continuum
-        spectral mass beyond the axis Nyquist frequency."""
+    def _check_resolution(self):
+        """Nyquist must carry the finest shell: the continuum spectral mass
+        beyond the axis Nyquist frequency stays below 1e-4 of the
+        variance."""
         lad, grid = self.ladder, self.grid
         d = grid.dimension
         nyq = grid.nyquist
@@ -361,7 +362,7 @@ class SpectralPlan:
         dens = np.maximum(lad.telescoped(lad.n_stages - 1, s), 0.0)
         tail = float(np.trapezoid(surf * s ** (d - 1) * dens, s))
         total = float(self.total_variance) + 1e-300
-        if tail > tol * total:
+        if tail > 1e-4 * total:
             raise GateError("grid cannot resolve the ladder's spectral "
                             "support (raise n or stop the ladder earlier)",
                             tail_mass=tail, variance=total, nyquist=nyq)

@@ -47,9 +47,9 @@ __all__ = [
 class Remainder:
     """Bounded continuous radial remainder g.
 
-    kind 'zero', 'constant' (value), 'table' (radii + values, linear
-    interpolation, clamped at both ends) or 'cone' (the bounded part of the
-    cone-construction kernel, tabulated once at build time).
+    kind 'zero', 'constant' (value) or 'table' (radii + values, linear
+    interpolation, clamped at both ends; `cone_remainder_table` builds the
+    bounded part of the cone-construction kernel as one).
     """
 
     def __init__(self, kind="zero", value=0.0, radii=None, values=None):
@@ -176,14 +176,14 @@ def _lens(d, radius, dist):
     return out
 
 
-def eval_cone_kernel(lam2, T, d, r, tol=1e-10):
+def eval_cone_kernel(lam2, T, d, r):
     """Cone-intersection kernel lam2 * integral over C(0) n C(x) of
     dy dt / t^(d+1), radial in |x|, zero for |x| >= T.
 
     d = 1 reduces to lam2 * ln+(T/|x|) in closed form; d = 2, 3 integrate
     the closed-form lens section in t by deterministic adaptive quadrature
-    (relative tolerance `tol` recorded; non-convergence raises GateError
-    with the achieved bound).
+    (relative tolerance 1e-10; non-convergence raises GateError with the
+    achieved bound).
     """
     if d not in (1, 2, 3):
         raise ValidationError("cone kernel defined for d in {1, 2, 3}")
@@ -210,8 +210,8 @@ def eval_cone_kernel(lam2, T, d, r, tol=1e-10):
             continue
         def integrand(t):
             return _lens(d, t / 2.0, s) / t ** (d + 1)
-        val, err = quad(integrand, s, T, epsabs=1e-13, epsrel=tol, limit=200)
-        if err > max(tol * abs(val), 1e-9):
+        val, err = quad(integrand, s, T, epsabs=1e-13, epsrel=1e-10, limit=200)
+        if err > max(1e-10 * abs(val), 1e-9):
             raise GateError("cone quadrature did not converge",
                             achieved=err, value=val, r=float(s))
         # constant section above height T contributes in closed form
@@ -336,21 +336,22 @@ class MollifierSpec:
         sup = np.max(np.abs(self.theta(r)) * (1.0 + r ** (self.dimension + self.gamma)))
         return float(sup * 1.005)
 
-    def spectral_cutoff(self, tol=1e-18):
-        """Frequency beyond which theta_hat_eps falls below tol."""
+    def spectral_cutoff(self):
+        """Frequency beyond which theta_hat_eps falls below 1e-18."""
         if self.kind == "fejer":
             return 1.0 / self.epsilon
-        return math.sqrt(math.log(1.0 / tol) / (2.0 * np.pi ** 2)) / self.epsilon
+        return math.sqrt(math.log(1.0 / 1e-18) / (2.0 * np.pi ** 2)) \
+            / self.epsilon
 
     def to_json(self):
         return {"kind": self.kind, "epsilon": self.epsilon}
 
 
-def mollifier_diagnostics(moll: MollifierSpec, n_grid=512):
+def mollifier_diagnostics(moll: MollifierSpec):
     """Numeric verification of the admissibility conditions.
 
     Returns a dict with the unit-mass integral, monotonicity of theta_hat
-    on a grid, and the decay-bound constant.
+    on a 512-point grid of [0, 4], and the decay-bound constant.
     """
     d = moll.dimension
     surf = spectral.sphere_area(d)
@@ -364,7 +365,7 @@ def mollifier_diagnostics(moll: MollifierSpec, n_grid=512):
     else:
         mass, mass_err = quad(lambda r: surf * r ** (d - 1) * moll.theta(r),
                               0.0, 50.0, limit=400)
-    u = np.linspace(0.0, 4.0, n_grid)
+    u = np.linspace(0.0, 4.0, 512)
     th = moll.theta_hat(u)
     monotone = bool(np.all(np.diff(th) <= 1e-15))
     return {
@@ -429,13 +430,12 @@ def kernel_hat(spec: KernelSpec):
     return fhat
 
 
-def mollified_covariance(spec: KernelSpec, moll: MollifierSpec, r,
-                         tail_tol=1e-9, with_error=False):
+def mollified_covariance(spec: KernelSpec, moll: MollifierSpec, r):
     """q_eps(r) = (theta^eps * f)(r) via the spectral product.
 
     Finite for every r including 0; q_eps(0) is the exact field variance
     used for normalization.  Raises GateError when the spectral tail
-    truncated beyond the mollifier cutoff exceeds `tail_tol`.
+    truncated beyond the mollifier cutoff exceeds 1e-9.
     """
     if moll.dimension != spec.dimension:
         raise ValidationError("kernel and mollifier dimensions differ")
@@ -449,19 +449,15 @@ def mollified_covariance(spec: KernelSpec, moll: MollifierSpec, r,
     # truncation-tail estimate: |fhat| <= C/s^d style envelope at the cutoff
     tail = abs(float(fhat(np.asarray(s_max)))) * moll.theta_hat_eps(s_max) \
         * spectral.sphere_area(d) * s_max ** d
-    if tail > tail_tol:
+    if tail > 1e-9:
         raise GateError("spectral tail truncation above tolerance",
-                        tail=tail, tolerance=tail_tol, cutoff=s_max)
+                        tail=tail, tolerance=1e-9, cutoff=s_max)
 
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    vals, errs = spectral.radial_fourier_grid(product, d, r_arr, s_max)
+    vals = spectral.radial_fourier_grid(product, d, r_arr, s_max)[0]
     if spec.remainder.kind == "constant":
         vals = vals + spec.remainder.value
-    scalar = np.asarray(r).ndim == 0
-    if with_error:
-        return (float(vals[0]), float(errs[0]) + tail) if scalar \
-            else (vals, errs + tail)
-    return float(vals[0]) if scalar else vals
+    return float(vals[0]) if np.asarray(r).ndim == 0 else vals
 
 
 def field_variance(spec: KernelSpec, moll: MollifierSpec):

@@ -15,8 +15,10 @@ reduces cell masses, or the covered cells of a FieldSample, with them;
 `_tile_masses` sums the whole-cell tiles of the moment-scaling window.
 
 On top of the d=1 measure sits the time-changed Brownian path
-X(t) = B(m[0,t]); on the d=3 measure sit the normalized ball masses
-eps_l = 3 <eps> / (4 pi l^3) * m(B(x,l)).
+X(t) = B(m[0,t]).  The dissipation variables eps_l of the d=3 measure are
+defined once, in `estimators.run_dissipation`: <eps> m(B(0,l)) divided by
+the ball's discrete volume, which keeps E eps_l = <eps> exactly; this
+module only writes them (`write_dissipation_csv`).
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ __all__ = [
     "convergence_trace",
     "PLATEAU_TOL",
     "mrw_path",
-    "DissipationSample",
-    "dissipation_samples",
     "write_measure",
     "read_measure",
     "write_mrw_csv",
@@ -351,35 +351,6 @@ def quadratic_variation(path, every=1):
 
 
 # ----------------------------------------------------------------------
-# Kolmogorov-Obukhov dissipation variables
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DissipationSample:
-    center: tuple
-    radius: float
-    mean_dissipation: float
-    value: float
-
-
-def dissipation_samples(measure: ChaosMeasure, centers, radius, mean_eps):
-    """eps_l = 3 <eps> / (4 pi l^3) * m(B(x, l)) for each center; the
-    measure must be three-dimensional and every ball must stay inside the
-    safe interior."""
-    if measure.grid.dimension != 3:
-        raise ValidationError("dissipation variables live on a d=3 measure")
-    out = []
-    norm = 3.0 * mean_eps / (4.0 * np.pi * radius ** 3)
-    for c in np.atleast_2d(np.asarray(centers, dtype=float)):
-        ball = Ball(tuple(c), radius)
-        mass = region_mass(measure, ball)
-        out.append(DissipationSample(center=tuple(c), radius=radius,
-                                     mean_dissipation=mean_eps,
-                                     value=norm * mass))
-    return out
-
-
-# ----------------------------------------------------------------------
 # persistence
 # ----------------------------------------------------------------------
 
@@ -412,9 +383,14 @@ def write_mrw_csv(path, times, paths):
                 writer.writerow([rep, repr(float(t)), repr(float(v))])
 
 
-def write_dissipation_csv(path, samples):
+def write_dissipation_csv(path, samples, mean_eps):
+    """Columns l, replica, eps_l, mean_eps for `run_dissipation`'s samples
+    {l: eps_l per replica}, radii in the dict's order; every ball is
+    centred at the origin."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["x", "y", "z", "l", "eps_l"])
-        for s in samples:
-            writer.writerow([repr(v) for v in (*s.center, s.radius, s.value)])
+        writer.writerow(["l", "replica", "eps_l", "mean_eps"])
+        for l, values in samples.items():
+            for rep, v in enumerate(values):
+                writer.writerow([repr(float(l)), rep, repr(float(v)),
+                                 repr(float(mean_eps))])

@@ -158,15 +158,18 @@ def _phi_pair(phi):
     return (lambda u: f(u, alpha)), (lambda u: fdd(u, alpha))
 
 
+_GH_ORDER = 48  # Gauss-Hermite nodes per dimension; budgets also use 56
+
+
 def interpolation_derivative_check(spec_x: GaussianVectorSpec,
                                    spec_y: GaussianVectorSpec,
-                                   phi, t, fd_step=5e-4, order=48):
+                                   phi, t, fd_step=5e-4):
     """Residual between the finite-difference derivative of
     E[phi(sum p_i exp(Z_i(t) - var/2))] and the covariance-gap formula.
 
-    Both sides are tensor Gauss-Hermite expectations (order per dimension
-    as given); the budget combines the Richardson estimate of the central
-    difference error with the quadrature difference at two orders.
+    Both sides are tensor Gauss-Hermite expectations (48 nodes per
+    dimension); the budget combines the Richardson estimate of the central
+    difference error with the quadrature difference at 48 and 56 nodes.
     """
     if spec_x.size != spec_y.size or spec_x.size > 3:
         raise ValidationError("interpolation check needs matching n <= 3")
@@ -177,21 +180,21 @@ def interpolation_derivative_check(spec_x: GaussianVectorSpec,
     f, fdd = _phi_pair(phi)
     cx, cy, p = spec_x.covariance, spec_y.covariance, spec_x.weights
 
-    def phi_of_t(tt, order_):
+    def phi_of_t(tt, order=_GH_ORDER):
         cov = tt * cx + (1.0 - tt) * cy
-        terms, _, gw = _lognormal_sum_nodes(cov, p, order_)
+        terms, _, gw = _lognormal_sum_nodes(cov, p, order)
         return float(gw @ f(terms.sum(axis=1)))
 
-    def fd(h, order_):
-        return (phi_of_t(t + h, order_) - phi_of_t(t - h, order_)) / (2 * h)
+    def fd(h):
+        return (phi_of_t(t + h) - phi_of_t(t - h)) / (2 * h)
 
-    lhs = fd(fd_step, order)
-    lhs_half = fd(fd_step / 2.0, order)
+    lhs = fd(fd_step)
+    lhs_half = fd(fd_step / 2.0)
     fd_err = abs(lhs - lhs_half) * 4.0 / 3.0
 
-    def rhs_at(order_):
+    def rhs_at(order=_GH_ORDER):
         cov = t * cx + (1.0 - t) * cy
-        terms, _, gw = _lognormal_sum_nodes(cov, p, order_)
+        terms, _, gw = _lognormal_sum_nodes(cov, p, order)
         w_sum = terms.sum(axis=1)
         gap = cx - cy
         total = 0.0
@@ -204,9 +207,9 @@ def interpolation_derivative_check(spec_x: GaussianVectorSpec,
                     * float(gw @ (pair * fdd(w_sum)))
         return total
 
-    rhs = rhs_at(order)
-    quad_err = abs(rhs - rhs_at(order + 8)) \
-        + abs(phi_of_t(t, order) - phi_of_t(t, order + 8)) / fd_step
+    rhs = rhs_at()
+    quad_err = abs(rhs - rhs_at(_GH_ORDER + 8)) \
+        + abs(phi_of_t(t) - phi_of_t(t, _GH_ORDER + 8)) / fd_step
     residual = abs(lhs - rhs)
     budget = fd_err + quad_err + 1e-11
     return OracleVerdict(
@@ -227,7 +230,7 @@ _CONVEX_F = {
 
 def convex_comparison_check(spec_x: GaussianVectorSpec,
                             spec_y: GaussianVectorSpec,
-                            F=("square",), order=48):
+                            F=("square",)):
     """E[F(sum p_i e^(X_i - var/2))] <= same under Y, for convex F >= 0,
     when E[X_i X_j] <= E[Y_i Y_j] entrywise.  Quadrature both sides."""
     if spec_x.size != spec_y.size or spec_x.size > 3:
@@ -242,13 +245,13 @@ def convex_comparison_check(spec_x: GaussianVectorSpec,
     fn = _CONVEX_F[F[0]]
     arg = float(F[1]) if len(F) > 1 else 0.0
 
-    def side(cov, order_):
-        terms, _, gw = _lognormal_sum_nodes(cov, spec_x.weights, order_)
+    def side(cov, order=_GH_ORDER):
+        terms, _, gw = _lognormal_sum_nodes(cov, spec_x.weights, order)
         return float(gw @ fn(terms.sum(axis=1), arg))
 
-    left, right = side(spec_x.covariance, order), side(spec_y.covariance, order)
-    budget = abs(left - side(spec_x.covariance, order + 8)) \
-        + abs(right - side(spec_y.covariance, order + 8)) + 1e-12
+    left, right = side(spec_x.covariance), side(spec_y.covariance)
+    budget = abs(left - side(spec_x.covariance, _GH_ORDER + 8)) \
+        + abs(right - side(spec_y.covariance, _GH_ORDER + 8)) + 1e-12
     margin = right - left
     return OracleVerdict(
         name="convex-comparison", passed=margin >= -budget,
@@ -300,10 +303,9 @@ def sup_comparison_check(spec_x: GaussianVectorSpec,
         detail={"se": se, "F": list(map(str, F)), "samples": n_samples})
 
 
-def sup_moment_growth(lam2, p, seed=0, n_samples=400_000,
-                      log2_n_grid=(6, 8, 10, 12, 14, 16)):
+def sup_moment_growth(lam2, p, seed=0, n_samples=400_000):
     """Fitted growth exponent of E[sup_i exp(p X_i - p lam2/2 ln n)] over
-    iid X_i ~ N(0, lam2 ln n).
+    iid X_i ~ N(0, lam2 ln n), for n = 2^6, 2^8, ..., 2^16.
 
     Only the sup enters, so each draw is exact through the inverse CDF of
     the max of n uniforms; the fit certifies an exponent x_hat < 1 when
@@ -319,8 +321,8 @@ def sup_moment_growth(lam2, p, seed=0, n_samples=400_000,
                              detail={"reason": "no Monte Carlo budget"})
     rng = _philox(seed, 4)
     lens, means, ses = [], [], []
-    for k in log2_n_grid:
-        n = 2 ** k
+    n_values = [2 ** k for k in range(6, 17, 2)]
+    for n in n_values:
         sigma = np.sqrt(lam2 * np.log(n))
         u = rng.random(n_samples)
         # max of n uniforms: V = U^(1/n); complement computed stably
@@ -340,7 +342,7 @@ def sup_moment_growth(lam2, p, seed=0, n_samples=400_000,
         certified=x_se < 0.25, margin=margin, budget=3.0 * x_se,
         detail={"x_hat": x_hat, "x_se": x_se, "slope": slope, "p": p,
                 "lam2": lam2, "samples": n_samples,
-                "n_grid": [2 ** k for k in log2_n_grid]})
+                "n_grid": n_values})
 
 
 # ----------------------------------------------------------------------
@@ -358,9 +360,9 @@ def _log_kernel_integral(theta_abs, z, x_max):
     return val, err
 
 
-def log_convolution_tail(theta_abs, a_list, decay_c, decay_gamma,
-                         z_per_a=6, z_span=8.0):
-    """sup over |z| > A of |integral |theta(v)| ln|z/(z-v)| dv| for each A.
+def log_convolution_tail(theta_abs, a_list, decay_c, decay_gamma):
+    """sup over |z| > A of |integral |theta(v)| ln|z/(z-v)| dv| for each A,
+    taken over six z log-spaced on [A, 8A].
 
     theta_abs is |theta| as a 1-d profile with the recorded decay bound
     |theta(v)| <= C/(1+|v|^(1+gamma)); the quadrature tail beyond the
@@ -369,7 +371,7 @@ def log_convolution_tail(theta_abs, a_list, decay_c, decay_gamma,
     """
     out = {}
     for a in sorted(a_list):
-        zs = a * np.power(z_span, np.arange(z_per_a) / (z_per_a - 1.0))
+        zs = a * np.power(8.0, np.arange(6) / 5.0)
         sup_val = 0.0
         for z in zs:
             x_max = max(10.0 * z, 64.0)

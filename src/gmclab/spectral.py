@@ -148,6 +148,7 @@ def logplus_hat(xi, d, T=1.0):
 # panel quadrature for radial transforms
 # ----------------------------------------------------------------------
 
+_QUAD_ORDER = 16  # Gauss-Legendre nodes per panel (the bound uses 16 and 28)
 _GAUSS_CACHE = {}
 
 
@@ -157,13 +158,12 @@ def _gauss(order):
     return _GAUSS_CACHE[order]
 
 
-def _panel_count(xi, support, points_per_period=1.0):
-    """Uniform panels on [0, support] tracking the J(2 pi xi rho) period
-    1/xi: 32 below two periods, at most 400000."""
+def _panel_count(xi, support):
+    """Uniform panels on [0, support], one per J(2 pi xi rho) period 1/xi:
+    32 below two periods, at most 400000."""
     if xi <= 0 or xi * support < 2.0:
         return 32
-    step = 1.0 / (xi * points_per_period)
-    return min(int(np.ceil(support / step)), 400000)
+    return min(int(np.ceil(support / (1.0 / xi))), 400000)
 
 
 def _panel_edges(n, support):
@@ -208,7 +208,7 @@ _BESSEL = {0.0: j0,
            1.0: j1}
 
 
-def radial_fourier(profile, d, xi, support, order=16):
+def radial_fourier(profile, d, xi, support):
     """Radial Fourier transform of a compactly supported radial profile.
 
     profile : callable rho-array -> values (radial profile f(rho))
@@ -217,17 +217,17 @@ def radial_fourier(profile, d, xi, support, order=16):
     support : upper integration limit (profile negligible beyond it)
 
     Returns (value, error_bound); the bound is the difference between the
-    quadrature at `order` and at `order + 12` nodes per panel, panels being
-    split at the oscillation period and geometrically refined near 0.
-    Raises GateError when the two estimates disagree beyond any sensible
-    level (non-convergence), reporting the achieved bound.  The one-point
-    case of `radial_fourier_grid`.
+    quadrature at 16 and at 28 nodes per panel, panels being split at the
+    oscillation period and geometrically refined near 0.  Raises GateError
+    when the two estimates disagree beyond any sensible level
+    (non-convergence), reporting the achieved bound.  The one-point case of
+    `radial_fourier_grid`.
     """
-    vals, errs = radial_fourier_grid(profile, d, [float(xi)], support, order)
+    vals, errs = radial_fourier_grid(profile, d, [float(xi)], support)
     return float(vals[0]), float(errs[0])
 
 
-def radial_fourier_grid(profile, d, xi, support, order=16):
+def radial_fourier_grid(profile, d, xi, support):
     """`radial_fourier` at every frequency of the 1-d array `xi`, as
     (values, error_bounds) arrays, each entry bit-identical to a one-point
     call.
@@ -251,7 +251,8 @@ def radial_fourier_grid(profile, d, xi, support, order=16):
         n = _panel_count(x, support)
         if n != run:
             run, edges = n, _panel_edges(n, support)
-            panels = [_Panels(profile, edges, o) for o in (order, order + 12)]
+            panels = [_Panels(profile, edges, o)
+                      for o in (_QUAD_ORDER, _QUAD_ORDER + 12)]
             if d > 1:
                 power = [np.power(p.r, d / 2.0) for p in panels]
         if x == 0.0:
@@ -296,30 +297,29 @@ class SpectralProfile:
     certificate: str = CERT_INDETERMINATE
     meta: dict = field(default_factory=dict)
 
-    def write(self, csv_path, sidecar_path=None):
-        """CSV columns (xi, fhat, err) plus a JSON sidecar with the verdict."""
+    def write(self, csv_path):
+        """CSV columns (xi, fhat, err) plus a JSON sidecar (the CSV path
+        with ".json" appended) with the verdict."""
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["xi", "fhat", "err"])
             for row in zip(self.xi, self.fhat, self.err):
                 writer.writerow([repr(float(v)) for v in row])
-        sidecar = sidecar_path or str(csv_path) + ".json"
-        with open(sidecar, "w") as fh:
+        with open(str(csv_path) + ".json", "w") as fh:
             json.dump({"dimension": self.dimension,
                        "certificate": self.certificate,
                        "points": int(len(self.xi)),
                        **self.meta}, fh, indent=2)
 
     @staticmethod
-    def read(csv_path, sidecar_path=None):
+    def read(csv_path):
         xi, fhat, err = [], [], []
         with open(csv_path, newline="") as fh:
             for row in csv.DictReader(fh):
                 xi.append(float(row["xi"]))
                 fhat.append(float(row["fhat"]))
                 err.append(float(row["err"]))
-        sidecar = sidecar_path or str(csv_path) + ".json"
-        with open(sidecar) as fh:
+        with open(str(csv_path) + ".json") as fh:
             side = json.load(fh)
         return SpectralProfile(dimension=side.pop("dimension"),
                                xi=np.asarray(xi), fhat=np.asarray(fhat),
@@ -328,24 +328,25 @@ class SpectralProfile:
                                meta=side)
 
 
-def default_check_grid(support, xi_min=None, xi_max=None, window_points=48):
-    """Grid for check_positive_definite: a log-spaced spine plus dense
-    linear windows (spacing 1/(4*support)) in the mid and top oscillation
+def default_check_grid(support, xi_max=None):
+    """Grid for check_positive_definite: a log-spaced spine from
+    1e-2/support to xi_max (default 1e3/support) plus dense linear windows
+    of 48 points (spacing 1/(4*support)) in the mid and top oscillation
     range, so sign structure at large xi is sampled below Nyquist."""
-    xi_min = xi_min if xi_min is not None else 1e-2 / support
     xi_max = xi_max if xi_max is not None else 1e3 / support
-    spine = np.geomspace(xi_min, xi_max, 240)
+    spine = np.geomspace(1e-2 / support, xi_max, 240)
     step = 1.0 / (4.0 * support)
     windows = []
     for hi_frac in (0.06, 0.3, 1.0):
         hi = xi_max * hi_frac
         if hi * support > 10:
-            windows.append(hi - step * np.arange(window_points)[::-1])
+            windows.append(hi - step * np.arange(48)[::-1])
     grid = np.unique(np.concatenate([spine] + windows))
     return grid[grid > 0]
 
 
-def _has_dense_window(xi, support, min_run=8):
+def _has_dense_window(xi, support):
+    """>= 8 consecutive points <= 1/(2*support) apart where xi*support >= 10."""
     osc = xi * support >= 10.0
     if not np.any(osc):
         return True  # nothing oscillatory to resolve
@@ -355,14 +356,14 @@ def _has_dense_window(xi, support, min_run=8):
     for i in idx[:-1]:
         if gaps[i] <= 1.0 / (2.0 * support):
             run += 1
-            if run >= min_run - 1:
+            if run >= 7:
                 return True
         else:
             run = 0
     return False
 
 
-def check_positive_definite(profile, d, xi_grid, support=1.0, order=16):
+def check_positive_definite(profile, d, xi_grid, support=1.0):
     """Evaluate the radial transform of `profile` on a grid and certify
     its sign pattern.
 
@@ -393,7 +394,7 @@ def check_positive_definite(profile, d, xi_grid, support=1.0, order=16):
             "grid too coarse relative to the oscillation wavelength",
             required_spacing=1.0 / (2.0 * support), support=support)
 
-    vals, errs = radial_fourier_grid(profile, d, xi_grid, support, order)
+    vals, errs = radial_fourier_grid(profile, d, xi_grid, support)
 
     bound = errs + 1e-12 * np.maximum(np.abs(vals), 1.0)
     negative = vals < -bound
@@ -410,4 +411,4 @@ def check_positive_definite(profile, d, xi_grid, support=1.0, order=16):
 
     return SpectralProfile(dimension=d, xi=xi_grid, fhat=vals, err=errs,
                            certificate=cert,
-                           meta={"support": support, "order": order})
+                           meta={"support": support, "order": _QUAD_ORDER})

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -78,20 +79,19 @@ def test_simulate_refuses_small_negative_constant_remainder(tmp_path, capsys):
     assert json.loads(lines[0])["error"] == "GateError"
 
 
-def test_estimate_dissipation_rows_carry_mean_eps(tmp_path, capsys,
-                                                  monkeypatch):
-    written = []
-    monkeypatch.setattr(cli.ms, "write_dissipation_csv",
-                        lambda path, rows: written.extend(rows))
+def test_estimate_dissipation_rows_carry_mean_eps(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     write_cfg(cfg, kernel={"dimension": 3, "lambda2": 0.5, "scale": 1.0},
               grid={"n": 32}, replicas=3,
               estimate={"kind": "dissipation", "mean_eps": 2.0,
                         "radii": [0.5, 0.45, 0.4]})
+    out = tmp_path / "o"
     assert run_cli(["estimate", "--config", str(cfg), "--out",
-                    str(tmp_path / "o")]) == cli.EXIT_OK
-    assert len(written) == 9
-    assert {r.mean_dissipation for r in written} == {2.0}
+                    str(out)]) == cli.EXIT_OK
+    with open(out / "dissipation_samples.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 9
+    assert {r["mean_eps"] for r in rows} == {"2.0"}
 
 
 def test_simulate_refuses_critical_lam2(tmp_path, capsys):
@@ -253,6 +253,9 @@ def test_non_numeric_settings_are_refused(tmp_path, capsys, monkeypatch,
     assert_refused(tmp_path, capsys, command, overrides)
 
 
+D3_KERNEL = {"dimension": 3, "lambda2": 0.5, "scale": 1.0}
+
+
 @pytest.mark.parametrize("command, overrides, flags, env", [
     ("estimate", {"estimate": {"kind": "mrw", "n_times": -5}}, [], None),
     ("estimate", {"estimate": {"kind": "mrw", "n_times": 0}}, [], None),
@@ -270,11 +273,27 @@ def test_non_numeric_settings_are_refused(tmp_path, capsys, monkeypatch,
     ("simulate", {}, ["--threads", "0"], None),
     ("simulate", {}, [], "0"),
     ("estimate", {}, [], "-2"),
+    ("estimate", {"estimate": {"kind": "zeta", "p_list": []}}, [], None),
+    ("estimate", {"kernel": D3_KERNEL, "grid": {"n": 32},
+                  "estimate": {"kind": "dissipation", "radii": []}}, [], None),
+    ("estimate", {"kernel": D3_KERNEL, "grid": {"n": 32},
+                  "estimate": {"kind": "dissipation", "radii": [0.5, 0.5]}},
+     [], None),
+    ("estimate", {"grid": {"n": 32},
+                  "estimate": {"kind": "dissipation",
+                               "radii": [0.5, 0.45, 0.4]}}, [], None),
+    ("estimate", {"kernel": {**D3_KERNEL, "remainder": {"kind": "constant",
+                                                        "value": 0.7}},
+                  "grid": {"n": 32},
+                  "estimate": {"kind": "dissipation",
+                               "radii": [0.5, 0.45, 0.4]}}, [], None),
 ], ids=["n_times-negative", "n_times-zero", "t_max-zero", "t_max-negative",
         "regions-unknown", "zeta-replicas-negative", "zeta-replicas-zero",
         "scale-invariance-replicas-zero", "mrw-replicas-zero",
         "simulate-replicas-negative", "threads-negative", "threads-zero",
-        "env-threads-zero", "env-threads-negative"])
+        "env-threads-zero", "env-threads-negative", "zeta-p_list-empty",
+        "dissipation-radii-empty", "dissipation-radii-repeated",
+        "dissipation-dimension-1", "dissipation-remainder"])
 def test_out_of_range_settings_are_refused(tmp_path, capsys, monkeypatch,
                                            command, overrides, flags, env):
     if env is not None:

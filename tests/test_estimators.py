@@ -313,6 +313,23 @@ def test_lognormality_zero_intermittency_slope():
     assert abs(rep.slope) < 4 * rep.slope_se + 1e-3
 
 
+def test_dissipation_constant_for_tiny_intermittency():
+    samples, _ = est.run_dissipation(1e-10, 1.0, [0.5, 0.4], seed=3,
+                                     n_replicas=2, mean_eps=2.0,
+                                     n_side=2 ** 5)
+    for vals in samples.values():
+        np.testing.assert_allclose(vals, 2.0, rtol=1e-4)
+
+
+def test_dissipation_mean_normalization():
+    # the discrete ball volume makes E eps_l = <eps> exactly
+    samples, _ = est.run_dissipation(1.0, 1.0, [0.5, 0.4], seed=41,
+                                     n_replicas=100, mean_eps=2.0,
+                                     n_side=2 ** 5)
+    for vals in samples.values():
+        assert abs(vals.mean() - 2.0) < 3 * vals.std() / np.sqrt(len(vals))
+
+
 def test_dissipation_report_io(tmp_path):
     rng = np.random.default_rng(5)
     samples = {l: np.exp(rng.normal(0.0, 0.3, 200))

@@ -307,40 +307,6 @@ def test_mrw_path_reproducible():
 
 
 # ----------------------------------------------------------------------
-# dissipation variables
-# ----------------------------------------------------------------------
-
-def test_dissipation_constant_for_tiny_intermittency():
-    _, m = make_measure(lam2=1e-10, dimension=3, n=2 ** 6, length=3.0,
-                        eps=0.1)
-    out = ms.dissipation_samples(m, [(0.0, 0.0, 0.0)], 0.4, mean_eps=2.0)
-    ball = ms.Ball((0.0, 0.0, 0.0), 0.4)
-    disc = ms.region_volume(m.grid, ball) / ((4.0 / 3.0) * np.pi * 0.4 ** 3)
-    assert abs(out[0].value - 2.0 * disc) < 1e-3
-
-
-def test_dissipation_mean_normalization():
-    kernel = kn.KernelSpec(3, 1.0, 1.0)
-    moll = kn.MollifierSpec("gaussian", 0.1, 3)
-    plan = fd.SpectralPlan(fd.build_ladder(kernel, moll, (0.1,)),
-                           fd.GridSpec(3, 2 ** 6, 3.0))
-    n = 100
-    vals = np.empty(n)
-    for r in range(n):
-        m = ms.exponentiate(plan.sample(41, r))
-        vals[r] = ms.dissipation_samples(m, [(0.0, 0.0, 0.0)], 0.4,
-                                         mean_eps=1.0)[0].value
-    se = vals.std() / np.sqrt(n)
-    assert abs(vals.mean() - 1.0) < 3 * se
-
-
-def test_dissipation_requires_d3():
-    _, m = make_measure()
-    with pytest.raises(ValidationError):
-        ms.dissipation_samples(m, [(0.0,)], 0.1, 1.0)
-
-
-# ----------------------------------------------------------------------
 # persistence
 # ----------------------------------------------------------------------
 
@@ -363,9 +329,10 @@ def test_csv_exports(tmp_path):
     assert lines[0] == "replica,t,X"
     assert len(lines) == 1 + len(times)
 
-    samples = [ms.DissipationSample((0.0, 0.0, 0.0), 0.25, 1.0, 0.9)]
+    samples = {0.5: np.array([0.9, 1.1]), 0.25: np.array([0.7, 1.3])}
     p2 = tmp_path / "diss.csv"
-    ms.write_dissipation_csv(p2, samples)
+    ms.write_dissipation_csv(p2, samples, 2.0)
     lines = p2.read_text().strip().splitlines()
-    assert lines[0] == "x,y,z,l,eps_l"
-    assert len(lines) == 2
+    assert lines[0] == "l,replica,eps_l,mean_eps"
+    assert lines[1:] == ["0.5,0,0.9,2.0", "0.5,1,1.1,2.0",
+                         "0.25,0,0.7,2.0", "0.25,1,1.3,2.0"]
