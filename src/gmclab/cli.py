@@ -28,7 +28,6 @@ from . import field as fd
 from . import kernels as kn
 from . import measure as ms
 from . import oracles as oc
-from . import spectral as sp
 from .errors import GateError, ValidationError, parse_count, parse_number
 
 EXIT_OK = 0
@@ -58,18 +57,9 @@ def _load_config(path):
 
 
 def _parse_kernel_gate(cfg):
-    """Kernel parsing with the spectral positivity gate in front: a log
-    kernel in d >= 4 is refused because its spectral density oscillates in
-    sign (no admissible synthesis), before KernelSpec validation."""
-    kcfg = cfg.get("kernel", {})
-    d = parse_number(kcfg.get("dimension", 1), int, "kernel.dimension")
-    if d >= 4:
-        raise GateError(
-            "positivity gate: the log kernel is not positive definite for "
-            "d >= 4 (sign-oscillating spectral density); synthesis refused",
-            dimension=d)
+    """(KernelSpec, MollifierSpec); the kernel raises its own gates."""
     try:
-        return kn.spec_from_json({**kcfg,
+        return kn.spec_from_json({**cfg.get("kernel", {}),
                                   "mollifier": cfg.get("mollifier", {})})
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"kernel or mollifier config: {exc}") from None
@@ -79,10 +69,10 @@ def _floats(values):
     return tuple(float(v) for v in values)
 
 
-def _grid_from(cfg):
+def _grid_from(cfg, spec):
     g = cfg.get("grid", {})
     origin = g.get("origin")
-    return fd.GridSpec(dimension=int(cfg.get("kernel", {}).get("dimension", 1)),
+    return fd.GridSpec(dimension=spec.dimension,
                        n=parse_number(g.get("n", 2 ** 12), int, "grid.n"),
                        length=parse_number(g.get("length", 4.0), float,
                                            "grid.length"),
@@ -100,34 +90,11 @@ def _epsilons_from(cfg):
         parse_number(lad.get("factor", 2.0), float, "ladder.factor"))
 
 
-def _positivity_certificate(spec: kn.KernelSpec):
-    """Grid certificate for kernels with a table remainder; the pure log
-    part is nonnegative by the closed forms.  A constant remainder c adds
-    an atom of mass c at xi = 0 to the spectral measure, so c < 0 is
-    refused."""
-    rem = spec.remainder
-    if rem.kind == "constant" and rem.value < 0:
-        raise GateError("positivity gate: a negative constant remainder is "
-                        "a negative atom of the spectral measure at xi = 0",
-                        value=rem.value)
-    if rem.kind != "table":
-        return True
-    prof = lambda r: kn.eval_kernel(spec, np.maximum(r, 1e-12))
-    grid = sp.default_check_grid(spec.scale)
-    rep = sp.check_positive_definite(prof, spec.dimension, grid,
-                                     support=spec.scale)
-    if rep.certificate != sp.CERT_NONNEGATIVE:
-        raise GateError("positivity gate: kernel spectral density is not "
-                        "certified nonnegative", certificate=rep.certificate)
-    return True
-
-
 def cmd_simulate(args):
     cfg = _load_config(args.config)
     _apply_overrides(cfg, args)
     spec, moll = _parse_kernel_gate(cfg)
-    _positivity_certificate(spec)
-    grid = _grid_from(cfg)
+    grid = _grid_from(cfg, spec)
     epsilons = _epsilons_from(cfg)
     seed = parse_number(cfg.get("seed", 0), int, "seed")
     replicas = parse_count(cfg.get("replicas", 1), "replicas", 0)
@@ -171,8 +138,7 @@ def cmd_estimate(args):
     cfg = _load_config(args.config)
     _apply_overrides(cfg, args)
     spec, moll = _parse_kernel_gate(cfg)
-    _positivity_certificate(spec)
-    grid = _grid_from(cfg)
+    grid = _grid_from(cfg, spec)
     seed = parse_number(cfg.get("seed", 0), int, "seed")
     n = parse_count(cfg.get("replicas", 100), "replicas", 1)
     out = cfg.get("out", ".")
@@ -185,6 +151,9 @@ def cmd_estimate(args):
         return parse_number(params.get(name, default), convert,
                             f"estimate.{name}")
 
+    if kind in ("degeneracy", "dissipation") and not spec.remainder.is_zero:
+        raise ValidationError(f"{kind} runs the pure log kernel: leave out "
+                              "kernel.remainder")
     if kind == "zeta":
         report = est.moment_scaling(
             spec, moll, grid,
@@ -232,10 +201,9 @@ def cmd_estimate(args):
     elif kind == "dissipation":
         mean_eps = param("mean_eps", 1.0)
         radii = param("radii", [0.5, 0.25, 0.125, 0.0625], _floats)
-        if spec.dimension != 3 or not spec.remainder.is_zero:
-            raise ValidationError(
-                "dissipation runs the pure log kernel in d = 3: set "
-                "kernel.dimension to 3 and leave out kernel.remainder")
+        if spec.dimension != 3:
+            raise ValidationError("dissipation runs in d = 3: set "
+                                  "kernel.dimension to 3")
         samples, report = est.run_dissipation(
             lam2=spec.lam2, scale=spec.scale, radii=radii,
             seed=seed, n_replicas=n, mean_eps=mean_eps,

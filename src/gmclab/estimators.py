@@ -399,6 +399,9 @@ def _ln_box_masses(kernel, mollifier_kind, grid, side, eps, seed, n):
 # degeneracy scan across lam2 = 2d
 # ----------------------------------------------------------------------
 
+PLATEAU_TOL = 0.05  # relative change per shell below which a run plateaus
+
+
 @dataclass
 class DegeneracyFit:
     lam2: float
@@ -439,7 +442,7 @@ def degeneracy_scan(lam2_list, dimension, scale, mollifier_kind,
     exponent is b in E ~ eps^b, so b approx d - zeta_alpha > 0 (mass
     decaying as eps -> 0) above the threshold and b approx 0 with a
     plateau below it: a plateau when the moment's relative change over the
-    last two shells stays below `measure.PLATEAU_TOL`.
+    last two shells stays below `PLATEAU_TOL`.
     """
     if len(epsilons) < 5:
         raise ValidationError("ladder needs enough shells to see decay")
@@ -458,7 +461,7 @@ def degeneracy_scan(lam2_list, dimension, scale, mollifier_kind,
             lam2=float(lam2), alpha=float(alpha),
             exponent=slope, exponent_se=slope_se,
             predicted=dimension - zeta(alpha, dimension, lam2),
-            drift=drift, plateau=bool(drift < ms.PLATEAU_TOL)))
+            drift=drift, plateau=bool(drift < PLATEAU_TOL)))
     return DegeneracyReport(
         fits=fits, epsilons=tuple(epsilons),
         meta={"seed": seed, "replicas": n_replicas, "alpha": alpha,
@@ -540,11 +543,11 @@ def run_dissipation(lam2, scale, radii, seed, n_replicas, mean_eps=1.0,
     contamination (the log kernel vanishes beyond R, so periodic images
     at distance >= L - 2l >= R + margin contribute nothing), which keeps
     eps resolved: eps >= 2.5 * step is enforced.  The slope fit needs at
-    least two distinct radii.
+    least two radii, each given once.
     """
-    if len(set(radii)) < 2:
-        raise ValidationError(
-            f"the Var(ln eps_l) fit needs two distinct radii, got {radii!r}")
+    if len(radii) < 2 or len(set(radii)) != len(radii):
+        raise ValidationError(f"the Var(ln eps_l) fit needs two or more "
+                              f"distinct radii, each once, got {radii!r}")
     kernel = KernelSpec(3, lam2, scale)
     samples = {}
     for i, l in enumerate(sorted(radii, reverse=True)):

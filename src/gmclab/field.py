@@ -141,14 +141,6 @@ class GridSpec:
         """Node coordinates along one axis."""
         return self.origin[axis] + self.step * np.arange(self.n)
 
-    def check_wraparound(self, kernel_scale, extent):
-        """Torus-size invariant: length >= 2R + extent of the evaluation
-        window, so no wrapped image of the kernel reaches the window."""
-        if self.length < 2.0 * kernel_scale + extent - 1e-12:
-            raise ValidationError(
-                f"side length {self.length} below 2R + extent = "
-                f"{2 * kernel_scale + extent} (wrap-around exclusion)")
-
     def to_json(self):
         return {"dimension": self.dimension, "n": self.n,
                 "length": self.length, "origin": list(self.origin)}
@@ -314,9 +306,9 @@ class SpectralPlan:
     A sample that can still be refined keeps that spectral sum, and
     `refine` adds the next shell to it and transforms once more, so a
     refined sample is bit-identical to one drawn at its stage.  A constant
-    remainder g = c is a delta of mass c at xi = 0 (absent from
-    `kernel_hat`): stage 0 carries it as zero-mode weight c L^d, so a
-    negative c meets the clipped-mass gate.
+    remainder g = c >= 0 (`KernelSpec` refuses c < 0) is a delta of mass c
+    at xi = 0, absent from `kernel_hat`: stage 0 carries it as zero-mode
+    weight c L^d.
     """
 
     def __init__(self, ladder: ShellLadder, grid: GridSpec):

@@ -110,7 +110,10 @@ class Remainder:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """f(r) = lam2 * ln+(R/r) + g(r) in dimension d (1..3)."""
+    """f(r) = lam2 * ln+(R/r) + g(r) in dimension d (1..3).
+
+    d >= 4 and a constant remainder c < 0 are not positive definite and
+    raise GateError here; `kernel_hat` certifies a table remainder."""
 
     dimension: int
     lam2: float
@@ -118,18 +121,25 @@ class KernelSpec:
     remainder: Remainder = field(default_factory=Remainder)
 
     def __post_init__(self):
-        if self.dimension not in (1, 2, 3):
+        d = self.dimension
+        if d not in (1, 2, 3):
+            if isinstance(d, (int, np.integer)) and d > 3:
+                raise GateError(
+                    "positivity gate: the log kernel is not positive definite "
+                    "for d >= 4 (sign-oscillating spectral density); "
+                    "synthesis refused", dimension=d)
             raise ValidationError("kernel dimension must be 1, 2 or 3")
         if not (self.lam2 > 0):
             raise ValidationError("intermittency lam2 must be positive")
-        if self.lam2 == 2.0 * self.dimension:
+        if self.lam2 == 2.0 * d:
             raise ValidationError("lam2 = 2d is excluded (degenerate critical point)")
         if not (self.scale > 0):
             raise ValidationError("integral scale must be positive")
-
-    @property
-    def sup_remainder(self):
-        return self.remainder.sup
+        rem = self.remainder
+        if rem.kind == "constant" and rem.value < 0:
+            raise GateError("positivity gate: a negative constant remainder "
+                            "is a negative atom of the spectral measure at "
+                            "xi = 0", value=rem.value)
 
 
 def eval_kernel(spec: KernelSpec, r):
@@ -314,11 +324,6 @@ class MollifierSpec:
         return np.maximum(1.0 - u, 0.0)
 
     # scaled objects ----------------------------------------------------
-    def theta_eps(self, r):
-        """theta^eps(x) = eps^-d theta(x/eps) as a function of |x|."""
-        return self.theta(np.asarray(r, dtype=float) / self.epsilon) \
-            / self.epsilon ** self.dimension
-
     def theta_hat_eps(self, xi):
         """Fourier transform of theta^eps at radial frequency xi."""
         return self.theta_hat(self.epsilon * np.asarray(xi, dtype=float))
@@ -383,13 +388,35 @@ def mollifier_diagnostics(moll: MollifierSpec):
 # ----------------------------------------------------------------------
 
 _HAT_CACHE = {}
+_VERDICTS = {}
+
+
+def _table_key(spec: KernelSpec):
+    rem = spec.remainder
+    return (spec.dimension, spec.scale, rem.radii.tobytes(),
+            rem.values.tobytes())
+
+
+def _certify_table(spec: KernelSpec):
+    """Positivity gate of a table-remainder kernel, once per (lam2, table
+    key) per process: the transform of f must be certified nonnegative."""
+    key = (spec.lam2,) + _table_key(spec)
+    if key not in _VERDICTS:
+        rep = spectral.check_positive_definite(
+            lambda r: eval_kernel(spec, np.maximum(r, 1e-12)),
+            spec.dimension, spectral.default_check_grid(spec.scale),
+            support=spec.scale)
+        _VERDICTS[key] = rep.certificate
+    if _VERDICTS[key] != spectral.CERT_NONNEGATIVE:
+        raise GateError("positivity gate: kernel spectral density is not "
+                        "certified nonnegative", certificate=_VERDICTS[key])
 
 
 def _remainder_hat(spec: KernelSpec):
     """Interpolant of the transform of a tabulated remainder, cached on
     the table's contents so that equal tables share one entry."""
     rem, d = spec.remainder, spec.dimension
-    key = (d, spec.scale, rem.radii.tobytes(), rem.values.tobytes())
+    key = _table_key(spec)
     if key in _HAT_CACHE:
         return _HAT_CACHE[key]
     support = float(rem.radii[-1])
@@ -412,13 +439,15 @@ def kernel_hat(spec: KernelSpec):
     """Radial spectral density of the kernel as a vectorized callable.
 
     The ln+ part is closed form; a tabulated remainder contributes through
-    a cached quadrature interpolant.  A constant remainder carries a delta
-    at 0 which is handled additively by the covariance routines and is
-    deliberately absent here.
+    a cached quadrature interpolant once the kernel passes its positivity
+    certificate (`_certify_table`), so every plan gets that gate.  A
+    constant remainder carries a delta at 0 which is handled additively by
+    the covariance routines and is deliberately absent here.
     """
     lam2, R, d = spec.lam2, spec.scale, spec.dimension
 
     if spec.remainder.kind == "table":
+        _certify_table(spec)
         ghat = _remainder_hat(spec)
 
         def fhat(s):

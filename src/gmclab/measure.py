@@ -41,7 +41,6 @@ __all__ = [
     "region_volume",
     "TraceResult",
     "convergence_trace",
-    "PLATEAU_TOL",
     "mrw_path",
     "write_measure",
     "read_measure",
@@ -271,19 +270,12 @@ def region_mass(measure: ChaosMeasure, region, margin=None):
 class TraceResult:
     epsilons: tuple
     masses: np.ndarray        # (replica, stage)
-    median: np.ndarray
-    cauchy_profile: np.ndarray  # successive relative changes of the median
-    plateau: bool
-
-
-PLATEAU_TOL = 0.05  # relative change per shell below which a run plateaus
 
 
 def convergence_trace(plan: SpectralPlan, region, seed, n_replicas):
-    """Per-replica region mass at every ladder stage plus a plateau
-    diagnostic: plateau when the median's relative change stays below
-    PLATEAU_TOL over the last two successive shells.  Non-convergence is
-    data, not an error."""
+    """Per-replica region mass at every ladder stage, each replica drawn
+    at stage 0 and refined one shell at a time.  Non-convergence is data,
+    not an error."""
     lad, grid = plan.ladder, plan.grid
     n_stages = lad.n_stages
     masses = np.empty((n_replicas, n_stages))
@@ -294,11 +286,7 @@ def convergence_trace(plan: SpectralPlan, region, seed, n_replicas):
         for k in range(1, n_stages):
             sample = plan.refine(sample)
             masses[rep, k] = weights.mass(sample)
-    med = np.median(masses, axis=0)
-    profile = np.abs(np.diff(med) / np.maximum(med[:-1], 1e-300))
-    plateau = bool(n_stages >= 3 and np.all(profile[-2:] < PLATEAU_TOL))
-    return TraceResult(epsilons=lad.epsilons, masses=masses, median=med,
-                       cauchy_profile=profile, plateau=plateau)
+    return TraceResult(epsilons=lad.epsilons, masses=masses)
 
 
 # ----------------------------------------------------------------------

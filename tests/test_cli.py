@@ -287,13 +287,21 @@ D3_KERNEL = {"dimension": 3, "lambda2": 0.5, "scale": 1.0}
                   "grid": {"n": 32},
                   "estimate": {"kind": "dissipation",
                                "radii": [0.5, 0.45, 0.4]}}, [], None),
+    ("estimate", {"kernel": D3_KERNEL, "grid": {"n": 32},
+                  "estimate": {"kind": "dissipation",
+                               "radii": [0.5, 0.5, 0.4]}}, [], None),
+    ("estimate", {"kernel": {"dimension": 1, "lambda2": 0.5, "scale": 1.0,
+                             "remainder": {"kind": "constant", "value": 0.5}},
+                  "ladder": {"eps0": 2 ** -5, "shells": 4},
+                  "estimate": {"kind": "degeneracy"}}, [], None),
 ], ids=["n_times-negative", "n_times-zero", "t_max-zero", "t_max-negative",
         "regions-unknown", "zeta-replicas-negative", "zeta-replicas-zero",
         "scale-invariance-replicas-zero", "mrw-replicas-zero",
         "simulate-replicas-negative", "threads-negative", "threads-zero",
         "env-threads-zero", "env-threads-negative", "zeta-p_list-empty",
         "dissipation-radii-empty", "dissipation-radii-repeated",
-        "dissipation-dimension-1", "dissipation-remainder"])
+        "dissipation-dimension-1", "dissipation-remainder",
+        "dissipation-radii-repeated-among-distinct", "degeneracy-remainder"])
 def test_out_of_range_settings_are_refused(tmp_path, capsys, monkeypatch,
                                            command, overrides, flags, env):
     if env is not None:

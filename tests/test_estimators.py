@@ -321,6 +321,16 @@ def test_dissipation_constant_for_tiny_intermittency():
         np.testing.assert_allclose(vals, 2.0, rtol=1e-4)
 
 
+def test_dissipation_refuses_repeated_radius(monkeypatch):
+    def no_plan(*args, **kwargs):
+        raise AssertionError("a plan was built")
+
+    monkeypatch.setattr(est, "SpectralPlan", no_plan)
+    with pytest.raises(ValidationError):
+        est.run_dissipation(1.0, 1.0, [0.5, 0.5, 0.4], seed=1,
+                            n_replicas=2, n_side=2 ** 5)
+
+
 def test_dissipation_mean_normalization():
     # the discrete ball volume makes E eps_l = <eps> exactly
     samples, _ = est.run_dissipation(1.0, 1.0, [0.5, 0.4], seed=41,

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from gmclab import field as fd
 from gmclab import kernels as kn
+from gmclab import spectral as sp
 from gmclab.errors import GateError, ValidationError
 
 
@@ -32,8 +33,6 @@ def test_grid_validation():
     g = fd.GridSpec(2, 64, 4.0)
     assert g.origin == (-2.0, -2.0)
     assert g.step == 0.0625
-    with pytest.raises(ValidationError):
-        g.check_wraparound(kernel_scale=1.5, extent=1.5)
 
 
 def test_geometric_schedule():
@@ -303,12 +302,50 @@ def test_constant_remainder_is_zero_mode_variance():
     assert abs(cov[0] - plan.total_variance) < 1e-12 * plan.total_variance
 
 
-def test_negative_constant_remainder_meets_clipped_mass_gate():
-    kernel = kn.KernelSpec(1, 1.0, 1.0, kn.Remainder("constant", -3.0))
+def test_negative_constant_remainder_is_refused_by_kernel_spec():
+    # f + c has a spectral atom of mass c at xi = 0; the spec refuses c < 0
+    # even where the plan's zero-mode weight fhat(0) + c L^d stays positive
+    for c in (-3.0, -0.1):
+        with pytest.raises(GateError) as exc:
+            kn.KernelSpec(1, 1.0, 1.0, kn.Remainder("constant", c))
+        assert exc.value.detail["value"] == c
+
+
+def test_table_kernel_certificate_refuses_before_the_weight_probe():
+    # 0.1 ln+(1/r) - 0.3 (1 - r)_+: the certificate calls it indeterminate,
+    # and the ladder's negative-weight probe would refuse it next
+    rem = kn.Remainder("table", radii=[0.0, 1.0], values=[-0.3, 0.0])
+    kernel = kn.KernelSpec(1, 0.1, 1.0, rem)
     moll = kn.MollifierSpec("gaussian", 2 ** -8, 1)
-    with pytest.raises(GateError):
-        fd.SpectralPlan(fd.build_ladder(kernel, moll, (2 ** -8,)),
-                        fd.GridSpec(1, 2 ** 14, 4.0))
+    with pytest.raises(GateError) as exc:
+        fd.build_ladder(kernel, moll, (2 ** -8,))
+    assert exc.value.detail["certificate"] == sp.CERT_INDETERMINATE
+
+
+def test_table_certificate_runs_once_per_kernel(monkeypatch):
+    calls = []
+    check = sp.check_positive_definite
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "check_positive_definite", counted)
+    monkeypatch.setattr(kn, "_VERDICTS", {})
+    radii = np.linspace(0.0, 1.0, 9)
+    values = 0.13 * np.cos(radii)
+    moll = kn.MollifierSpec("gaussian", 2 ** -6, 1)
+
+    def ladder(lam2):
+        rem = kn.Remainder("table", radii=radii.copy(), values=values.copy())
+        return fd.build_ladder(kn.KernelSpec(1, lam2, 1.0, rem), moll,
+                               (2 ** -6,))
+
+    ladder(0.5)
+    ladder(0.5)
+    assert len(calls) == 1
+    ladder(0.7)
+    assert len(calls) == 2
 
 
 def test_ensemble_variance_and_covariance():

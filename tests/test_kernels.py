@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from gmclab import kernels as kn
-from gmclab.errors import ValidationError
+from gmclab.errors import GateError, ValidationError
 
 
 # ----------------------------------------------------------------------
@@ -42,8 +42,10 @@ def test_eval_kernel_monotone_without_remainder():
 def test_kernel_spec_validation():
     with pytest.raises(ValidationError):
         kn.KernelSpec(1, 2.0, 1.0)      # lam2 = 2d
+    with pytest.raises(GateError):
+        kn.KernelSpec(4, 1.0, 1.0)      # sign-oscillating spectral density
     with pytest.raises(ValidationError):
-        kn.KernelSpec(4, 1.0, 1.0)      # dimension
+        kn.KernelSpec(0, 1.0, 1.0)      # dimension
     with pytest.raises(ValidationError):
         kn.KernelSpec(1, -0.5, 1.0)
     with pytest.raises(ValidationError):
@@ -289,7 +291,6 @@ def test_spec_json_table_remainder_roundtrip():
     spec2, moll2 = kn.spec_from_json(kn.spec_to_json(spec, moll))
     assert spec2.remainder.kind == "table"
     assert abs(spec2.remainder(0.5) - spec.remainder(0.5)) < 1e-15
-    assert spec2.sup_remainder == spec.sup_remainder
 
 
 def test_remainder_transform_cached_on_table_contents():

@@ -178,7 +178,6 @@ def test_trace_constant_for_tiny_intermittency():
     tr = ms.convergence_trace(plan, ms.Box((0.0,), (1.0,)), seed=3,
                               n_replicas=20)
     np.testing.assert_allclose(tr.masses, 1.0, rtol=1e-4)
-    assert tr.plateau
 
 
 def test_trace_martingale_mean_and_stability():
@@ -196,7 +195,6 @@ def test_trace_martingale_mean_and_stability():
     for k in range(incs.shape[1]):
         col = incs[:, k]
         assert abs(col.mean()) < 3 * col.std() / np.sqrt(len(col))
-    assert tr.cauchy_profile.shape == (5,)
 
 
 @pytest.mark.parametrize("region", [ms.Box((-0.31,), (0.77,)),
