@@ -204,6 +204,13 @@ def cmd_estimate(args):
         if spec.dimension != 3:
             raise ValidationError("dissipation runs in d = 3: set "
                                   "kernel.dimension to 3")
+        ignored = [f"grid.{k}" for k in ("length", "origin")
+                   if k in cfg.get("grid", {})]
+        ignored += ["mollifier"] if "mollifier" in cfg else []
+        if ignored:
+            raise ValidationError(
+                "dissipation sizes each radius's torus and mollifier itself: "
+                f"leave out {', '.join(ignored)}")
         samples, report = est.run_dissipation(
             lam2=spec.lam2, scale=spec.scale, radii=radii,
             seed=seed, n_replicas=n, mean_eps=mean_eps,

@@ -237,7 +237,7 @@ def moment_scaling(kernel: KernelSpec, mollifier: MollifierSpec,
             if regions == "boxes":
                 bm = ms._tile_masses(masses, i_lo, (W - 1) // w, w)
             else:
-                bm = np.array([b.mass(masses) for b in balls[c]])
+                bm = np.array([b.mass(masses[b.window]) for b in balls[c]])
             for p in p_list:
                 acc[(p, c)][rep] = float(np.mean(bm ** p))
 
@@ -391,7 +391,8 @@ def _ln_box_masses(kernel, mollifier_kind, grid, side, eps, seed, n):
     plan = SpectralPlan(build_ladder(kernel, moll, (eps,)), grid)
     box = ms.Box((0.0,) * kernel.dimension, (side,) * kernel.dimension)
     weights = ms._region_weights(grid, box, 0.0)
-    return np.array([np.log(weights.mass(plan.sample(seed, rep)))
+    return np.array([np.log(weights.mass(plan.sample(seed, rep,
+                                                      window=weights.window)))
                      for rep in range(n)])
 
 
@@ -562,7 +563,9 @@ def run_dissipation(lam2, scale, radii, seed, n_replicas, mean_eps=1.0,
         plan = SpectralPlan(build_ladder(kernel, moll, (eps,)), grid)
         ball = ms._region_weights(grid, ms.Ball((0.0, 0.0, 0.0), l), 0.0)
         samples[float(l)] = np.array([
-            mean_eps * ball.mass(plan.sample(seed + i, rep)) / ball.volume
+            mean_eps * ball.mass(plan.sample(seed + i, rep,
+                                             window=ball.window))
+            / ball.volume
             for rep in range(n_replicas)])
     report = lognormality_report(samples, scale)
     report.meta.update({"lam2": lam2, "seed": seed, "replicas": n_replicas,

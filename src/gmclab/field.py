@@ -34,12 +34,20 @@ stage order and transforms the sum once; `refine` continues that sum.
 `SYNTHESIS` names this algorithm in every field file and `simulate`
 manifest.
 
+A region reduction reads only the nodes of its region's bounding slab, so
+a sample can be drawn on such a window (one slice of nodes per axis): the
+normals and the spectral sum stay whole-lattice, and a window that reads
+at most half of the half-spectrum prunes the transform to the rows that
+it and its mirror image read (`_hartley`).  The windowed values equal the
+whole grid's to the bit.
+
 Randomness: counter-based Philox streams keyed by (seed, replica, shell),
 so replicas and shells are reproducible and order-independent.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -236,9 +244,12 @@ def build_ladder(kernel: KernelSpec, mollifier: MollifierSpec, epsilons):
 class FieldSample:
     """One realization of X_eps on a grid, with its shell history.
 
-    `_spectrum` is the running sum of the shells' spectral coefficients,
-    kept only while `SpectralPlan.refine` can add another shell; it is
-    never written to a file."""
+    `values` holds every node, or only the nodes of `window` (one
+    slice(lo, hi) of nodes per axis) for a sample drawn for a region
+    reduction; a windowed sample cannot be exponentiated or written.
+    `_spectrum` is the running sum of the shells' spectral coefficients
+    on the whole lattice, kept only while `SpectralPlan.refine` can add
+    another shell; it is never written to a file."""
 
     grid: GridSpec
     epsilon: float
@@ -248,6 +259,7 @@ class FieldSample:
     replica: int
     stage: int
     ladder_digest: str
+    window: tuple = None
     _spectrum: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -271,24 +283,119 @@ def _radial_table(grid: GridSpec):
     return sum(squares), radii
 
 
-def _hartley(b):
-    """sum_j b_j (cos - sin)(2 pi j . x / n) at every node x of a real
-    float64 array b with n points per axis, written into b: b is consumed
-    and returned.  F = rfftn(b) holds sum_j b_j (cos - i sin), so the sum
-    is Re F + Im F on the stored half-spectrum; a node x with last index
-    m > n/2 takes Re F - Im F at (-x mod n), whose last index n - m is
-    stored (F(-x) = conj F(x) for real b)."""
-    h = b.shape[-1] // 2
-    f = sfft.rfftn(b, workers=default_workers())
+def _window(grid: GridSpec, window):
+    """`window` as one slice(lo, hi) of nodes per axis, or None when it is
+    absent or covers the whole grid."""
+    if window is None:
+        return None
+    if len(window) != grid.dimension:
+        raise ValidationError("a window needs one node slice per axis")
+    out = []
+    for s in window:
+        if not isinstance(s, slice) or s.step not in (None, 1):
+            raise ValidationError("a window's slices must have step 1")
+        lo, hi, _ = s.indices(grid.n)
+        if lo >= hi:
+            raise ValidationError("a window must hold at least one node "
+                                  "per axis")
+        out.append(slice(lo, hi))
+    out = tuple(out)
+    return None if out == (slice(0, grid.n),) * grid.dimension else out
+
+
+def _read_blocks(kept, n, start, lo, hi, sign):
+    """(dst, src) slice pairs: window nodes x = lo..hi-1 (dst, counted from
+    the window's `start`) read the transform at (sign * x mod n), found at
+    src among the sorted transform indices `kept`.  x -> -x mod n keeps 0
+    and reverses 1..n-1, so a mirrored node 0 reads on its own."""
+    pieces = [(lo, hi)] if sign > 0 or lo > 0 else [(0, 1), (1, hi)]
+    pairs = []
+    for a, z in pieces:
+        if a >= z:
+            continue
+        p0, p1 = np.searchsorted(kept, [sign * a % n, sign * (z - 1) % n])
+        step = 1 if p1 >= p0 else -1
+        stop = p1 + step
+        pairs.append((slice(a - start, z - start),
+                      slice(p0, stop if stop >= 0 else None, step)))
+    return pairs
+
+
+def _indexer(kept):
+    """The sorted indices `kept` as a slice when they are one run, so that
+    indexing with them gives a view."""
+    if kept[-1] - kept[0] + 1 == kept.size:
+        return slice(int(kept[0]), int(kept[-1]) + 1)
+    kept.setflags(write=False)
+    return kept
+
+
+@functools.lru_cache(maxsize=256)
+def _unfolding(n, bounds):
+    """How `_hartley` reads the window with per-axis node bounds (lo, hi)
+    of an n^d grid, worked out once per window: (read, blocks).  `read`
+    is None when the whole half-spectrum is transformed, else the indexer
+    of the transform indices kept along each axis; `blocks` lists
+    (op, dst, src) with `op` np.add for nodes read at x and np.subtract
+    for nodes read at -x mod n."""
+    d, h = len(bounds), n // 2
+    lo, hi = bounds[-1]
+    # last-axis nodes read at x (direct) and at -x mod n (mirrored)
+    parts = [(1, np.add, lo, min(hi, h + 1)),
+             (-1, np.subtract, max(lo, h + 1), hi)]
+    parts = [p for p in parts if p[2] < p[3]]
+    kept = [np.unique(np.concatenate([sign * np.arange(a, z) % n
+                                      for sign, *_ in parts]))
+            for a, z in bounds[:-1]]
+    kept.append(np.unique(np.concatenate([sign * np.arange(u, v) % n
+                                          for sign, _, u, v in parts])))
+    read = None
+    if 2 * np.prod([k.size for k in kept]) <= n ** (d - 1) * (h + 1):
+        read = tuple(_indexer(k) for k in kept)
+    else:
+        kept = [np.arange(n)] * (d - 1) + [np.arange(h + 1)]
+    blocks = []
+    for sign, op, u, v in parts:
+        axes = [_read_blocks(k, n, a, a, z, sign)
+                for k, (a, z) in zip(kept, bounds[:-1])]
+        axes.append(_read_blocks(kept[-1], n, lo, u, v, sign))
+        for pairs in itertools.product(*axes):
+            blocks.append((op, tuple(t for t, _ in pairs),
+                           tuple(s for _, s in pairs)))
+    return read, tuple(blocks)
+
+
+def _hartley(b, window=None):
+    """sum_j b_j (cos - sin)(2 pi j . x / n) at the nodes x of `window`
+    (one slice(lo, hi) per axis, default every node) of a real float64
+    array b with n points per axis.  b is consumed: without a window the
+    result is written into b.
+
+    F = rfftn(b) holds sum_j b_j (cos - i sin), so the sum is Re F + Im F
+    at a node x whose last index m <= n/2 (stored), and Re F - Im F at
+    (-x mod n) otherwise, whose last index n - m is stored (F(-x) =
+    conj F(x) for real b).  A window that reads at most half of the
+    stored half-spectrum prunes the transform: an r2c along the last axis
+    keeps the columns the window reads, then a c2c along each of the axes
+    0..d-2, in the order `rfftn` runs them, keeps the rows that the window
+    and its mirror image read.  Every line is transformed as `rfftn`
+    transforms it, so the values equal the whole grid's to the bit.
+    """
+    d, n = b.ndim, b.shape[-1]
+    bounds = tuple((s.start, s.stop) for s in window or (slice(0, n),) * d)
+    read, blocks = _unfolding(n, bounds)
+    workers = default_workers()
+    if read is None:
+        f = sfft.rfftn(b, workers=workers)
+    else:
+        f = sfft.rfft(b, axis=-1, workers=workers)[..., read[-1]]
+        for ax in range(d - 1):
+            f = sfft.fft(f, axis=ax, overwrite_x=True, workers=workers)[
+                (slice(None),) * ax + (read[ax],)]
     re, im = f.real, f.imag
-    out = b
-    np.add(re, im, out=out[..., :h + 1])
-    # on a leading axis, x -> -x mod n keeps 0 and reverses 1..n-1
-    negate = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
-    for blocks in itertools.product(negate, repeat=b.ndim - 1):
-        dst = tuple(d for d, _ in blocks) + (slice(h + 1, None),)
-        src = tuple(s for _, s in blocks) + (slice(h - 1, 0, -1),)
-        np.subtract(re[src], im[src], out=out[dst])
+    out = b if window is None else np.empty([z - a for a, z in bounds])
+    for op, dst, src in blocks:
+        op(re[src], im[src], out=out[dst])
     return out
 
 
@@ -374,18 +481,25 @@ class SpectralPlan:
         g *= self.amps[stage]
         return g
 
-    def _field_sample(self, seed, replica, stage, spectrum):
-        """The sample at `stage` from its spectral sum, transformed once;
-        a copy of the sum stays on the sample while a refine can follow."""
+    def _field_sample(self, seed, replica, stage, spectrum, window):
+        """The sample at `stage` on `window` from its spectral sum,
+        transformed once; a copy of the sum stays on the sample while a
+        refine can follow."""
         keep = spectrum.copy() if stage + 1 < self.ladder.n_stages else None
         return FieldSample(grid=self.grid, epsilon=self.ladder.epsilons[stage],
-                           values=_hartley(spectrum),
+                           values=_hartley(spectrum, window),
                            variance=self.variance_through(stage),
                            seed=seed, replica=replica, stage=stage,
-                           ladder_digest=self.ladder.digest, _spectrum=keep)
+                           ladder_digest=self.ladder.digest, window=window,
+                           _spectrum=keep)
 
-    def sample(self, seed, replica=0, stage=None) -> FieldSample:
-        """Field at ladder stage `stage` (default: the finest)."""
+    def sample(self, seed, replica=0, stage=None, window=None) -> FieldSample:
+        """Field at ladder stage `stage` (default: the finest), at every
+        node or only on `window`, one slice(lo, hi) of nodes per axis (a
+        region's `_RegionWeights.window`).  The normals are drawn on the
+        whole lattice either way, so a windowed sample equals the whole
+        grid's sample sliced to the window, to the bit."""
+        window = _window(self.grid, window)
         if stage is None:
             stage = self.ladder.n_stages - 1
         if not (0 <= stage < self.ladder.n_stages):
@@ -394,12 +508,12 @@ class SpectralPlan:
         spectrum = self._shell_coefficients(seed, replica, 0)
         for k in range(1, stage + 1):
             spectrum += self._shell_coefficients(seed, replica, k)
-        return self._field_sample(seed, replica, stage, spectrum)
+        return self._field_sample(seed, replica, stage, spectrum, window)
 
     def refine(self, sample: FieldSample) -> FieldSample:
         """One more shell: X_(k+1) = X_k + independent increment, added to
         the sample's spectral sum in stage order, so the result is
-        bit-identical to `sample` at stage k + 1."""
+        bit-identical to `sample` at stage k + 1 on the sample's window."""
         nxt = sample.stage + 1
         if nxt >= self.ladder.n_stages:
             raise ValidationError("shell index exhausted")
@@ -412,7 +526,8 @@ class SpectralPlan:
                                   "from a file cannot be refined)")
         spectrum = sample._spectrum + self._shell_coefficients(
             sample.seed, sample.replica, nxt)
-        return self._field_sample(sample.seed, sample.replica, nxt, spectrum)
+        return self._field_sample(sample.seed, sample.replica, nxt, spectrum,
+                                  sample.window)
 
     def discrete_covariance(self):
         """Exact grid covariance of the field the plan synthesizes at its
@@ -453,6 +568,9 @@ def read_grid_file(path):
 
 
 def write_field(path, sample: FieldSample):
+    if sample.window is not None:
+        raise ValidationError("a windowed sample holds only part of its "
+                              "grid and cannot be written")
     write_grid_file(path, sample.grid, sample.values, {
         "kind": "field", "epsilon": sample.epsilon,
         "variance": sample.variance, "seed": sample.seed,

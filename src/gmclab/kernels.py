@@ -48,7 +48,9 @@ class Remainder:
     """Bounded continuous radial remainder g.
 
     kind 'zero', 'constant' (value) or 'table' (radii + values, linear
-    interpolation, clamped at both ends; `cone_remainder_table` builds the
+    interpolation, clamped below the first radius and 0 beyond the last,
+    the support that `kernel_hat` transforms and the positivity
+    certificate integrates over; `cone_remainder_table` builds the
     bounded part of the cone-construction kernel as one).
     """
 
@@ -74,7 +76,7 @@ class Remainder:
             return np.zeros_like(r)
         if self.kind == "constant":
             return np.full_like(r, self.value)
-        return np.interp(r, self.radii, self.values)
+        return np.interp(r, self.radii, self.values, right=0.0)
 
     @property
     def sup(self):

@@ -13,6 +13,10 @@ in gmclab goes through one pair: `_region_weights` checks a region
 against a grid and builds its weights once, and `_RegionWeights.mass`
 reduces cell masses, or the covered cells of a FieldSample, with them;
 `_tile_masses` sums the whole-cell tiles of the moment-scaling window.
+The weights carry the region's bounding slab as a `window`: a caller
+that reduces samples draws them on it (`SpectralPlan.sample(...,
+window=weights.window)`), so only the nodes the region reads are
+transformed, and cell masses of a whole grid enter as `masses[window]`.
 
 On top of the d=1 measure sits the time-changed Brownian path
 X(t) = B(m[0,t]).  The dissipation variables eps_l of the d=3 measure are
@@ -77,7 +81,11 @@ def _cell_masses(values, variance, cell_volume):
 
 def exponentiate(sample: FieldSample) -> ChaosMeasure:
     """The measure of a sample, normalized by the exact variance v carried
-    by the sample; deterministic given the sample."""
+    by the sample; deterministic given the sample.  A windowed sample has
+    no whole-grid measure: reduce it with `_RegionWeights.mass`."""
+    if sample.window is not None:
+        raise ValidationError("a windowed sample covers only part of its "
+                              "grid and has no whole-grid measure")
     masses = _cell_masses(sample.values, sample.variance,
                           sample.grid.cell_volume)
     return ChaosMeasure(grid=sample.grid, epsilon=sample.epsilon,
@@ -159,7 +167,7 @@ def _slab(grid: GridSpec, lo, hi):
                  - np.maximum(x - h / 2.0, lo[ax]))
         w = np.clip(cover / h, 0.0, 1.0)
         nz = np.flatnonzero(w > 0)
-        cells.append(slice(nz[0], nz[-1] + 1))
+        cells.append(slice(int(nz[0]), int(nz[-1]) + 1))
         fractions.append(w[nz[0]:nz[-1] + 1])
     return tuple(cells), tuple(fractions)
 
@@ -168,9 +176,12 @@ _SUBDIV = 3  # per-axis subsampling of boundary cells of a ball
 
 
 def _ball_weights(grid: GridSpec, ball: Ball):
-    """(cell index arrays, weights) for the covered-volume fractions: cells
-    wholly inside, then boundary cells, each in flat order.  Only the
-    ball's bounding slab is scanned; no cell outside it is covered."""
+    """(slab, cell index arrays, weights) for the covered-volume fractions:
+    the ball's bounding slab, which is the only part scanned (no cell
+    outside it is covered), and in it the cells wholly inside, then the
+    boundary cells, each in flat order and indexed from the slab's start.
+    A boundary cell's 3^d subsample distances add the per-axis squares in
+    axis order, broadcast over the subsamples of every axis."""
     d = grid.dimension
     h = grid.step
     slab, _ = _slab(grid, *ball.bounds())
@@ -184,28 +195,42 @@ def _ball_weights(grid: GridSpec, ball: Ball):
         & (dist2 <= (ball.radius - half_diag) ** 2)
     maybe = (dist2 < (ball.radius + half_diag) ** 2) & ~inside
     coords = np.nonzero(maybe)
-    centers = np.stack([axes[ax][coords[ax]] for ax in range(d)], axis=-1)
-    offs = (np.arange(_SUBDIV) + 0.5) / _SUBDIV - 0.5
-    sub = np.stack(np.meshgrid(*([offs] * d), indexing="ij"),
-                   axis=-1).reshape(-1, d) * h
-    pts = centers[:, None, :] + sub[None, :, :]
-    frac = np.mean(np.sum(pts * pts, axis=-1) <= ball.radius ** 2, axis=1)
+    sub = ((np.arange(_SUBDIV) + 0.5) / _SUBDIV - 0.5) * h
+    sub2 = 0.0                 # (cells, subsample of axis 0, ..., of d-1)
+    for ax in range(d):
+        x = axes[ax][coords[ax]][:, None] + sub       # (cells, subsample)
+        sub2 = sub2 + (x * x).reshape((-1,) + (1,) * ax + (_SUBDIV,)
+                                      + (1,) * (d - 1 - ax))
+    frac = np.mean((sub2 <= ball.radius ** 2).reshape(
+        len(coords[0]), _SUBDIV ** d), axis=1)
     keep = frac > 0
-    cells = tuple(np.concatenate([i_in, i_b[keep]]) + s.start
-                  for i_in, i_b, s in zip(np.nonzero(inside), coords, slab))
+    cells = tuple(np.concatenate([i_in, i_b[keep]])
+                  for i_in, i_b in zip(np.nonzero(inside), coords))
     weights = np.concatenate([np.ones(np.count_nonzero(inside)), frac[keep]])
-    return cells, weights
+    return slab, cells, weights
 
 
 @dataclass(frozen=True)
 class _RegionWeights:
-    """Covered volume fractions of the cells a region touches: `cells`
-    selects a Box's bounding slab or a Ball's touched cells (as one flat
+    """Covered volume fractions of the cells a region touches.  `window`
+    is one slice(lo, hi) of nodes per axis that bounds those cells (the
+    region's bounding slab), the window to draw a sample on
+    (`SpectralPlan.sample(..., window=...)`); `local` selects, within the
+    window, all of a Box's slab or a Ball's touched cells (as one flat
     run), and each vector in `fractions` contracts one leading axis."""
 
-    cells: tuple
+    window: tuple
+    local: tuple
     fractions: tuple
     cell_volume: float
+
+    @property
+    def cells(self):
+        """The touched cells in whole-grid indices: the window for a Box,
+        index arrays for a Ball."""
+        if isinstance(self.local[0], slice):
+            return self.window
+        return tuple(i + s.start for i, s in zip(self.local, self.window))
 
     @property
     def volume(self):
@@ -214,13 +239,22 @@ class _RegionWeights:
             * self.cell_volume
 
     def mass(self, source):
-        """Region mass from an array of cell masses, or from a FieldSample,
-        of which only the selected cells are exponentiated."""
+        """Region mass from cell masses on the window (`masses[window]` of
+        a whole-grid array), or from a FieldSample drawn on the window or
+        on the whole grid, of which only the selected cells are
+        exponentiated."""
         if isinstance(source, FieldSample):
-            vals = _cell_masses(source.values[self.cells], source.variance,
+            if source.window is None:
+                values = source.values[self.window]
+            elif source.window == self.window:
+                values = source.values
+            else:
+                raise ValidationError("the sample was drawn on another "
+                                      "window than the region's")
+            vals = _cell_masses(values[self.local], source.variance,
                                 self.cell_volume)
         else:
-            vals = source[self.cells]
+            vals = source[self.local]
         for w in self.fractions:
             vals = np.tensordot(vals, w, axes=([0], [0]))
         return float(vals)
@@ -241,9 +275,10 @@ def _region_weights(grid: GridSpec, region, margin) -> _RegionWeights:
         raise ValidationError("region must be a Box or a Ball")
     _check_region_inside(grid, region, margin)
     if isinstance(region, Ball):
-        cells, w = _ball_weights(grid, region)
-        return _RegionWeights(cells, (w,), grid.cell_volume)
-    return _RegionWeights(*_slab(grid, region.lo, region.hi),
+        slab, cells, w = _ball_weights(grid, region)
+        return _RegionWeights(slab, cells, (w,), grid.cell_volume)
+    slab, fractions = _slab(grid, region.lo, region.hi)
+    return _RegionWeights(slab, (slice(None),) * grid.dimension, fractions,
                           grid.cell_volume)
 
 
@@ -258,8 +293,8 @@ def region_mass(measure: ChaosMeasure, region, margin=None):
     fraction.  The region must stay inside the grid interior by at least
     one mollification width (override with `margin`)."""
     margin = measure.epsilon if margin is None else margin
-    return _region_weights(measure.grid, region, margin).mass(
-        measure.cell_masses)
+    weights = _region_weights(measure.grid, region, margin)
+    return weights.mass(measure.cell_masses[weights.window])
 
 
 # ----------------------------------------------------------------------
@@ -274,14 +309,14 @@ class TraceResult:
 
 def convergence_trace(plan: SpectralPlan, region, seed, n_replicas):
     """Per-replica region mass at every ladder stage, each replica drawn
-    at stage 0 and refined one shell at a time.  Non-convergence is data,
-    not an error."""
+    at stage 0 on the region's window and refined one shell at a time.
+    Non-convergence is data, not an error."""
     lad, grid = plan.ladder, plan.grid
     n_stages = lad.n_stages
     masses = np.empty((n_replicas, n_stages))
     weights = _region_weights(grid, region, 0.0)
     for rep in range(n_replicas):
-        sample = plan.sample(seed, rep, stage=0)
+        sample = plan.sample(seed, rep, stage=0, window=weights.window)
         masses[rep, 0] = weights.mass(sample)
         for k in range(1, n_stages):
             sample = plan.refine(sample)

@@ -12,6 +12,9 @@ def run_cli(argv):
     return cli.main(argv)
 
 
+DROP = object()   # an override that leaves its section out of the config
+
+
 def write_cfg(path, **overrides):
     cfg = {
         "kernel": {"dimension": 1, "lambda2": 0.5, "scale": 1.0},
@@ -22,6 +25,7 @@ def write_cfg(path, **overrides):
         "seed": 42,
     }
     cfg.update(overrides)
+    cfg = {k: v for k, v in cfg.items() if v is not DROP}
     path.write_text(json.dumps(cfg))
     return cfg
 
@@ -82,7 +86,7 @@ def test_simulate_refuses_small_negative_constant_remainder(tmp_path, capsys):
 def test_estimate_dissipation_rows_carry_mean_eps(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     write_cfg(cfg, kernel={"dimension": 3, "lambda2": 0.5, "scale": 1.0},
-              grid={"n": 32}, replicas=3,
+              mollifier=DROP, grid={"n": 32}, replicas=3,
               estimate={"kind": "dissipation", "mean_eps": 2.0,
                         "radii": [0.5, 0.45, 0.4]})
     out = tmp_path / "o"
@@ -254,6 +258,9 @@ def test_non_numeric_settings_are_refused(tmp_path, capsys, monkeypatch,
 
 
 D3_KERNEL = {"dimension": 3, "lambda2": 0.5, "scale": 1.0}
+# three radii that a 32^3 grid resolves, so that only the setting under
+# test can refuse the run
+DISSIPATION = {"kind": "dissipation", "radii": [0.5, 0.45, 0.4]}
 
 
 @pytest.mark.parametrize("command, overrides, flags, env", [
@@ -274,9 +281,9 @@ D3_KERNEL = {"dimension": 3, "lambda2": 0.5, "scale": 1.0}
     ("simulate", {}, [], "0"),
     ("estimate", {}, [], "-2"),
     ("estimate", {"estimate": {"kind": "zeta", "p_list": []}}, [], None),
-    ("estimate", {"kernel": D3_KERNEL, "grid": {"n": 32},
+    ("estimate", {"kernel": D3_KERNEL, "grid": {"n": 32}, "mollifier": DROP,
                   "estimate": {"kind": "dissipation", "radii": []}}, [], None),
-    ("estimate", {"kernel": D3_KERNEL, "grid": {"n": 32},
+    ("estimate", {"kernel": D3_KERNEL, "grid": {"n": 32}, "mollifier": DROP,
                   "estimate": {"kind": "dissipation", "radii": [0.5, 0.5]}},
      [], None),
     ("estimate", {"grid": {"n": 32},
@@ -287,13 +294,21 @@ D3_KERNEL = {"dimension": 3, "lambda2": 0.5, "scale": 1.0}
                   "grid": {"n": 32},
                   "estimate": {"kind": "dissipation",
                                "radii": [0.5, 0.45, 0.4]}}, [], None),
-    ("estimate", {"kernel": D3_KERNEL, "grid": {"n": 32},
+    ("estimate", {"kernel": D3_KERNEL, "grid": {"n": 32}, "mollifier": DROP,
                   "estimate": {"kind": "dissipation",
                                "radii": [0.5, 0.5, 0.4]}}, [], None),
     ("estimate", {"kernel": {"dimension": 1, "lambda2": 0.5, "scale": 1.0,
                              "remainder": {"kind": "constant", "value": 0.5}},
                   "ladder": {"eps0": 2 ** -5, "shells": 4},
                   "estimate": {"kind": "degeneracy"}}, [], None),
+    ("estimate", {"kernel": D3_KERNEL, "grid": {"n": 32, "length": 9.0},
+                  "mollifier": DROP, "estimate": DISSIPATION}, [], None),
+    ("estimate", {"kernel": D3_KERNEL,
+                  "grid": {"n": 32, "origin": [0.0, 0.0, 0.0]},
+                  "mollifier": DROP, "estimate": DISSIPATION}, [], None),
+    ("estimate", {"kernel": D3_KERNEL, "grid": {"n": 32},
+                  "mollifier": {"kind": "gaussian", "epsilon": 0.3},
+                  "estimate": DISSIPATION}, [], None),
 ], ids=["n_times-negative", "n_times-zero", "t_max-zero", "t_max-negative",
         "regions-unknown", "zeta-replicas-negative", "zeta-replicas-zero",
         "scale-invariance-replicas-zero", "mrw-replicas-zero",
@@ -301,7 +316,9 @@ D3_KERNEL = {"dimension": 3, "lambda2": 0.5, "scale": 1.0}
         "env-threads-zero", "env-threads-negative", "zeta-p_list-empty",
         "dissipation-radii-empty", "dissipation-radii-repeated",
         "dissipation-dimension-1", "dissipation-remainder",
-        "dissipation-radii-repeated-among-distinct", "degeneracy-remainder"])
+        "dissipation-radii-repeated-among-distinct", "degeneracy-remainder",
+        "dissipation-grid-length", "dissipation-grid-origin",
+        "dissipation-mollifier"])
 def test_out_of_range_settings_are_refused(tmp_path, capsys, monkeypatch,
                                            command, overrides, flags, env):
     if env is not None:

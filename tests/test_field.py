@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from gmclab import field as fd
 from gmclab import kernels as kn
+from gmclab import measure as ms
 from gmclab import spectral as sp
 from gmclab.errors import GateError, ValidationError
 
@@ -182,6 +183,52 @@ def test_one_transform_sample_matches_sum_of_shell_fields(make):
                  for k in range(plan.ladder.n_stages))
     np.testing.assert_allclose(s.values, shells, rtol=0,
                                atol=1e-13 * np.sqrt(s.variance))
+
+
+def _windows(d, n):
+    """Node windows (one slice per axis) of several kinds on an n^d grid."""
+    k = max(n // 8, 1)
+    kinds = {"centred": slice(n // 2 - k, n // 2 + k + 1),
+             "corner": slice(n - k, n),
+             "node-0": slice(0, k + 1),
+             "all-but-node-0": slice(1, n),
+             "whole": slice(0, n)}
+    out = {name: (s,) * d for name, s in kinds.items()}
+    out["mixed"] = tuple(list(kinds.values())[ax] for ax in range(d))
+    return out
+
+
+@pytest.mark.parametrize("d, n", [(1, 2 ** 10), (2, 64), (3, 32)])
+def test_windowed_sample_and_refine_match_the_whole_grid(d, n):
+    plan = small_plan(d, n=n, length=3.0)
+    coarse, fine = plan.sample(17, 3, stage=0), plan.sample(17, 3)
+    for name, window in _windows(d, n).items():
+        s = plan.sample(17, 3, stage=0, window=window)
+        assert np.array_equal(s.values, coarse.values[window]), name
+        assert s.window == (None if name == "whole" else window), name
+        r = plan.refine(s)
+        assert r.window == s.window
+        assert np.array_equal(r.values, fine.values[window]), name
+        assert np.array_equal(plan.sample(17, 3, window=window).values,
+                              r.values), name
+
+
+def test_window_validation():
+    plan = small_plan(2, n=16)
+    for bad in [(slice(0, 4),), (slice(0, 4), slice(0, 8, 2)),
+                (slice(3, 3), slice(0, 4)), (slice(0, 4), 2)]:
+        with pytest.raises(ValidationError):
+            plan.sample(1, 0, window=bad)
+
+
+def test_windowed_sample_is_not_exponentiated_or_written(tmp_path):
+    plan = small_plan(2, n=16)
+    s = plan.sample(1, 0, window=(slice(2, 9), slice(4, 6)))
+    with pytest.raises(ValidationError):
+        ms.exponentiate(s)
+    with pytest.raises(ValidationError):
+        fd.write_field(tmp_path / "f.bin", s)
+    assert not (tmp_path / "f.bin").exists()
 
 
 def test_workers_do_not_change_values():

@@ -27,6 +27,15 @@ def test_eval_kernel_remainder_only_outside_support():
     assert abs(kn.eval_kernel(spec, 2.0) - 0.3) < 1e-15
 
 
+def test_table_remainder_is_zero_beyond_its_last_radius():
+    # the tail that kernel_hat transforms and the certificate integrates
+    spec = kn.KernelSpec(1, 1.0, 1.0,
+                         kn.Remainder("table", radii=[0.0, 1.0],
+                                      values=[-0.1, -0.1]))
+    assert kn.eval_kernel(spec, 1.5) == 0.0
+    assert kn.eval_kernel(spec, 0.5) == np.log(2.0) - 0.1
+
+
 def test_eval_kernel_singular_sentinel():
     spec = kn.KernelSpec(1, 1.0, 1.0)
     assert np.isinf(kn.eval_kernel(spec, 0.0))

@@ -126,6 +126,28 @@ def test_ball_weights_match_whole_grid_subsampling(d, n, center, radius):
     assert np.array_equal(weights.fractions[0], fractions)
 
 
+@pytest.mark.parametrize("region", [
+    ms.Box((-0.3, 0.1), (0.45, 0.2)),
+    ms.Ball((0.013, -0.21), 0.41),
+], ids=["box", "ball"])
+def test_windowed_sample_mass_is_region_mass(region):
+    grid = fd.GridSpec(2, 2 ** 6, 3.0)
+    plan = fd.SpectralPlan(
+        fd.build_ladder(kn.KernelSpec(2, 0.5, 1.0),
+                        kn.MollifierSpec("gaussian", 0.2, 2), (0.2,)), grid)
+    weights = ms._region_weights(grid, region, 0.0)
+    whole = plan.sample(4, 1)
+    windowed = plan.sample(4, 1, window=weights.window)
+    assert weights.mass(windowed) == weights.mass(whole)
+    # region_mass contracts a strided view of the whole grid's masses,
+    # which may round differently
+    want = ms.region_mass(ms.exponentiate(whole), region, margin=0.0)
+    assert abs(weights.mass(windowed) - want) <= 1e-14 * want
+    other = plan.sample(4, 1, window=(slice(0, 8), slice(0, 8)))
+    with pytest.raises(ValidationError):
+        weights.mass(other)
+
+
 def test_fractional_boundary_cells():
     g = fd.GridSpec(1, 2 ** 6, 4.0)
     # box ends midway through cells: volume still exact
