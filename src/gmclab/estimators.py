@@ -390,10 +390,7 @@ def _ln_box_masses(kernel, mollifier_kind, grid, side, eps, seed, n):
     moll = MollifierSpec(mollifier_kind, eps, kernel.dimension)
     plan = SpectralPlan(build_ladder(kernel, moll, (eps,)), grid)
     box = ms.Box((0.0,) * kernel.dimension, (side,) * kernel.dimension)
-    weights = ms._region_weights(grid, box, 0.0)
-    return np.array([np.log(weights.mass(plan.sample(seed, rep,
-                                                      window=weights.window)))
-                     for rep in range(n)])
+    return np.log(ms.convergence_trace(plan, box, seed, n).masses[:, 0])
 
 
 # ----------------------------------------------------------------------
@@ -561,12 +558,9 @@ def run_dissipation(lam2, scale, radii, seed, n_replicas, mean_eps=1.0,
                 f"({2.5 * grid.step:g}); raise eps_ratio or n_side")
         moll = MollifierSpec("gaussian", eps, 3)
         plan = SpectralPlan(build_ladder(kernel, moll, (eps,)), grid)
-        ball = ms._region_weights(grid, ms.Ball((0.0, 0.0, 0.0), l), 0.0)
-        samples[float(l)] = np.array([
-            mean_eps * ball.mass(plan.sample(seed + i, rep,
-                                             window=ball.window))
-            / ball.volume
-            for rep in range(n_replicas)])
+        trace = ms.convergence_trace(plan, ms.Ball((0.0, 0.0, 0.0), l),
+                                     seed + i, n_replicas)
+        samples[float(l)] = mean_eps * trace.masses[:, 0] / trace.volume
     report = lognormality_report(samples, scale)
     report.meta.update({"lam2": lam2, "seed": seed, "replicas": n_replicas,
                         "n_side": n_side, "eps_ratio": eps_ratio,

@@ -27,19 +27,19 @@ k2 = sum_i j_i^2 up to d (n/2)^2 in d >= 2; the lattice gathers from that
 table.  All shells share one evaluation of fhat there
 (`ShellLadder.weights`).  The sum sum_j b_j (cos - sin)(2 pi j . x / n) of
 a real array b is a Hartley transform, computed from one real forward FFT
-F = rfftn(b) as Re F + Im F on the stored half-spectrum and Re F - Im F on
-its mirror image (Hermitian symmetry).  The transform is linear, so a
-sample at stage K adds its shells' coefficient arrays b_k = amp_k g_k in
-stage order and transforms the sum once; `refine` continues that sum.
-`SYNTHESIS` names this algorithm in every field file and `simulate`
-manifest.
+F of b (the values of `rfftn`, to the bit) as Re F + Im F on the stored
+half-spectrum and Re F - Im F on its mirror image (Hermitian symmetry).
+The transform is linear, so a sample at stage K adds its shells'
+coefficient arrays b_k = amp_k g_k in stage order and transforms the sum
+once; `refine` continues that sum.  `SYNTHESIS` names this algorithm in
+every field file and `simulate` manifest.
 
 A region reduction reads only the nodes of its region's bounding slab, so
 a sample can be drawn on such a window (one slice of nodes per axis): the
-normals and the spectral sum stay whole-lattice, and a window that reads
-at most half of the half-spectrum prunes the transform to the rows that
-it and its mirror image read (`_hartley`).  The windowed values equal the
-whole grid's to the bit.
+normals and the spectral sum stay whole-lattice, and the transform keeps
+only the rows that the window and its mirror image read (`_hartley`; the
+whole grid is the window that reads every row).  The windowed values
+equal the whole grid's to the bit.
 
 Randomness: counter-based Philox streams keyed by (seed, replica, shell),
 so replicas and shells are reproducible and order-independent.
@@ -200,13 +200,6 @@ class ShellLadder:
             yield fh * th if prev is None else fh * (th - prev)
             prev = th
 
-    def weight(self, stage, xi):
-        """Radial spectral weight of one shell on |xi| values."""
-        for k, w in enumerate(self.weights(xi)):
-            if k == stage:
-                return w
-        raise ValidationError("stage outside the ladder")
-
     def telescoped(self, stage, xi):
         """Total density after `stage` refinements: fhat * theta_hat(eps_k .)."""
         xi = np.asarray(xi, dtype=float)
@@ -334,11 +327,11 @@ def _indexer(kept):
 def _unfolding(n, bounds):
     """How `_hartley` reads the window with per-axis node bounds (lo, hi)
     of an n^d grid, worked out once per window: (read, blocks).  `read`
-    is None when the whole half-spectrum is transformed, else the indexer
-    of the transform indices kept along each axis; `blocks` lists
-    (op, dst, src) with `op` np.add for nodes read at x and np.subtract
-    for nodes read at -x mod n."""
-    d, h = len(bounds), n // 2
+    is the indexer of the transform indices kept along each axis (every
+    one for the whole grid); `blocks` lists (op, dst, src) with `op`
+    np.add for nodes read at x and np.subtract for nodes read at -x mod
+    n."""
+    h = n // 2
     lo, hi = bounds[-1]
     # last-axis nodes read at x (direct) and at -x mod n (mirrored)
     parts = [(1, np.add, lo, min(hi, h + 1)),
@@ -349,11 +342,6 @@ def _unfolding(n, bounds):
             for a, z in bounds[:-1]]
     kept.append(np.unique(np.concatenate([sign * np.arange(u, v) % n
                                           for sign, _, u, v in parts])))
-    read = None
-    if 2 * np.prod([k.size for k in kept]) <= n ** (d - 1) * (h + 1):
-        read = tuple(_indexer(k) for k in kept)
-    else:
-        kept = [np.arange(n)] * (d - 1) + [np.arange(h + 1)]
     blocks = []
     for sign, op, u, v in parts:
         axes = [_read_blocks(k, n, a, a, z, sign)
@@ -362,7 +350,7 @@ def _unfolding(n, bounds):
         for pairs in itertools.product(*axes):
             blocks.append((op, tuple(t for t, _ in pairs),
                            tuple(s for _, s in pairs)))
-    return read, tuple(blocks)
+    return tuple(_indexer(k) for k in kept), tuple(blocks)
 
 
 def _hartley(b, window=None):
@@ -371,27 +359,24 @@ def _hartley(b, window=None):
     array b with n points per axis.  b is consumed: without a window the
     result is written into b.
 
-    F = rfftn(b) holds sum_j b_j (cos - i sin), so the sum is Re F + Im F
-    at a node x whose last index m <= n/2 (stored), and Re F - Im F at
-    (-x mod n) otherwise, whose last index n - m is stored (F(-x) =
-    conj F(x) for real b).  A window that reads at most half of the
-    stored half-spectrum prunes the transform: an r2c along the last axis
-    keeps the columns the window reads, then a c2c along each of the axes
-    0..d-2, in the order `rfftn` runs them, keeps the rows that the window
-    and its mirror image read.  Every line is transformed as `rfftn`
-    transforms it, so the values equal the whole grid's to the bit.
+    The transform F holds sum_j b_j (cos - i sin), so the sum is Re F +
+    Im F at a node x whose last index m <= n/2 (stored), and Re F - Im F
+    at (-x mod n) otherwise, whose last index n - m is stored (F(-x) =
+    conj F(x) for real b).  F is computed line by line as `rfftn`
+    computes it: an r2c along the last axis, keeping the columns the
+    window reads, then a c2c along each of the axes 0..d-2 in that order,
+    keeping the rows that the window and its mirror image read (every row
+    and every stored column for the whole grid).  So the values equal
+    those unfolded from `rfftn(b)`, to the bit.
     """
     d, n = b.ndim, b.shape[-1]
     bounds = tuple((s.start, s.stop) for s in window or (slice(0, n),) * d)
     read, blocks = _unfolding(n, bounds)
     workers = default_workers()
-    if read is None:
-        f = sfft.rfftn(b, workers=workers)
-    else:
-        f = sfft.rfft(b, axis=-1, workers=workers)[..., read[-1]]
-        for ax in range(d - 1):
-            f = sfft.fft(f, axis=ax, overwrite_x=True, workers=workers)[
-                (slice(None),) * ax + (read[ax],)]
+    f = sfft.rfft(b, axis=-1, workers=workers)[..., read[-1]]
+    for ax in range(d - 1):
+        f = sfft.fft(f, axis=ax, overwrite_x=True, workers=workers)[
+            (slice(None),) * ax + (read[ax],)]
     re, im = f.real, f.imag
     out = b if window is None else np.empty([z - a for a, z in bounds])
     for op, dst, src in blocks:
@@ -409,7 +394,7 @@ class SpectralPlan:
     gathers the amplitudes sqrt(w / L^d) onto the lattice.  A shell is
     then one Philox draw of standard normals g and the product g * amp in
     place; `sample` adds the shells' products in stage order and runs one
-    `rfftn` on the sum, which gives the (cos - sin) sum (see `_hartley`).
+    real FFT on the sum, which gives the (cos - sin) sum (see `_hartley`).
     A sample that can still be refined keeps that spectral sum, and
     `refine` adds the next shell to it and transforms once more, so a
     refined sample is bit-identical to one drawn at its stage.  A constant

@@ -13,10 +13,13 @@ in gmclab goes through one pair: `_region_weights` checks a region
 against a grid and builds its weights once, and `_RegionWeights.mass`
 reduces cell masses, or the covered cells of a FieldSample, with them;
 `_tile_masses` sums the whole-cell tiles of the moment-scaling window.
-The weights carry the region's bounding slab as a `window`: a caller
-that reduces samples draws them on it (`SpectralPlan.sample(...,
+The weights carry the region's bounding slab as a `window`: samples
+drawn for one region are drawn on it (`SpectralPlan.sample(...,
 window=weights.window)`), so only the nodes the region reads are
 transformed, and cell masses of a whole grid enter as `masses[window]`.
+`convergence_trace` is the one loop that draws replicas this way and
+reduces them to region masses; the estimators' dissipation, scale
+invariance and degeneracy ensembles all come from it.
 
 On top of the d=1 measure sits the time-changed Brownian path
 X(t) = B(m[0,t]).  The dissipation variables eps_l of the d=3 measure are
@@ -225,14 +228,6 @@ class _RegionWeights:
     cell_volume: float
 
     @property
-    def cells(self):
-        """The touched cells in whole-grid indices: the window for a Box,
-        index arrays for a Ball."""
-        if isinstance(self.local[0], slice):
-            return self.window
-        return tuple(i + s.start for i, s in zip(self.local, self.window))
-
-    @property
     def volume(self):
         """Sum of covered cell fractions times the cell volume."""
         return float(np.prod([np.sum(w) for w in self.fractions])) \
@@ -242,7 +237,8 @@ class _RegionWeights:
         """Region mass from cell masses on the window (`masses[window]` of
         a whole-grid array), or from a FieldSample drawn on the window or
         on the whole grid, of which only the selected cells are
-        exponentiated."""
+        exponentiated.  Either way the contraction runs over a contiguous
+        copy of the selected cells, so every source rounds alike."""
         if isinstance(source, FieldSample):
             if source.window is None:
                 values = source.values[self.window]
@@ -254,7 +250,7 @@ class _RegionWeights:
             vals = _cell_masses(values[self.local], source.variance,
                                 self.cell_volume)
         else:
-            vals = source[self.local]
+            vals = np.ascontiguousarray(source[self.local])
         for w in self.fractions:
             vals = np.tensordot(vals, w, axes=([0], [0]))
         return float(vals)
@@ -303,14 +299,21 @@ def region_mass(measure: ChaosMeasure, region, margin=None):
 
 @dataclass
 class TraceResult:
+    """Region masses of a convergence trace, and the region's discrete
+    volume (its covered cell fractions times the cell volume)."""
+
     epsilons: tuple
     masses: np.ndarray        # (replica, stage)
+    volume: float
 
 
 def convergence_trace(plan: SpectralPlan, region, seed, n_replicas):
     """Per-replica region mass at every ladder stage, each replica drawn
     at stage 0 on the region's window and refined one shell at a time.
-    Non-convergence is data, not an error."""
+    This is the one loop from replicas to the masses of one region: a
+    single-stage plan gives one mass per replica (`run_dissipation`, the
+    scale-invariance box masses).  Non-convergence is data, not an
+    error."""
     lad, grid = plan.ladder, plan.grid
     n_stages = lad.n_stages
     masses = np.empty((n_replicas, n_stages))
@@ -321,7 +324,8 @@ def convergence_trace(plan: SpectralPlan, region, seed, n_replicas):
         for k in range(1, n_stages):
             sample = plan.refine(sample)
             masses[rep, k] = weights.mass(sample)
-    return TraceResult(epsilons=lad.epsilons, masses=masses)
+    return TraceResult(epsilons=lad.epsilons, masses=masses,
+                       volume=weights.volume)
 
 
 # ----------------------------------------------------------------------

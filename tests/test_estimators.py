@@ -247,6 +247,19 @@ def test_run_scale_invariance_small_d1():
     assert not rep.ks_rejected
 
 
+@pytest.mark.parametrize("d, n", [(1, 2 ** 12), (2, 64), (3, 32)])
+def test_ln_box_masses_are_region_masses_of_whole_grid_samples(d, n):
+    kernel = kn.KernelSpec(d, 0.5, 1.0)
+    grid = fd.GridSpec(d, n, 3.0)
+    got = est._ln_box_masses(kernel, "gaussian", grid, 0.5, 0.3, 7, 4)
+    plan = fd.SpectralPlan(fd.build_ladder(
+        kernel, kn.MollifierSpec("gaussian", 0.3, d), (0.3,)), grid)
+    box = ms.Box((0.0,) * d, (0.5,) * d)
+    want = [np.log(ms.region_mass(ms.exponentiate(plan.sample(7, rep)), box,
+                                  margin=0.0)) for rep in range(4)]
+    assert got.tolist() == want
+
+
 # ----------------------------------------------------------------------
 # degeneracy scan
 # ----------------------------------------------------------------------
@@ -338,6 +351,24 @@ def test_dissipation_mean_normalization():
                                      n_side=2 ** 5)
     for vals in samples.values():
         assert abs(vals.mean() - 2.0) < 3 * vals.std() / np.sqrt(len(vals))
+
+
+def test_dissipation_samples_are_region_masses_of_whole_grid_samples():
+    # run_dissipation builds, for radius i (largest first), the torus
+    # L = R + 2l + 0.1 at n_side, a Gaussian mollifier at 0.4 l and seed + i
+    samples, _ = est.run_dissipation(1.0, 1.0, [0.4, 0.5], seed=41,
+                                     n_replicas=3, mean_eps=2.0,
+                                     n_side=2 ** 5)
+    for i, l in enumerate((0.5, 0.4)):
+        grid = fd.GridSpec(3, 2 ** 5, 1.0 + 2.0 * l + 0.1)
+        moll = kn.MollifierSpec("gaussian", 0.4 * l, 3)
+        plan = fd.SpectralPlan(fd.build_ladder(
+            kn.KernelSpec(3, 1.0, 1.0), moll, (0.4 * l,)), grid)
+        ball = ms.Ball((0.0, 0.0, 0.0), l)
+        want = [2.0 * ms.region_mass(ms.exponentiate(plan.sample(41 + i, rep)),
+                                     ball, margin=0.0)
+                / ms.region_volume(grid, ball) for rep in range(3)]
+        assert samples[l].tolist() == want
 
 
 def test_dissipation_report_io(tmp_path):

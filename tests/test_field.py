@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -48,7 +49,7 @@ def test_ladder_single_base_shell():
     assert ladder.n_stages == 1
     xi = np.array([0.5, 1.0, 3.0])
     fh = kn.kernel_hat(ladder.kernel)(xi)
-    np.testing.assert_allclose(ladder.weight(0, xi),
+    np.testing.assert_allclose(list(ladder.weights(xi))[0],
                                fh * ladder.mollifier.theta_hat(ladder.epsilons[0] * xi),
                                rtol=1e-14)
 
@@ -61,14 +62,15 @@ def test_gaussian_shell_weight_formula():
         e_hi, e_lo = ladder.epsilons[k], ladder.epsilons[k - 1]
         expected = fh * (np.exp(-2 * np.pi ** 2 * (e_hi * xi) ** 2)
                          - np.exp(-2 * np.pi ** 2 * (e_lo * xi) ** 2))
-        np.testing.assert_allclose(ladder.weight(k, xi), expected, rtol=1e-13)
-        assert np.all(ladder.weight(k, xi) >= 0)
+        got = list(ladder.weights(xi))[k]
+        np.testing.assert_allclose(got, expected, rtol=1e-13)
+        assert np.all(got >= 0)
 
 
 def test_ladder_telescoping_identity():
     _, ladder, _ = make_plan(shells=5)
     xi = np.array([1.0])
-    total = sum(ladder.weight(k, xi) for k in range(ladder.n_stages))
+    total = sum(ladder.weights(xi))
     assert abs(total - ladder.telescoped(ladder.n_stages - 1, xi)) < 1e-12
 
 
@@ -83,9 +85,6 @@ def test_ladder_weights_are_the_shell_formula_bit_for_bit():
     assert len(got) == ladder.n_stages
     for k in range(ladder.n_stages):
         assert np.array_equal(got[k], want[k])
-        assert np.array_equal(ladder.weight(k, xi), want[k])
-    with pytest.raises(ValidationError):
-        ladder.weight(ladder.n_stages, xi)
 
 
 def test_ladder_rejects_bad_schedules():
@@ -302,13 +301,32 @@ def test_shell_field_matches_direct_sum(d):
                                    atol=1e-12 * np.max(np.abs(direct)))
 
 
+def _rfftn_hartley(b):
+    """The (cos - sin) sum of b from one F = rfftn(b): Re F + Im F on the
+    stored half of the last axis, and Re F - Im F read at the mirrored
+    node -x mod n beyond it (F(-x) = conj F(x) for real b)."""
+    n, h = b.shape[-1], b.shape[-1] // 2
+    f = sfft.rfftn(b)
+    out = np.empty_like(b)
+    out[..., :h + 1] = f.real + f.imag
+    mirrored = f[tuple(-np.indices(b.shape)[..., h + 1:] % n)]
+    out[..., h + 1:] = mirrored.real - mirrored.imag
+    return out
+
+
+@pytest.mark.parametrize("d, n", [(1, 2 ** 12), (2, 64), (3, 32)])
+def test_whole_grid_hartley_is_the_rfftn_unfolding_to_the_bit(d, n):
+    b = np.random.default_rng(d).standard_normal((n,) * d)
+    assert np.array_equal(fd._hartley(b.copy()), _rfftn_hartley(b))
+
+
 @pytest.mark.parametrize("d, n", [(1, 2 ** 12), (2, 64), (3, 32)])
 def test_plan_amplitudes_match_pointwise_weights(d, n):
     plan = small_plan(d, n=n, length=3.0)
     xi = lattice_radii(plan.grid)
     cell = 1.0 / plan.grid.length ** d
     for stage in range(plan.ladder.n_stages):
-        w = np.maximum(plan.ladder.weight(stage, xi), 0.0)
+        w = np.maximum(list(plan.ladder.weights(xi))[stage], 0.0)
         want = np.sqrt(w * cell)
         np.testing.assert_allclose(plan.amps[stage], want, rtol=1e-13,
                                    atol=1e-13 * np.max(want))
