@@ -4,13 +4,15 @@
     gmclab estimate --config cfg.json --kind zeta|scale-invariance|...
     gmclab oracles  [--seed S] [--budget N] [--out DIR]
 
-Configuration is a JSON document (kernel, mollifier, grid, ladder,
-replicas, seed, per-command parameters); command-line flags override the
-file.  Every output embeds the config digest, and rerunning a manifest
-reproduces byte-identical binaries.  Exit codes: 0 success, 2 validation
-error, 3 certified oracle/acceptance failure.  GMC_LAB_THREADS (or
---threads, at least 1) sets the FFT worker count of `simulate` and
-`estimate` and never changes results.
+Configuration is a JSON object (kernel, mollifier, grid, ladder,
+replicas, seed, per-command parameters; each section an object);
+command-line flags override the file.  The config digest goes into the
+`simulate` manifest and every `estimate` report's JSON, but not into
+`mrw_paths.csv` or `dissipation_samples.csv` (ROADMAP item 1(a));
+rerunning a manifest reproduces byte-identical binaries.  Exit codes: 0
+success, 2 validation error, 3 certified oracle/acceptance failure.
+GMC_LAB_THREADS (or --threads, at least 1) sets the FFT worker count of
+`simulate` and `estimate` and never changes results.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from . import field as fd
 from . import kernels as kn
 from . import measure as ms
 from . import oracles as oc
-from .errors import GateError, ValidationError, parse_count, parse_number
+from .errors import (GateError, ValidationError, parse_count, parse_number,
+                     parse_object)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -53,14 +56,19 @@ def _config_digest(cfg):
 
 def _load_config(path):
     with open(path) as fh:
-        return json.load(fh)
+        return parse_object(json.load(fh), "config")
+
+
+def _section(cfg, name):
+    """The object cfg[name] ({} when absent); anything else is refused."""
+    return parse_object(cfg.get(name, {}), name)
 
 
 def _parse_kernel_gate(cfg):
     """(KernelSpec, MollifierSpec); the kernel raises its own gates."""
     try:
-        return kn.spec_from_json({**cfg.get("kernel", {}),
-                                  "mollifier": cfg.get("mollifier", {})})
+        return kn.spec_from_json({**_section(cfg, "kernel"),
+                                  "mollifier": _section(cfg, "mollifier")})
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"kernel or mollifier config: {exc}") from None
 
@@ -70,7 +78,7 @@ def _floats(values):
 
 
 def _grid_from(cfg, spec):
-    g = cfg.get("grid", {})
+    g = _section(cfg, "grid")
     origin = g.get("origin")
     return fd.GridSpec(dimension=spec.dimension,
                        n=parse_number(g.get("n", 2 ** 12), int, "grid.n"),
@@ -81,7 +89,7 @@ def _grid_from(cfg, spec):
 
 
 def _epsilons_from(cfg):
-    lad = cfg.get("ladder", {})
+    lad = _section(cfg, "ladder")
     if "epsilons" in lad:
         return parse_number(lad["epsilons"], _floats, "ladder.epsilons")
     return fd.geometric_schedule(
@@ -144,7 +152,7 @@ def cmd_estimate(args):
     out = cfg.get("out", ".")
     os.makedirs(out, exist_ok=True)
     digest = _config_digest(cfg)
-    params = cfg.get("estimate", {})
+    params = _section(cfg, "estimate")
     kind = args.kind or params.get("kind")
 
     def param(name, default, convert=float):
@@ -204,8 +212,8 @@ def cmd_estimate(args):
         if spec.dimension != 3:
             raise ValidationError("dissipation runs in d = 3: set "
                                   "kernel.dimension to 3")
-        ignored = [f"grid.{k}" for k in ("length", "origin")
-                   if k in cfg.get("grid", {})]
+        grid_cfg = _section(cfg, "grid")
+        ignored = [f"grid.{k}" for k in ("length", "origin") if k in grid_cfg]
         ignored += ["mollifier"] if "mollifier" in cfg else []
         if ignored:
             raise ValidationError(
@@ -214,8 +222,7 @@ def cmd_estimate(args):
         samples, report = est.run_dissipation(
             lam2=spec.lam2, scale=spec.scale, radii=radii,
             seed=seed, n_replicas=n, mean_eps=mean_eps,
-            n_side=parse_number(cfg.get("grid", {}).get("n", 2 ** 7), int,
-                                "grid.n"))
+            n_side=parse_number(grid_cfg.get("n", 2 ** 7), int, "grid.n"))
         report.meta["config_digest"] = digest
         report.write(os.path.join(out, "dissipation.csv"))
         ms.write_dissipation_csv(os.path.join(out, "dissipation_samples.csv"),

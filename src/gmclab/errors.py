@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the parsers of numeric
-settings that raise them."""
+and object settings that raise them."""
 
 
 class ValidationError(ValueError):
@@ -27,6 +27,14 @@ def parse_number(value, convert, name):
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(
             f"{name} must be a number, got {value!r}") from None
+
+
+def parse_object(value, name):
+    """A setting that must be a JSON object (a dict), or a ValidationError."""
+    if not isinstance(value, dict):
+        raise ValidationError(
+            f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def parse_count(value, name, least):

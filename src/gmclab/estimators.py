@@ -20,7 +20,6 @@ view at desk-scale replica counts; plain Monte Carlo provably misses them
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -29,6 +28,7 @@ import numpy as np
 from .errors import ValidationError
 from .field import GridSpec, SpectralPlan, _philox, build_ladder
 from .kernels import KernelSpec, MollifierSpec
+from .report import write_table
 from . import measure as ms
 
 __all__ = [
@@ -119,18 +119,12 @@ class ScalingReport:
     meta: dict = field(default_factory=dict)
 
     def write(self, csv_path):
-        with open(csv_path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["p", "c", "moment", "se", "flagged"])
-            for r in self.rows:
-                wr.writerow([r.p, repr(r.c), repr(r.moment), repr(r.se),
-                             int(r.flagged)])
-        with open(str(csv_path) + ".json", "w") as fh:
-            json.dump({
-                "zeta_hat": {str(p): v for p, v in self.zeta_hat.items()},
-                "zeta_analytic": {str(p): v for p, v in self.zeta_analytic.items()},
-                "scale_range": list(self.scale_range),
-                **self.meta}, fh, indent=2)
+        write_table(csv_path, ["p", "c", "moment", "se", "flagged"],
+                    [(r.p, r.c, r.moment, r.se, r.flagged) for r in self.rows],
+                    {"zeta_hat": {str(p): v for p, v in self.zeta_hat.items()},
+                     "zeta_analytic": {str(p): v for p, v
+                                       in self.zeta_analytic.items()},
+                     "scale_range": list(self.scale_range), **self.meta})
 
 
 def _tilt_strengths(p_max, d, lam2):
@@ -418,17 +412,11 @@ class DegeneracyReport:
     meta: dict = field(default_factory=dict)
 
     def write(self, csv_path):
-        with open(csv_path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["lam2", "alpha", "exponent", "exponent_se",
-                         "predicted", "drift", "plateau"])
-            for f in self.fits:
-                wr.writerow([f.lam2, f.alpha, repr(f.exponent),
-                             repr(f.exponent_se), repr(f.predicted),
-                             repr(f.drift), int(f.plateau)])
-        with open(str(csv_path) + ".json", "w") as fh:
-            json.dump({"epsilons": list(self.epsilons), **self.meta},
-                      fh, indent=2)
+        write_table(csv_path, ["lam2", "alpha", "exponent", "exponent_se",
+                               "predicted", "drift", "plateau"],
+                    [(f.lam2, f.alpha, f.exponent, f.exponent_se, f.predicted,
+                      f.drift, f.plateau) for f in self.fits],
+                    {"epsilons": list(self.epsilons), **self.meta})
 
 
 def degeneracy_scan(lam2_list, dimension, scale, mollifier_kind,
@@ -484,17 +472,12 @@ class DissipationReport:
     meta: dict = field(default_factory=dict)
 
     def write(self, csv_path):
-        with open(csv_path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["l", "var_ln_eps", "var_se", "mean_eps", "mean_se",
-                         "skew_z"])
-            for row in zip(self.radii, self.variances, self.variance_ses,
-                           self.means, self.mean_ses, self.skew_z):
-                wr.writerow([repr(float(v)) for v in row])
-        with open(str(csv_path) + ".json", "w") as fh:
-            json.dump({"slope": self.slope, "slope_se": self.slope_se,
-                       "intercept": self.intercept, **self.meta}, fh,
-                      indent=2)
+        write_table(csv_path, ["l", "var_ln_eps", "var_se", "mean_eps",
+                               "mean_se", "skew_z"],
+                    zip(self.radii, self.variances, self.variance_ses,
+                        self.means, self.mean_ses, self.skew_z),
+                    {"slope": self.slope, "slope_se": self.slope_se,
+                     "intercept": self.intercept, **self.meta})
 
 
 def lognormality_report(samples_by_radius, scale):

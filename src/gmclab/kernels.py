@@ -21,7 +21,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import spectral
-from .errors import GateError, ValidationError
+from .errors import GateError, ValidationError, parse_object
 
 __all__ = [
     "Remainder",
@@ -464,9 +464,10 @@ def kernel_hat(spec: KernelSpec):
 def mollified_covariance(spec: KernelSpec, moll: MollifierSpec, r):
     """q_eps(r) = (theta^eps * f)(r) via the spectral product.
 
-    Finite for every r including 0; q_eps(0) is the exact field variance
-    used for normalization.  Raises GateError when the spectral tail
-    truncated beyond the mollifier cutoff exceeds 1e-9.
+    Finite for every r including 0; q_eps(0) is the continuum variance
+    (measures normalize with the lattice variance `SpectralPlan` carries).
+    Raises GateError when the spectral tail truncated beyond the mollifier
+    cutoff exceeds 1e-9.
     """
     if moll.dimension != spec.dimension:
         raise ValidationError("kernel and mollifier dimensions differ")
@@ -514,6 +515,8 @@ def spec_to_json(spec: KernelSpec, moll: MollifierSpec, as_string=False):
 def spec_from_json(doc):
     if isinstance(doc, str):
         doc = json.loads(doc)
+    for name in ("remainder", "mollifier"):
+        parse_object(doc.get(name, {}), name)
     spec = KernelSpec(dimension=int(doc["dimension"]),
                       lam2=float(doc["lambda2"]),
                       scale=float(doc.get("scale", 1.0)),

@@ -30,7 +30,6 @@ module only writes them (`write_dissipation_csv`).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +37,7 @@ import numpy as np
 from .errors import ValidationError
 from .field import (FieldSample, GridSpec, SpectralPlan, _philox,
                     read_grid_file, write_grid_file)
+from .report import write_table
 
 __all__ = [
     "ChaosMeasure",
@@ -402,22 +402,15 @@ def read_measure(path):
 
 def write_mrw_csv(path, times, paths):
     """Columns t, X (one block per replica, replica index first)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replica", "t", "X"])
-        for rep, x in enumerate(paths):
-            for t, v in zip(times, x):
-                writer.writerow([rep, repr(float(t)), repr(float(v))])
+    write_table(path, ["replica", "t", "X"],
+                [(rep, t, v) for rep, x in enumerate(paths)
+                 for t, v in zip(times, x)])
 
 
 def write_dissipation_csv(path, samples, mean_eps):
     """Columns l, replica, eps_l, mean_eps for `run_dissipation`'s samples
     {l: eps_l per replica}, radii in the dict's order; every ball is
     centred at the origin."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["l", "replica", "eps_l", "mean_eps"])
-        for l, values in samples.items():
-            for rep, v in enumerate(values):
-                writer.writerow([repr(float(l)), rep, repr(float(v)),
-                                 repr(float(mean_eps))])
+    write_table(path, ["l", "replica", "eps_l", "mean_eps"],
+                [(l, rep, v, mean_eps) for l, values in samples.items()
+                 for rep, v in enumerate(values)])

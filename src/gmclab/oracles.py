@@ -110,13 +110,10 @@ def _gh_nodes(dim, order):
     if key not in _GH_CACHE:
         x, w = np.polynomial.hermite_e.hermegauss(order)
         w = w / np.sqrt(2.0 * np.pi)
-        if dim == 1:
-            nodes, weights = x[:, None], w
-        else:
-            grids = np.meshgrid(*([x] * dim), indexing="ij")
-            nodes = np.stack([g.ravel() for g in grids], axis=-1)
-            wg = np.meshgrid(*([w] * dim), indexing="ij")
-            weights = np.prod(np.stack([g.ravel() for g in wg], axis=-1), axis=-1)
+        grids = np.meshgrid(*([x] * dim), indexing="ij")
+        nodes = np.stack([g.ravel() for g in grids], axis=-1)
+        wg = np.meshgrid(*([w] * dim), indexing="ij")
+        weights = np.prod(np.stack([g.ravel() for g in wg], axis=-1), axis=-1)
         _GH_CACHE[key] = (nodes, weights)
     return _GH_CACHE[key]
 
@@ -126,14 +123,13 @@ def _sqrt_psd(cov):
     return eigvec @ np.diag(np.sqrt(np.maximum(eigval, 0.0)))
 
 
-def _lognormal_sum_nodes(cov, weights, order):
-    """(values of sum_i p_i e^(Z_i - var_i/2) at GH nodes, node Z's, GH w)."""
-    n = cov.shape[0]
-    nodes, gw = _gh_nodes(n, order)
+def _gh_mean(stat, cov, weights, order):
+    """E[stat(terms)] by tensor Gauss-Hermite quadrature, where terms holds
+    p_i e^(Z_i - var_i/2) at the nodes of Z ~ N(0, cov), one row a node."""
+    nodes, gw = _gh_nodes(cov.shape[0], order)
     z = nodes @ _sqrt_psd(cov).T
-    var = np.diag(cov)
-    terms = weights[None, :] * np.exp(z - var[None, :] / 2.0)
-    return terms, z, gw
+    terms = weights[None, :] * np.exp(z - np.diag(cov)[None, :] / 2.0)
+    return float(gw @ stat(terms))
 
 
 _PHI = {
@@ -181,9 +177,8 @@ def interpolation_derivative_check(spec_x: GaussianVectorSpec,
     cx, cy, p = spec_x.covariance, spec_y.covariance, spec_x.weights
 
     def phi_of_t(tt, order=_GH_ORDER):
-        cov = tt * cx + (1.0 - tt) * cy
-        terms, _, gw = _lognormal_sum_nodes(cov, p, order)
-        return float(gw @ f(terms.sum(axis=1)))
+        return _gh_mean(lambda terms: f(terms.sum(axis=1)),
+                        tt * cx + (1.0 - tt) * cy, p, order)
 
     def fd(h):
         return (phi_of_t(t + h) - phi_of_t(t - h)) / (2 * h)
@@ -194,17 +189,15 @@ def interpolation_derivative_check(spec_x: GaussianVectorSpec,
 
     def rhs_at(order=_GH_ORDER):
         cov = t * cx + (1.0 - t) * cy
-        terms, _, gw = _lognormal_sum_nodes(cov, p, order)
-        w_sum = terms.sum(axis=1)
         gap = cx - cy
         total = 0.0
         for i in range(spec_x.size):
             for j in range(spec_x.size):
                 if gap[i, j] == 0.0:
                     continue
-                pair = terms[:, i] * terms[:, j] / (p[i] * p[j])
-                total += 0.5 * p[i] * p[j] * gap[i, j] \
-                    * float(gw @ (pair * fdd(w_sum)))
+                total += 0.5 * p[i] * p[j] * gap[i, j] * _gh_mean(
+                    lambda u, i=i, j=j: u[:, i] * u[:, j] / (p[i] * p[j])
+                    * fdd(u.sum(axis=1)), cov, p, order)
         return total
 
     rhs = rhs_at()
@@ -214,7 +207,7 @@ def interpolation_derivative_check(spec_x: GaussianVectorSpec,
     budget = fd_err + quad_err + 1e-11
     return OracleVerdict(
         name="interpolation-derivative", passed=residual <= budget,
-        certified=quad_err <= max(budget, 1e-30) and fd_err < np.inf,
+        certified=bool(np.isfinite(budget)),
         margin=budget - residual, budget=budget,
         detail={"residual": residual, "fd_value": lhs, "formula_value": rhs,
                 "fd_error": fd_err, "quadrature_error": quad_err,
@@ -246,8 +239,8 @@ def convex_comparison_check(spec_x: GaussianVectorSpec,
     arg = float(F[1]) if len(F) > 1 else 0.0
 
     def side(cov, order=_GH_ORDER):
-        terms, _, gw = _lognormal_sum_nodes(cov, spec_x.weights, order)
-        return float(gw @ fn(terms.sum(axis=1), arg))
+        return _gh_mean(lambda terms: fn(terms.sum(axis=1), arg), cov,
+                        spec_x.weights, order)
 
     left, right = side(spec_x.covariance), side(spec_y.covariance)
     budget = abs(left - side(spec_x.covariance, _GH_ORDER + 8)) \

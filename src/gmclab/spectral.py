@@ -28,6 +28,7 @@ import numpy as np
 from scipy.special import j0, j1, jv, sici
 
 from .errors import GateError, ValidationError
+from .report import write_table
 
 __all__ = [
     "si_minus_sin",
@@ -300,16 +301,11 @@ class SpectralProfile:
     def write(self, csv_path):
         """CSV columns (xi, fhat, err) plus a JSON sidecar (the CSV path
         with ".json" appended) with the verdict."""
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["xi", "fhat", "err"])
-            for row in zip(self.xi, self.fhat, self.err):
-                writer.writerow([repr(float(v)) for v in row])
-        with open(str(csv_path) + ".json", "w") as fh:
-            json.dump({"dimension": self.dimension,
-                       "certificate": self.certificate,
-                       "points": int(len(self.xi)),
-                       **self.meta}, fh, indent=2)
+        write_table(csv_path, ["xi", "fhat", "err"],
+                    zip(self.xi, self.fhat, self.err),
+                    {"dimension": self.dimension,
+                     "certificate": self.certificate,
+                     "points": int(len(self.xi)), **self.meta})
 
     @staticmethod
     def read(csv_path):

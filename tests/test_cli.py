@@ -338,3 +338,25 @@ def assert_refused(tmp_path, capsys, command, overrides, flags=()):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize("argv, shape", [
+    (["simulate"], lambda cfg: [cfg]),
+    (["simulate"], lambda cfg: {**cfg, "grid": 5}),
+    (["simulate"], lambda cfg: {**cfg, "ladder": "fine"}),
+    (["estimate", "--kind", "mrw"], lambda cfg: {**cfg, "estimate": [1]}),
+    (["simulate"], lambda cfg: {**cfg, "mollifier": 3}),
+    (["simulate"], lambda cfg: {**cfg, "kernel": {**cfg["kernel"],
+                                                  "remainder": "zero"}}),
+], ids=["top-level-list", "grid-number", "ladder-string", "estimate-list",
+        "mollifier-number", "remainder-string"])
+def test_malformed_config_shapes_are_refused(tmp_path, capsys, argv, shape):
+    """A config, or a section of it, that is not a JSON object exits 2 with
+    one JSON line, not with a traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(shape(write_cfg(cfg))))
+    code = run_cli([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_VALIDATION
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ValidationError"

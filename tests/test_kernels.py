@@ -291,6 +291,13 @@ def test_spec_json_roundtrip():
     assert moll2.kind == "gaussian" and moll2.epsilon == 0.02
 
 
+@pytest.mark.parametrize("section", ["remainder", "mollifier"])
+@pytest.mark.parametrize("value", ["zero", None])
+def test_spec_json_refuses_a_section_that_is_not_an_object(section, value):
+    with pytest.raises(ValidationError, match=f"{section} must be a JSON"):
+        kn.spec_from_json({"dimension": 1, "lambda2": 0.5, section: value})
+
+
 def test_spec_json_table_remainder_roundtrip():
     radii = np.linspace(0.0, 1.0, 8)
     vals = 0.2 * np.cos(radii)

@@ -68,6 +68,24 @@ def test_interpolation_residual_shrinks_like_h_squared():
     assert r[0] / max(r[1], 1e-16) > 2.0
 
 
+def test_interpolation_infinite_quadrature_difference_is_not_certified(
+        monkeypatch):
+    # the 56-node expectations come out infinite, so the 48/56 difference
+    # that bounds the quadrature error is infinite too
+    gh_mean = oc._gh_mean
+
+    def diverging(stat, cov, weights, order):
+        return np.inf if order > oc._GH_ORDER else gh_mean(stat, cov,
+                                                           weights, order)
+
+    monkeypatch.setattr(oc, "_gh_mean", diverging)
+    sx = oc.GaussianVectorSpec([[0.5, 0.0], [0.0, 0.5]])
+    sy = oc.GaussianVectorSpec([[0.5, 0.3], [0.3, 0.5]])
+    v = oc.interpolation_derivative_check(sx, sy, ("power", 0.4), 0.5)
+    assert v.detail["quadrature_error"] == np.inf
+    assert not v.certified and v.inconclusive
+
+
 def test_interpolation_validations():
     s1 = oc.GaussianVectorSpec([[1.0]])
     s2 = oc.GaussianVectorSpec([[1.0, 0.0], [0.0, 1.0]])
