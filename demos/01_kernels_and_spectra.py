@@ -48,7 +48,7 @@ for eps in (1e-1, 1e-2, 1e-3):
 # --- the dichotomy in the dimension ------------------------------------
 print("\npositive-definiteness of ln+(1/|x|) across dimensions:")
 prof = lambda r: np.where(r < 1.0, np.log(1.0 / np.maximum(r, 1e-300)), 0.0)
-grid = sp.default_check_grid(1.0, xi_max=200.0)
+grid = sp.default_check_grid(1.0)
 for d in (1, 2, 3, 4):
     rep = sp.check_positive_definite(prof, d, grid, support=1.0)
     print(f"  d={d}: certificate = {rep.certificate}, "

@@ -6,13 +6,17 @@
 
 Configuration is a JSON object (kernel, mollifier, grid, ladder,
 replicas, seed, per-command parameters; each section an object);
-command-line flags override the file.  The config digest goes into the
+flags override the file.  One set-up parses every section for every
+command and report kind: `seed` >= 0, `out` a directory; `grid.origin`
+(the grid is centred on 0) and `ladder.factor` (a non-dyadic ladder is
+`ladder.epsilons`) are refused.  The config digest goes into the
 `simulate` manifest and every `estimate` report's JSON, but not into
 `mrw_paths.csv` or `dissipation_samples.csv` (ROADMAP item 1(a));
 rerunning a manifest reproduces byte-identical binaries.  Exit codes: 0
 success, 2 validation error, 3 certified oracle/acceptance failure.
 GMC_LAB_THREADS (or --threads, at least 1) sets the FFT worker count of
-`simulate` and `estimate` and never changes results.
+`simulate` and `estimate` and never changes results; `oracles` takes
+`--seed` and `--budget` >= 0.
 """
 
 from __future__ import annotations
@@ -38,15 +42,13 @@ EXIT_VALIDATION = 2
 EXIT_FAILURE = 3
 
 
-def _fail(code, exc_or_msg, **detail):
-    msg = str(exc_or_msg)
-    doc = {"error": type(exc_or_msg).__name__ if isinstance(exc_or_msg, Exception)
-           else "error", "message": msg}
-    detail.update(getattr(exc_or_msg, "detail", {}) or {})
-    if detail:
-        doc["detail"] = {k: repr(v) for k, v in detail.items()}
+def _fail(exc):
+    """A refusal: one JSON line naming the error and its detail, exit 2."""
+    doc = {"error": type(exc).__name__, "message": str(exc)}
+    if getattr(exc, "detail", None):
+        doc["detail"] = {k: repr(v) for k, v in exc.detail.items()}
     print(json.dumps(doc))
-    return code
+    return EXIT_VALIDATION
 
 
 def _config_digest(cfg):
@@ -79,38 +81,63 @@ def _floats(values):
 
 def _grid_from(cfg, spec):
     g = _section(cfg, "grid")
-    origin = g.get("origin")
+    if "origin" in g:
+        raise ValidationError("grid.origin is not a setting: the grid is "
+                              "centred on 0")
     return fd.GridSpec(dimension=spec.dimension,
                        n=parse_number(g.get("n", 2 ** 12), int, "grid.n"),
                        length=parse_number(g.get("length", 4.0), float,
-                                           "grid.length"),
-                       origin=parse_number(origin, _floats, "grid.origin")
-                       if origin else None)
+                                           "grid.length"))
 
 
 def _epsilons_from(cfg):
     lad = _section(cfg, "ladder")
+    if "factor" in lad:
+        raise ValidationError("ladder.factor is not a setting: give a "
+                              "non-dyadic schedule as ladder.epsilons")
     if "epsilons" in lad:
         return parse_number(lad["epsilons"], _floats, "ladder.epsilons")
     return fd.geometric_schedule(
         parse_number(lad.get("eps0", 2 ** -4), float, "ladder.eps0"),
-        parse_number(lad.get("shells", 0), int, "ladder.shells"),
-        parse_number(lad.get("factor", 2.0), float, "ladder.factor"))
+        parse_number(lad.get("shells", 0), int, "ladder.shells"))
 
 
-def cmd_simulate(args):
+def _out_dir(out):
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"out must be a directory: {exc}") from None
+    return out
+
+
+def _apply_overrides(cfg, args):
+    for name in ("seed", "replicas", "out"):
+        if getattr(args, name) is not None:
+            cfg[name] = getattr(args, name)
+    threads = args.threads
+    if threads is None:
+        threads = os.environ.get("GMC_LAB_THREADS")
+    if threads is not None:
+        fd.set_workers(threads)
+
+
+def _setup(args, replicas, least):
+    """(cfg, kernel, mollifier, grid, epsilons, seed, replicas, out, digest)
+    for any command; `replicas` defaults as given and is at least `least`."""
     cfg = _load_config(args.config)
     _apply_overrides(cfg, args)
     spec, moll = _parse_kernel_gate(cfg)
-    grid = _grid_from(cfg, spec)
-    epsilons = _epsilons_from(cfg)
-    seed = parse_number(cfg.get("seed", 0), int, "seed")
-    replicas = parse_count(cfg.get("replicas", 1), "replicas", 0)
+    return (cfg, spec, moll, _grid_from(cfg, spec), _epsilons_from(cfg),
+            parse_count(cfg.get("seed", 0), "seed", 0),
+            parse_count(cfg.get("replicas", replicas), "replicas", least),
+            _out_dir(cfg.get("out", ".")), _config_digest(cfg))
+
+
+def cmd_simulate(args):
+    cfg, spec, moll, grid, epsilons, seed, replicas, out, digest = \
+        _setup(args, 1, 0)
     ladder = fd.build_ladder(spec, moll, epsilons)
     plan = fd.SpectralPlan(ladder, grid)
-    out = cfg.get("out", ".")
-    os.makedirs(out, exist_ok=True)
-    digest = _config_digest(cfg)
     names = []
     for rep in range(replicas):
         sample = plan.sample(seed, rep)
@@ -128,36 +155,21 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _apply_overrides(cfg, args):
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "replicas", None) is not None:
-        cfg["replicas"] = args.replicas
-    if getattr(args, "out", None) is not None:
-        cfg["out"] = args.out
-    threads = getattr(args, "threads", None)
-    if threads is None:
-        threads = os.environ.get("GMC_LAB_THREADS")
-    if threads is not None:
-        fd.set_workers(threads)
-
-
 def cmd_estimate(args):
-    cfg = _load_config(args.config)
-    _apply_overrides(cfg, args)
-    spec, moll = _parse_kernel_gate(cfg)
-    grid = _grid_from(cfg, spec)
-    seed = parse_number(cfg.get("seed", 0), int, "seed")
-    n = parse_count(cfg.get("replicas", 100), "replicas", 1)
-    out = cfg.get("out", ".")
-    os.makedirs(out, exist_ok=True)
-    digest = _config_digest(cfg)
+    cfg, spec, moll, grid, epsilons, seed, n, out, digest = \
+        _setup(args, 100, 1)
     params = _section(cfg, "estimate")
     kind = args.kind or params.get("kind")
 
     def param(name, default, convert=float):
         return parse_number(params.get(name, default), convert,
                             f"estimate.{name}")
+
+    def emit(report, name, lines):
+        report.meta["config_digest"] = digest
+        report.write(os.path.join(out, name))
+        for line in lines:
+            print(line)
 
     if kind in ("degeneracy", "dissipation") and not spec.remainder.is_zero:
         raise ValidationError(f"{kind} runs the pure log kernel: leave out "
@@ -170,12 +182,10 @@ def cmd_estimate(args):
                          _floats),
             seed=seed, n_replicas=n,
             regions=params.get("regions", "boxes"))
-        report.meta["config_digest"] = digest
-        path = os.path.join(out, "zeta_report.csv")
-        report.write(path)
-        for p, (slope, se, r2) in sorted(report.zeta_hat.items()):
-            print(f"zeta p={p}: fitted {slope:.4f} +- {se:.4f} "
-                  f"(analytic {report.zeta_analytic[p]:.4f}, R2={r2:.3f})")
+        emit(report, "zeta_report.csv", [
+            f"zeta p={p}: fitted {slope:.4f} +- {se:.4f} "
+            f"(analytic {report.zeta_analytic[p]:.4f}, R2={r2:.3f})"
+            for p, (slope, se, r2) in sorted(report.zeta_hat.items())])
     elif kind == "scale-invariance":
         report = est.run_scale_invariance(
             spec, moll.kind, grid,
@@ -183,13 +193,12 @@ def cmd_estimate(args):
             c=param("c", 0.5),
             eps_a=param("eps_a", moll.epsilon),
             seed=seed, n_replicas=n)
-        report.meta["config_digest"] = digest
-        report.write(os.path.join(out, "scale_invariance.json"))
-        print(f"scale-invariance c={report.c}: mean shift "
-              f"{report.mean_shift:.4f} (target {report.mean_shift_target:.4f}), "
-              f"variance gain {report.var_gain:.4f} "
-              f"(target {report.var_gain_target:.4f}), "
-              f"KS rejected: {report.ks_rejected}")
+        emit(report, "scale_invariance.json", [
+            f"scale-invariance c={report.c}: mean shift "
+            f"{report.mean_shift:.4f} (target {report.mean_shift_target:.4f}), "
+            f"variance gain {report.var_gain:.4f} "
+            f"(target {report.var_gain_target:.4f}), "
+            f"KS rejected: {report.ks_rejected}"])
     elif kind == "degeneracy":
         region_side = param("region_side", 1.0)
         region = ms.Box((0.0,) * spec.dimension,
@@ -197,15 +206,14 @@ def cmd_estimate(args):
         report = est.degeneracy_scan(
             param("lam2_list", [spec.lam2], _floats),
             spec.dimension, spec.scale, moll.kind, grid,
-            _epsilons_from(cfg), region,
+            epsilons, region,
             alpha=param("alpha", 0.5),
             seed=seed, n_replicas=n)
-        report.meta["config_digest"] = digest
-        report.write(os.path.join(out, "degeneracy.csv"))
-        for f in report.fits:
-            verdict = "plateau" if f.plateau else \
-                f"decay exponent {f.exponent:.4f} (predicted {f.predicted:.4f})"
-            print(f"lam2={f.lam2}: {verdict}")
+        emit(report, "degeneracy.csv", [
+            f"lam2={f.lam2}: " + ("plateau" if f.plateau else
+                                  f"decay exponent {f.exponent:.4f} "
+                                  f"(predicted {f.predicted:.4f})")
+            for f in report.fits])
     elif kind == "dissipation":
         mean_eps = param("mean_eps", 1.0)
         radii = param("radii", [0.5, 0.25, 0.125, 0.0625], _floats)
@@ -213,7 +221,7 @@ def cmd_estimate(args):
             raise ValidationError("dissipation runs in d = 3: set "
                                   "kernel.dimension to 3")
         grid_cfg = _section(cfg, "grid")
-        ignored = [f"grid.{k}" for k in ("length", "origin") if k in grid_cfg]
+        ignored = ["grid.length"] if "length" in grid_cfg else []
         ignored += ["mollifier"] if "mollifier" in cfg else []
         if ignored:
             raise ValidationError(
@@ -223,12 +231,11 @@ def cmd_estimate(args):
             lam2=spec.lam2, scale=spec.scale, radii=radii,
             seed=seed, n_replicas=n, mean_eps=mean_eps,
             n_side=parse_number(grid_cfg.get("n", 2 ** 7), int, "grid.n"))
-        report.meta["config_digest"] = digest
-        report.write(os.path.join(out, "dissipation.csv"))
         ms.write_dissipation_csv(os.path.join(out, "dissipation_samples.csv"),
                                  samples, mean_eps)
-        print(f"dissipation: Var(ln eps_l) slope {report.slope:.4f} "
-              f"+- {report.slope_se:.4f} (lam2 = {spec.lam2})")
+        emit(report, "dissipation.csv", [
+            f"dissipation: Var(ln eps_l) slope {report.slope:.4f} "
+            f"+- {report.slope_se:.4f} (lam2 = {spec.lam2})"])
     elif kind == "mrw":
         t_max = param("t_max", 1.0)
         n_times = param("n_times", 1024, int)
@@ -254,10 +261,10 @@ def cmd_estimate(args):
 
 
 def cmd_oracles(args):
-    budget = args.budget if args.budget is not None else 400_000
-    verdicts = oc.run_all(seed=args.seed or 0, mc_samples=budget)
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
+    seed = parse_count(args.seed or 0, "seed", 0)
+    budget = parse_count(args.budget, "budget", 0)
+    out = _out_dir(args.out or ".")
+    verdicts = oc.run_all(seed=seed, mc_samples=budget)
     doc = oc.verdicts_to_json(verdicts, os.path.join(out, "oracle_report.json"))
     n_pass = sum(1 for v in verdicts if v.certified and v.passed)
     n_fail = sum(1 for v in verdicts if v.certified and not v.passed)
@@ -286,7 +293,7 @@ def build_parser():
     est_p.add_argument("--kind", choices=["zeta", "scale-invariance",
                                           "degeneracy", "dissipation", "mrw"])
     orc = sub.add_parser("oracles", help="appendix-lemma validation battery")
-    orc.add_argument("--budget", type=int, default=None,
+    orc.add_argument("--budget", type=int, default=400_000,
                      help="Monte Carlo samples per oracle (0: skip MC)")
     for p in (sim, est_p, orc):
         p.add_argument("--seed", type=int, default=None)
@@ -308,7 +315,7 @@ def main(argv=None):
             return cmd_oracles(args)
     except (ValidationError, GateError, FileNotFoundError,
             json.JSONDecodeError, KeyError) as exc:
-        return _fail(EXIT_VALIDATION, exc)
+        return _fail(exc)
     return EXIT_VALIDATION
 
 

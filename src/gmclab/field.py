@@ -103,15 +103,14 @@ def _philox(seed, *key):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Periodic grid: n points per side (power of two) and physical side
-    length `length`.  Node i sits at origin + i*step and is the centre of
-    the cell [node - step/2, node + step/2); the default origin -length/2
-    centres the grid on 0."""
+    """Periodic grid centred on 0: n points per side (power of two) and
+    physical side length `length`.  Node i sits at origin + i*step, with
+    origin = -length/2 on every axis, and is the centre of the cell
+    [node - step/2, node + step/2)."""
 
     dimension: int
     n: int
     length: float
-    origin: tuple = None
 
     def __post_init__(self):
         if self.dimension not in (1, 2, 3):
@@ -120,14 +119,10 @@ class GridSpec:
             raise ValidationError("points per side must be a power of two >= 4")
         if not (self.length > 0):
             raise ValidationError("side length must be positive")
-        if self.origin is None:
-            object.__setattr__(self, "origin",
-                               (-self.length / 2.0,) * self.dimension)
-        else:
-            origin = tuple(float(v) for v in np.atleast_1d(self.origin))
-            if len(origin) != self.dimension:
-                raise ValidationError("origin must have one entry per axis")
-            object.__setattr__(self, "origin", origin)
+
+    @property
+    def origin(self):
+        return (-self.length / 2.0,) * self.dimension
 
     @property
     def step(self):
@@ -155,16 +150,20 @@ class GridSpec:
 
     @staticmethod
     def from_json(doc):
-        return GridSpec(dimension=int(doc["dimension"]), n=int(doc["n"]),
-                        length=float(doc["length"]),
-                        origin=tuple(doc["origin"]) if doc.get("origin") else None)
+        grid = GridSpec(dimension=int(doc["dimension"]), n=int(doc["n"]),
+                        length=float(doc["length"]))
+        if doc.get("origin") != list(grid.origin):
+            raise ValidationError(f"grid origin {doc.get('origin')!r} is not "
+                                  f"the centred {list(grid.origin)!r}")
+        return grid
 
 
-def geometric_schedule(eps0, n_shells, factor=2.0):
-    """Default dyadic ladder eps_k = eps0 * factor^-k, k = 0..n_shells."""
-    if not (eps0 > 0 and factor > 1):
-        raise ValidationError("need eps0 > 0 and factor > 1")
-    return tuple(eps0 * factor ** (-k) for k in range(n_shells + 1))
+def geometric_schedule(eps0, n_shells):
+    """Dyadic ladder eps_k = eps0 * 2^-k, k = 0..n_shells; `build_ladder`
+    takes any other decreasing schedule as it is."""
+    if not eps0 > 0:
+        raise ValidationError("need eps0 > 0")
+    return tuple(eps0 * 2.0 ** (-k) for k in range(n_shells + 1))
 
 
 class ShellLadder:

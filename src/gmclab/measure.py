@@ -122,9 +122,6 @@ class Box:
     def bounds(self):
         return self.lo, self.hi
 
-    def volume(self):
-        return float(np.prod([b - a for a, b in zip(self.lo, self.hi)]))
-
 
 @dataclass(frozen=True)
 class Ball:

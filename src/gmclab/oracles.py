@@ -155,11 +155,12 @@ def _phi_pair(phi):
 
 
 _GH_ORDER = 48  # Gauss-Hermite nodes per dimension; budgets also use 56
+_FD_STEP = 5e-4  # central-difference step; the budget also uses half of it
 
 
 def interpolation_derivative_check(spec_x: GaussianVectorSpec,
                                    spec_y: GaussianVectorSpec,
-                                   phi, t, fd_step=5e-4):
+                                   phi, t):
     """Residual between the finite-difference derivative of
     E[phi(sum p_i exp(Z_i(t) - var/2))] and the covariance-gap formula.
 
@@ -183,8 +184,8 @@ def interpolation_derivative_check(spec_x: GaussianVectorSpec,
     def fd(h):
         return (phi_of_t(t + h) - phi_of_t(t - h)) / (2 * h)
 
-    lhs = fd(fd_step)
-    lhs_half = fd(fd_step / 2.0)
+    lhs = fd(_FD_STEP)
+    lhs_half = fd(_FD_STEP / 2.0)
     fd_err = abs(lhs - lhs_half) * 4.0 / 3.0
 
     def rhs_at(order=_GH_ORDER):
@@ -202,7 +203,7 @@ def interpolation_derivative_check(spec_x: GaussianVectorSpec,
 
     rhs = rhs_at()
     quad_err = abs(rhs - rhs_at(_GH_ORDER + 8)) \
-        + abs(phi_of_t(t) - phi_of_t(t, _GH_ORDER + 8)) / fd_step
+        + abs(phi_of_t(t) - phi_of_t(t, _GH_ORDER + 8)) / _FD_STEP
     residual = abs(lhs - rhs)
     budget = fd_err + quad_err + 1e-11
     return OracleVerdict(
@@ -211,7 +212,7 @@ def interpolation_derivative_check(spec_x: GaussianVectorSpec,
         margin=budget - residual, budget=budget,
         detail={"residual": residual, "fd_value": lhs, "formula_value": rhs,
                 "fd_error": fd_err, "quadrature_error": quad_err,
-                "t": t, "fd_step": fd_step})
+                "t": t, "fd_step": _FD_STEP})
 
 
 _CONVEX_F = {

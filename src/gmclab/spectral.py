@@ -324,12 +324,12 @@ class SpectralProfile:
                                meta=side)
 
 
-def default_check_grid(support, xi_max=None):
+def default_check_grid(support):
     """Grid for check_positive_definite: a log-spaced spine from
-    1e-2/support to xi_max (default 1e3/support) plus dense linear windows
-    of 48 points (spacing 1/(4*support)) in the mid and top oscillation
-    range, so sign structure at large xi is sampled below Nyquist."""
-    xi_max = xi_max if xi_max is not None else 1e3 / support
+    1e-2/support to xi_max = 1e3/support plus dense linear windows of 48
+    points (spacing 1/(4*support)) in the mid and top oscillation range,
+    so sign structure at large xi is sampled below Nyquist."""
+    xi_max = 1e3 / support
     spine = np.geomspace(1e-2 / support, xi_max, 240)
     step = 1.0 / (4.0 * support)
     windows = []

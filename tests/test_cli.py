@@ -309,6 +309,9 @@ DISSIPATION = {"kind": "dissipation", "radii": [0.5, 0.45, 0.4]}
     ("estimate", {"kernel": D3_KERNEL, "grid": {"n": 32},
                   "mollifier": {"kind": "gaussian", "epsilon": 0.3},
                   "estimate": DISSIPATION}, [], None),
+    ("simulate", {}, ["--seed", "-1"], None),
+    ("simulate", {"seed": -1}, [], None),
+    ("estimate", {"estimate": {"kind": "mrw"}}, ["--seed", "-3"], None),
 ], ids=["n_times-negative", "n_times-zero", "t_max-zero", "t_max-negative",
         "regions-unknown", "zeta-replicas-negative", "zeta-replicas-zero",
         "scale-invariance-replicas-zero", "mrw-replicas-zero",
@@ -318,12 +321,58 @@ DISSIPATION = {"kind": "dissipation", "radii": [0.5, 0.45, 0.4]}
         "dissipation-dimension-1", "dissipation-remainder",
         "dissipation-radii-repeated-among-distinct", "degeneracy-remainder",
         "dissipation-grid-length", "dissipation-grid-origin",
-        "dissipation-mollifier"])
+        "dissipation-mollifier", "simulate-seed-flag-negative",
+        "simulate-seed-negative", "mrw-seed-flag-negative"])
 def test_out_of_range_settings_are_refused(tmp_path, capsys, monkeypatch,
                                            command, overrides, flags, env):
     if env is not None:
         monkeypatch.setenv("GMC_LAB_THREADS", env)
     assert_refused(tmp_path, capsys, command, overrides, flags)
+
+
+ESTIMATE_KINDS = {
+    "zeta": {"estimate": {"kind": "zeta"}},
+    "scale-invariance": {"estimate": {"kind": "scale-invariance"}},
+    "mrw": {"estimate": {"kind": "mrw"}},
+    "dissipation": {"kernel": D3_KERNEL, "grid": {"n": 32}, "mollifier": DROP,
+                    "estimate": DISSIPATION},
+}
+
+
+@pytest.mark.parametrize("kind", list(ESTIMATE_KINDS))
+@pytest.mark.parametrize("ladder", ["fine", {"eps0": "coarse", "shells": 2}],
+                         ids=["ladder-string", "eps0-string"])
+def test_every_estimate_kind_refuses_a_malformed_ladder(tmp_path, capsys,
+                                                        kind, ladder):
+    assert_refused(tmp_path, capsys, "estimate",
+                   {**ESTIMATE_KINDS[kind], "ladder": ladder})
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+@pytest.mark.parametrize("overrides", [
+    {"grid": {"n": 2 ** 12, "length": 4.0, "origin": [0.0]}},
+    {"ladder": {"eps0": 2 ** -5, "shells": 2, "factor": 3.0}},
+], ids=["grid-origin", "ladder-factor"])
+def test_removed_settings_are_refused(tmp_path, capsys, command, overrides):
+    assert_refused(tmp_path, capsys, command,
+                   {**overrides, "estimate": {"kind": "zeta"}})
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "{cfg}", "--out", "{file}"],
+    ["estimate", "--kind", "mrw", "--config", "{cfg}", "--out", "{file}"],
+    ["oracles", "--budget", "0", "--out", "{file}"],
+    ["oracles", "--budget", "0", "--seed", "-2", "--out", "{dir}"],
+    ["oracles", "--budget", "-5", "--out", "{dir}"],
+], ids=["simulate-out-file", "estimate-out-file", "oracles-out-file",
+        "oracles-seed-negative", "oracles-budget-negative"])
+def test_out_file_and_negative_oracle_settings_are_refused(tmp_path, capsys,
+                                                          argv):
+    cfg, taken = tmp_path / "cfg.json", tmp_path / "taken"
+    write_cfg(cfg)
+    taken.write_text("")
+    argv = [a.format(cfg=cfg, file=taken, dir=tmp_path / "o") for a in argv]
+    assert_one_refusal(capsys, run_cli(argv))
 
 
 def assert_refused(tmp_path, capsys, command, overrides, flags=()):
@@ -334,7 +383,11 @@ def assert_refused(tmp_path, capsys, command, overrides, flags=()):
             *flags]
     if command == "estimate":
         argv += ["--kind", overrides.get("estimate", {}).get("kind", "mrw")]
-    assert run_cli(argv) == cli.EXIT_VALIDATION
+    assert_one_refusal(capsys, run_cli(argv))
+
+
+def assert_one_refusal(capsys, code):
+    assert code == cli.EXIT_VALIDATION
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "ValidationError"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
@@ -35,6 +37,24 @@ def test_grid_validation():
     g = fd.GridSpec(2, 64, 4.0)
     assert g.origin == (-2.0, -2.0)
     assert g.step == 0.0625
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("origin", [lambda d: [0.0] * d,
+                                    lambda d: [-1.5] * (d - 1) + [-1.4],
+                                    lambda d: None],
+                         ids=["zero", "one-axis-off", "null"])
+def test_grid_is_centred_and_files_must_say_so(tmp_path, d, origin):
+    grid = fd.GridSpec(d, 4, 3.0)
+    assert grid.to_json()["origin"] == [-1.5] * d
+    path = tmp_path / "g.bin"
+    fd.write_grid_file(path, grid, np.ones(grid.shape), {"kind": "field"})
+    header, payload = path.read_bytes().split(b"\n", 1)
+    doc = json.loads(header)
+    doc["grid"]["origin"] = origin(d)
+    path.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+    with pytest.raises(ValidationError):
+        fd.read_grid_file(path)
 
 
 def test_geometric_schedule():
@@ -519,7 +539,6 @@ def test_field_binary_roundtrip(tmp_path):
     # header is a single JSON line followed by raw little-endian float64
     with open(path, "rb") as fh:
         header = fh.readline()
-        import json
         doc = json.loads(header)
         assert doc["format"] == "gmclab-grid-v1"
         assert doc["synthesis"] == fd.SYNTHESIS

@@ -55,13 +55,14 @@ def test_interpolation_n2_residual_within_budget(phi):
         assert v.detail["residual"] <= v.budget
 
 
-def test_interpolation_residual_shrinks_like_h_squared():
+def test_interpolation_residual_shrinks_like_h_squared(monkeypatch):
     sx = oc.GaussianVectorSpec([[0.5, 0.0], [0.0, 0.5]])
     sy = oc.GaussianVectorSpec([[0.5, 0.3], [0.3, 0.5]])
     r = []
     for h in (2e-2, 1e-2):
-        v = oc.interpolation_derivative_check(sx, sy, ("power", 0.4), 0.5,
-                                              fd_step=h)
+        monkeypatch.setattr(oc, "_FD_STEP", h)
+        v = oc.interpolation_derivative_check(sx, sy, ("power", 0.4), 0.5)
+        assert v.detail["fd_step"] == h
         r.append(abs(v.detail["fd_value"] - v.detail["formula_value"]))
     # central differences: error ratio ~ 4 at half step
     assert r[1] < r[0]

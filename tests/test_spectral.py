@@ -92,7 +92,7 @@ _TABLE = kn.Remainder("table", radii=[0.0, 0.3, 0.7, 1.0],
 @pytest.mark.parametrize("table", [False, True], ids=["log", "log+table"])
 def test_shared_panels_match_pointwise_transform(d, table):
     prof = (lambda r: _log_profile(r) + _TABLE(r)) if table else _log_profile
-    xi = np.concatenate([[0.0], sp.default_check_grid(1.0, xi_max=120.0)])
+    xi = np.concatenate([[0.0], sp.default_check_grid(1.0)])
     vals, errs = sp.radial_fourier_grid(prof, d, xi, 1.0)
     for i, x in enumerate(xi):
         assert (vals[i], errs[i]) == sp.radial_fourier(prof, d, x, 1.0)
@@ -100,20 +100,20 @@ def test_shared_panels_match_pointwise_transform(d, table):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_checker_nonnegative_low_dimensions(d):
-    grid = sp.default_check_grid(1.0, xi_max=120.0)
+    grid = sp.default_check_grid(1.0)
     rep = sp.check_positive_definite(_log_profile, d, grid, support=1.0)
     assert rep.certificate == sp.CERT_NONNEGATIVE
 
 
 def test_checker_oscillating_d4():
-    grid = sp.default_check_grid(1.0, xi_max=120.0)
+    grid = sp.default_check_grid(1.0)
     rep = sp.check_positive_definite(_log_profile, 4, grid, support=1.0)
     assert rep.certificate == sp.CERT_OSCILLATING
 
 
 def test_checker_gaussian_profile_positive():
     ga = lambda r: np.exp(-r * r / 2.0)
-    grid = sp.default_check_grid(8.0, xi_max=20.0)
+    grid = sp.default_check_grid(8.0)
     rep = sp.check_positive_definite(ga, 2, grid, support=8.0)
     assert rep.certificate == sp.CERT_NONNEGATIVE
 
@@ -132,7 +132,7 @@ def test_checker_refuses_coarse_grid():
 
 
 def test_profile_csv_roundtrip(tmp_path):
-    grid = sp.default_check_grid(1.0, xi_max=60.0)
+    grid = sp.default_check_grid(1.0)
     rep = sp.check_positive_definite(_log_profile, 3, grid, support=1.0)
     path = tmp_path / "prof.csv"
     rep.write(path)
