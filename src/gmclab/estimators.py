@@ -162,6 +162,9 @@ def moment_scaling(kernel: KernelSpec, mollifier: MollifierSpec,
             f"regions must be 'boxes' or 'balls', got {regions!r}")
     if not p_list:
         raise ValidationError("p_list must hold at least one moment")
+    if not np.all(np.isfinite(p_list + c_list)):
+        raise ValidationError(f"p_list and c_list must be finite, got "
+                              f"p_list={p_list!r}, c_list={c_list!r}")
     if len(c_list) < 4:
         raise ValidationError("need at least 4 scales for the fit")
     if np.log10(c_list[-1] / c_list[0]) < 1.2 - 1e-9:
@@ -432,6 +435,11 @@ def degeneracy_scan(lam2_list, dimension, scale, mollifier_kind,
     """
     if len(epsilons) < 5:
         raise ValidationError("ladder needs enough shells to see decay")
+    if len(lam2_list) == 0:
+        raise ValidationError("lam2_list must hold at least one lam2")
+    if not 0 < alpha < 1:
+        # E m = |A| is conserved at alpha = 1: no decay shows at alpha >= 1
+        raise ValidationError(f"alpha must lie in (0, 1), got {alpha!r}")
     fits = []
     for lam2 in lam2_list:
         kernel = KernelSpec(dimension, float(lam2), scale)
@@ -529,6 +537,9 @@ def run_dissipation(lam2, scale, radii, seed, n_replicas, mean_eps=1.0,
     if len(radii) < 2 or len(set(radii)) != len(radii):
         raise ValidationError(f"the Var(ln eps_l) fit needs two or more "
                               f"distinct radii, each once, got {radii!r}")
+    if not (np.isfinite(mean_eps) and mean_eps > 0):
+        raise ValidationError(f"mean_eps must be finite and > 0, got "
+                              f"{mean_eps!r}")
     kernel = KernelSpec(3, lam2, scale)
     samples = {}
     for i, l in enumerate(sorted(radii, reverse=True)):

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import spectral
 from .errors import GateError, ValidationError, parse_object
@@ -212,6 +211,9 @@ def eval_cone_kernel(lam2, T, d, r):
         out = np.where(r == 0, np.inf, out)
         return float(out[0]) if scalar else out
 
+    # imported where quad runs: scipy.integrate loads scipy.optimize,
+    # .sparse and .linalg, which no other path needs
+    from scipy.integrate import quad
     out = np.empty_like(r)
     for i, s in enumerate(r):
         if s >= T:
@@ -360,6 +362,7 @@ def mollifier_diagnostics(moll: MollifierSpec):
     Returns a dict with the unit-mass integral, monotonicity of theta_hat
     on a 512-point grid of [0, 4], and the decay-bound constant.
     """
+    from scipy.integrate import quad
     d = moll.dimension
     surf = spectral.sphere_area(d)
     if moll.kind == "fejer":

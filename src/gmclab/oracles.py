@@ -26,7 +26,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtri
 
 from .errors import ValidationError
@@ -345,6 +344,9 @@ def sup_moment_growth(lam2, p, seed=0, n_samples=400_000):
 
 def _log_kernel_integral(theta_abs, z, x_max):
     import warnings
+    # imported where quad runs: scipy.integrate loads scipy.optimize,
+    # .sparse and .linalg, which no other path needs
+    from scipy.integrate import quad
     with warnings.catch_warnings():
         # the log singularity at v = z caps the achievable tolerance; the
         # reported quadrature error is carried into the verdict
@@ -383,6 +385,7 @@ def proof_envelope(theta_abs, z, mass=None):
     proof (split at |v| = sqrt(z), z + 1); an upper bound for the
     integral at this z."""
     import warnings
+    from scipy.integrate import quad
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # oscillatory tails cap quad accuracy
         sz = np.sqrt(z)

@@ -330,6 +330,37 @@ def test_out_of_range_settings_are_refused(tmp_path, capsys, monkeypatch,
     assert_refused(tmp_path, capsys, command, overrides, flags)
 
 
+# a ladder long enough for degeneracy_scan, so that only the setting under
+# test can refuse the run
+DEGENERACY_LADDER = {"eps0": 2 ** -5, "shells": 4}
+CELLS = [2.0 ** -k for k in range(7, 2, -1)]
+
+
+@pytest.mark.parametrize("overrides", [
+    {"kernel": D3_KERNEL, "grid": {"n": 32}, "mollifier": DROP,
+     "estimate": {**DISSIPATION, "mean_eps": -1}},
+    {"kernel": D3_KERNEL, "grid": {"n": 32}, "mollifier": DROP,
+     "estimate": {**DISSIPATION, "mean_eps": 0}},
+    {"kernel": D3_KERNEL, "grid": {"n": 32}, "mollifier": DROP,
+     "estimate": {**DISSIPATION, "mean_eps": float("inf")}},
+    {"estimate": {"kind": "zeta", "p_list": [float("nan")]}},
+    {"estimate": {"kind": "zeta", "c_list": [float("nan"), *CELLS[1:]]}},
+    {"ladder": DEGENERACY_LADDER,
+     "estimate": {"kind": "degeneracy", "lam2_list": []}},
+    {"ladder": DEGENERACY_LADDER,
+     "estimate": {"kind": "degeneracy", "alpha": -1}},
+    {"ladder": DEGENERACY_LADDER,
+     "estimate": {"kind": "degeneracy", "alpha": 1}},
+    {"ladder": DEGENERACY_LADDER,
+     "estimate": {"kind": "degeneracy", "alpha": 5}},
+], ids=["mean_eps-negative", "mean_eps-zero", "mean_eps-infinite",
+        "p_list-nan", "c_list-nan", "lam2_list-empty", "alpha-negative",
+        "alpha-one", "alpha-five"])
+def test_estimate_parameters_out_of_range_are_refused(tmp_path, capsys,
+                                                      overrides):
+    assert_refused(tmp_path, capsys, "estimate", overrides)
+
+
 ESTIMATE_KINDS = {
     "zeta": {"estimate": {"kind": "zeta"}},
     "scale-invariance": {"estimate": {"kind": "scale-invariance"}},

@@ -67,6 +67,24 @@ def test_moment_scaling_validations():
                            [0.02, 0.08, 0.2, 0.5], 1, 10)
 
 
+def no_plan(*args, **kwargs):
+    raise AssertionError("a plan was built")
+
+
+@pytest.mark.parametrize("p_list, c_list", [
+    ([np.nan], [2.0 ** -k for k in range(7, 2, -1)]),
+    ([1.0, -np.inf], [2.0 ** -k for k in range(7, 2, -1)]),
+    ([1.0], [2.0 ** -7, np.nan, 2.0 ** -5, 2.0 ** -4, 2.0 ** -3]),
+], ids=["p-nan", "p-minus-inf", "c-nan"])
+def test_moment_scaling_refuses_non_finite_entries(monkeypatch, p_list,
+                                                   c_list):
+    kernel, moll, grid = _small_setup()
+    monkeypatch.setattr(est, "SpectralPlan", no_plan)
+    with pytest.raises(ValidationError, match="finite"):
+        est.moment_scaling(kernel, moll, grid, p_list, c_list, 1, 4,
+                           regions="balls")
+
+
 @pytest.mark.parametrize("regions", ["boxes", "balls"])
 def test_moment_scaling_refuses_window_narrower_than_largest_scale(regions):
     # L - 2R = 0.1 < 2^-3: no whole box of the largest scale fits
@@ -284,6 +302,21 @@ def test_degeneracy_scan_needs_shells():
                             (0.1, 0.05), region, 0.5, 1, 10)
 
 
+@pytest.mark.parametrize("lam2_list, alpha", [
+    ([], 0.5), ([0.5], -1.0), ([0.5], 0.0), ([0.5], 1.0), ([0.5], 5.0),
+    ([0.5], np.nan),
+], ids=["lam2-empty", "alpha-negative", "alpha-zero", "alpha-one",
+        "alpha-five", "alpha-nan"])
+def test_degeneracy_scan_refuses_inputs(monkeypatch, lam2_list, alpha):
+    grid = fd.GridSpec(1, 2 ** 10, 4.0)
+    eps = fd.geometric_schedule(2 ** -3, 5)
+    region = ms.Box((0.0,), (1.0,))
+    monkeypatch.setattr(est, "SpectralPlan", no_plan)
+    with pytest.raises(ValidationError):
+        est.degeneracy_scan(lam2_list, 1, 1.0, "gaussian", grid, eps,
+                            region, alpha, 1, 10)
+
+
 def test_degeneracy_report_io(tmp_path):
     grid = fd.GridSpec(1, 2 ** 11, 4.0)
     eps = fd.geometric_schedule(2 ** -3, 4)
@@ -335,13 +368,18 @@ def test_dissipation_constant_for_tiny_intermittency():
 
 
 def test_dissipation_refuses_repeated_radius(monkeypatch):
-    def no_plan(*args, **kwargs):
-        raise AssertionError("a plan was built")
-
     monkeypatch.setattr(est, "SpectralPlan", no_plan)
     with pytest.raises(ValidationError):
         est.run_dissipation(1.0, 1.0, [0.5, 0.5, 0.4], seed=1,
                             n_replicas=2, n_side=2 ** 5)
+
+
+@pytest.mark.parametrize("mean_eps", [-1.0, 0.0, np.inf, np.nan])
+def test_dissipation_refuses_mean_eps(monkeypatch, mean_eps):
+    monkeypatch.setattr(est, "SpectralPlan", no_plan)
+    with pytest.raises(ValidationError, match="mean_eps"):
+        est.run_dissipation(1.0, 1.0, [0.5, 0.4], seed=1, n_replicas=2,
+                            mean_eps=mean_eps, n_side=2 ** 5)
 
 
 def test_dissipation_mean_normalization():
