@@ -171,6 +171,10 @@ def cmd_estimate(args):
         for line in lines:
             print(line)
 
+    if kind in ("zeta", "scale-invariance", "degeneracy", "dissipation") \
+            and n < 2:
+        raise ValidationError(f"{kind} estimates a spread across replicas: "
+                              f"set replicas >= 2, got {n}")
     if kind in ("degeneracy", "dissipation") and not spec.remainder.is_zero:
         raise ValidationError(f"{kind} runs the pure log kernel: leave out "
                               "kernel.remainder")

@@ -23,12 +23,15 @@ is the normalizer that makes the measure mean exactly Lebesgue.
 
 The weights are radial, so a plan evaluates the ladder once per distinct
 lattice radius: on |j| / L in d = 1, and on sqrt(k2) / L for every integer
-k2 = sum_i j_i^2 up to d (n/2)^2 in d >= 2; the lattice gathers from that
-table.  All shells share one evaluation of fhat there
-(`ShellLadder.weights`).  The sum sum_j b_j (cos - sin)(2 pi j . x / n) of
-a real array b is a Hartley transform, computed from one real forward FFT
-F of b (the values of `rfftn`, to the bit) as Re F + Im F on the stored
-half-spectrum and Re F - Im F on its mirror image (Hermitian symmetry).
+k2 = sum_i j_i^2 up to d (n/2)^2 in d >= 2.  All shells share one
+evaluation of fhat there (`ShellLadder.weights`).  The amplitudes are
+gathered from that table onto the half-lattice, the leading d - 1 axes
+folded to min(j, n - j) and the last axis whole, and each shell's normals
+are multiplied through its mirrored blocks (`_mirror_blocks`).  The sum
+sum_j b_j (cos - sin)(2 pi j . x / n) of a real array b is a Hartley
+transform, computed from one real forward FFT F of b (the values of
+`rfftn`, to the bit) as Re F + Im F on the stored half-spectrum and
+Re F - Im F on its mirror image (Hermitian symmetry).
 The transform is linear, so a sample at stage K adds its shells'
 coefficient arrays b_k = amp_k g_k in stage order and transforms the sum
 once; `refine` continues that sum.  `SYNTHESIS` names this algorithm in
@@ -260,19 +263,39 @@ class FieldSample:
             self._spectrum.setflags(write=False)
 
 
-def _radial_table(grid: GridSpec):
-    """(index, radii): each lattice mode's index into the table `radii` of
-    lattice radii |xi|.  d >= 2 indexes by the integer k2 = sum_i j_i^2
-    (d (n/2)^2 + 1 radii, not all of them on the lattice); d = 1 indexes by
-    |j| (n/2 + 1 radii), where a k2 table would need (n/2)^2 entries."""
-    h = grid.n // 2
+def _half_lattice(grid: GridSpec):
+    """(index, fold, radii) on the half-lattice: the leading d - 1 axes
+    folded to m = min(j, n - j) in 0..n/2 by the lattice's mirror symmetry,
+    the last axis whole (in d = 1 the whole line).  `index` is each mode's
+    entry in the table `radii` of lattice radii |xi|: d >= 2 indexes by the
+    integer k2 = sum_i j_i^2 (d (n/2)^2 + 1 radii, not all of them on the
+    lattice); d = 1 indexes by |j| (n/2 + 1 radii), where a k2 table would
+    need (n/2)^2 entries.  `fold`, broadcastable to `index`, counts the
+    lattice modes each mode stands for: per folded axis 1 at m = 0 and
+    m = n/2, else 2."""
+    d, h = grid.dimension, grid.n // 2
     j = np.fft.ifftshift(np.arange(-h, h))
-    if grid.dimension == 1:
-        return np.abs(j), np.arange(h + 1) / grid.length
-    squares = np.meshgrid(*([j * j] * grid.dimension), indexing="ij",
-                          sparse=True)
-    radii = np.sqrt(np.arange(grid.dimension * h * h + 1)) / grid.length
-    return sum(squares), radii
+    if d == 1:
+        return np.abs(j), 1.0, np.arange(h + 1) / grid.length
+    m = np.arange(h + 1)
+    fold = functools.reduce(np.multiply.outer,
+                            [np.where((m == 0) | (m == h), 1, 2)] * (d - 1))
+    index = sum(np.meshgrid(*([m * m] * (d - 1)), j * j, indexing="ij",
+                            sparse=True))
+    return (index, fold[..., None],
+            np.sqrt(np.arange(d * h * h + 1)) / grid.length)
+
+
+def _mirror_blocks(n, d):
+    """(dst, src) slice pairs that expand a half-lattice array onto the
+    n^d lattice: along each leading axis, lattice rows 0..n/2 read rows
+    0..n/2 and rows n/2+1..n-1 read rows n/2-1..1 (m = min(j, n - j)).
+    There are 2^(d-1) pairs; in d = 1 one pair of empty tuples."""
+    h = n // 2
+    axis = ((slice(0, h + 1), slice(0, h + 1)),
+            (slice(h + 1, n), slice(h - 1, 0, -1)))
+    return [(tuple(dst for dst, _ in pairs), tuple(src for _, src in pairs))
+            for pairs in itertools.product(axis, repeat=d - 1)]
 
 
 def _window(grid: GridSpec, window):
@@ -352,6 +375,9 @@ def _unfolding(n, bounds):
     return tuple(_indexer(k) for k in kept), tuple(blocks)
 
 
+_SLAB_ROWS = 8    # leading-axis rows per r2c call in `_hartley`
+
+
 def _hartley(b, window=None):
     """sum_j b_j (cos - sin)(2 pi j . x / n) at the nodes x of `window`
     (one slice(lo, hi) per axis, default every node) of a real float64
@@ -362,17 +388,27 @@ def _hartley(b, window=None):
     Im F at a node x whose last index m <= n/2 (stored), and Re F - Im F
     at (-x mod n) otherwise, whose last index n - m is stored (F(-x) =
     conj F(x) for real b).  F is computed line by line as `rfftn`
-    computes it: an r2c along the last axis, keeping the columns the
-    window reads, then a c2c along each of the axes 0..d-2 in that order,
-    keeping the rows that the window and its mirror image read (every row
-    and every stored column for the whole grid).  So the values equal
-    those unfolded from `rfftn(b)`, to the bit.
+    computes it: an r2c along the last axis, run on slabs of _SLAB_ROWS
+    leading-axis rows (d = 1 is one slab), each keeping only the columns
+    the window reads, so the whole r2c output is never built; then a c2c
+    along each of the axes 0..d-2 in that order, keeping the rows that the
+    window and its mirror image read (every row and every stored column
+    for the whole grid).  So the values equal those unfolded from
+    `rfftn(b)`, to the bit.
     """
     d, n = b.ndim, b.shape[-1]
     bounds = tuple((s.start, s.stop) for s in window or (slice(0, n),) * d)
     read, blocks = _unfolding(n, bounds)
     workers = default_workers()
-    f = sfft.rfft(b, axis=-1, workers=workers)[..., read[-1]]
+    if d == 1:
+        f = sfft.rfft(b, workers=workers)[read[-1]]
+    else:
+        f = np.empty(b.shape[:-1] + np.arange(n // 2 + 1)[read[-1]].shape,
+                     complex)
+        for i in range(0, n, _SLAB_ROWS):
+            rows = slice(i, i + _SLAB_ROWS)
+            f[rows] = sfft.rfft(b[rows], axis=-1,
+                                workers=workers)[..., read[-1]]
     for ax in range(d - 1):
         f = sfft.fft(f, axis=ax, overwrite_x=True, workers=workers)[
             (slice(None),) * ax + (read[ax],)]
@@ -389,11 +425,16 @@ class SpectralPlan:
     Build one plan per (ladder, grid) pair and draw every replica and
     stage from it with `sample` and `refine`.  The plan evaluates the
     shells' radial weights once per distinct lattice radius (see
-    `_radial_table`), with one evaluation of fhat for all of them, and
-    gathers the amplitudes sqrt(w / L^d) onto the lattice.  A shell is
-    then one Philox draw of standard normals g and the product g * amp in
-    place; `sample` adds the shells' products in stage order and runs one
-    real FFT on the sum, which gives the (cos - sin) sum (see `_hartley`).
+    `_half_lattice`), with one evaluation of fhat for all of them, and
+    gathers the amplitudes sqrt(w / L^d) onto the half-lattice: `amps`
+    holds one (n/2+1,)*(d-1) + (n,) array per stage, the leading axes
+    folded by the lattice's mirror symmetry.  The per-radius mode counts
+    weigh each half-lattice mode by the lattice modes it stands for.  A
+    shell is then one Philox draw of standard normals g on the whole
+    lattice and the product g * amp in place, through the 2^(d-1)
+    mirrored blocks of `_mirror_blocks`; `sample` adds the shells'
+    products in stage order and runs one real FFT on the sum, which gives
+    the (cos - sin) sum (see `_hartley`).
     A sample that can still be refined keeps that spectral sum, and
     `refine` adds the next shell to it and transforms once more, so a
     refined sample is bit-identical to one drawn at its stage.  A constant
@@ -407,8 +448,10 @@ class SpectralPlan:
             raise ValidationError("grid and kernel dimensions differ")
         self.ladder = ladder
         self.grid = grid
-        index, radii = _radial_table(grid)
-        modes = np.bincount(index.ravel(), minlength=radii.size)  # per radius
+        index, fold, radii = _half_lattice(grid)
+        modes = np.bincount(index.ravel(),                        # per radius
+                            np.broadcast_to(fold, index.shape).ravel(),
+                            radii.size).astype(np.int64)
         cell = 1.0 / grid.length ** grid.dimension   # spectral cell d xi
         self.amps = []
         self.stage_variance = []            # per-shell variance increments
@@ -462,7 +505,9 @@ class SpectralPlan:
         """One shell's spectral coefficients: its Philox normals times the
         amplitudes, in place."""
         g = _philox(seed, replica, stage).standard_normal(self.grid.shape)
-        g *= self.amps[stage]
+        amps = self.amps[stage]
+        for dst, src in _mirror_blocks(self.grid.n, self.grid.dimension):
+            g[dst] *= amps[src]
         return g
 
     def _field_sample(self, seed, replica, stage, spectrum, window):
@@ -518,9 +563,14 @@ class SpectralPlan:
         finest stage, as an array over lag indices: the transform of the
         sum of the clipped shell weights, whose even weight leaves only the
         cosine part."""
-        index, _ = _radial_table(self.grid)
-        cell = 1.0 / self.grid.length ** self.grid.dimension
-        return _hartley((self._spectrum * cell)[index])
+        grid = self.grid
+        index, _, _ = _half_lattice(grid)
+        cell = 1.0 / grid.length ** grid.dimension
+        half = (self._spectrum * cell)[index]
+        b = np.empty(grid.shape)
+        for dst, src in _mirror_blocks(grid.n, grid.dimension):
+            b[dst] = half[src]
+        return _hartley(b)
 
 
 # ----------------------------------------------------------------------

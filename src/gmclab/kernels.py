@@ -113,8 +113,9 @@ class Remainder:
 class KernelSpec:
     """f(r) = lam2 * ln+(R/r) + g(r) in dimension d (1..3).
 
-    d >= 4 and a constant remainder c < 0 are not positive definite and
-    raise GateError here; `kernel_hat` certifies a table remainder."""
+    A non-finite lam2, scale or remainder value is refused; d >= 4 and a
+    constant remainder c < 0 are not positive definite and raise GateError
+    here; `kernel_hat` certifies a table remainder."""
 
     dimension: int
     lam2: float
@@ -130,13 +131,17 @@ class KernelSpec:
                     "for d >= 4 (sign-oscillating spectral density); "
                     "synthesis refused", dimension=d)
             raise ValidationError("kernel dimension must be 1, 2 or 3")
-        if not (self.lam2 > 0):
-            raise ValidationError("intermittency lam2 must be positive")
+        if not (np.isfinite(self.lam2) and self.lam2 > 0):
+            raise ValidationError("intermittency lam2 must be finite and "
+                                  "positive")
         if self.lam2 == 2.0 * d:
             raise ValidationError("lam2 = 2d is excluded (degenerate critical point)")
-        if not (self.scale > 0):
-            raise ValidationError("integral scale must be positive")
+        if not (np.isfinite(self.scale) and self.scale > 0):
+            raise ValidationError("integral scale must be finite and "
+                                  "positive")
         rem = self.remainder
+        if not np.isfinite(rem.sup):
+            raise ValidationError("remainder values must be finite")
         if rem.kind == "constant" and rem.value < 0:
             raise GateError("positivity gate: a negative constant remainder "
                             "is a negative atom of the spectral measure at "

@@ -258,6 +258,9 @@ def test_non_numeric_settings_are_refused(tmp_path, capsys, monkeypatch,
 
 
 D3_KERNEL = {"dimension": 3, "lambda2": 0.5, "scale": 1.0}
+# a ladder long enough for degeneracy_scan, so that only the setting under
+# test can refuse the run
+DEGENERACY_LADDER = {"eps0": 2 ** -5, "shells": 4}
 # three radii that a 32^3 grid resolves, so that only the setting under
 # test can refuse the run
 DISSIPATION = {"kind": "dissipation", "radii": [0.5, 0.45, 0.4]}
@@ -312,6 +315,22 @@ DISSIPATION = {"kind": "dissipation", "radii": [0.5, 0.45, 0.4]}
     ("simulate", {}, ["--seed", "-1"], None),
     ("simulate", {"seed": -1}, [], None),
     ("estimate", {"estimate": {"kind": "mrw"}}, ["--seed", "-3"], None),
+    ("simulate", {"kernel": {"dimension": 1, "lambda2": float("inf"),
+                             "scale": 1.0}, "grid": {"n": 1024}}, [], None),
+    ("simulate", {"kernel": {"dimension": 1, "lambda2": 0.5,
+                             "scale": float("inf")}, "grid": {"n": 1024}},
+     [], None),
+    ("simulate", {"kernel": {"dimension": 1, "lambda2": 0.5, "scale": 1.0,
+                             "remainder": {"kind": "constant",
+                                           "value": float("inf")}},
+                  "grid": {"n": 1024}}, [], None),
+    ("estimate", {"estimate": {"kind": "zeta"}, "replicas": 1}, [], None),
+    ("estimate", {"estimate": {"kind": "scale-invariance"}, "replicas": 1},
+     [], None),
+    ("estimate", {"estimate": {"kind": "degeneracy"},
+                  "ladder": DEGENERACY_LADDER}, ["--replicas", "1"], None),
+    ("estimate", {"kernel": D3_KERNEL, "grid": {"n": 32}, "mollifier": DROP,
+                  "estimate": DISSIPATION, "replicas": 1}, [], None),
 ], ids=["n_times-negative", "n_times-zero", "t_max-zero", "t_max-negative",
         "regions-unknown", "zeta-replicas-negative", "zeta-replicas-zero",
         "scale-invariance-replicas-zero", "mrw-replicas-zero",
@@ -322,7 +341,10 @@ DISSIPATION = {"kind": "dissipation", "radii": [0.5, 0.45, 0.4]}
         "dissipation-radii-repeated-among-distinct", "degeneracy-remainder",
         "dissipation-grid-length", "dissipation-grid-origin",
         "dissipation-mollifier", "simulate-seed-flag-negative",
-        "simulate-seed-negative", "mrw-seed-flag-negative"])
+        "simulate-seed-negative", "mrw-seed-flag-negative",
+        "lambda2-infinite", "scale-infinite", "remainder-constant-infinite",
+        "zeta-replicas-one", "scale-invariance-replicas-one",
+        "degeneracy-replicas-one", "dissipation-replicas-one"])
 def test_out_of_range_settings_are_refused(tmp_path, capsys, monkeypatch,
                                            command, overrides, flags, env):
     if env is not None:
@@ -330,9 +352,16 @@ def test_out_of_range_settings_are_refused(tmp_path, capsys, monkeypatch,
     assert_refused(tmp_path, capsys, command, overrides, flags)
 
 
-# a ladder long enough for degeneracy_scan, so that only the setting under
-# test can refuse the run
-DEGENERACY_LADDER = {"eps0": 2 ** -5, "shells": 4}
+def test_mrw_runs_on_one_replica(tmp_path, capsys):
+    # mrw reports a mean over paths; the kinds that estimate a spread
+    # need two replicas (the "-replicas-one" cases above)
+    cfg = tmp_path / "cfg.json"
+    write_cfg(cfg, replicas=1, estimate={"kind": "mrw", "n_times": 16})
+    assert run_cli(["estimate", "--config", str(cfg), "--out",
+                    str(tmp_path / "o")]) == 0
+    assert "mrw: 1 paths" in capsys.readouterr().out
+
+
 CELLS = [2.0 ** -k for k in range(7, 2, -1)]
 
 

@@ -304,6 +304,14 @@ def lattice_radii(grid):
     return np.sqrt(sum(f * f for f in freqs))
 
 
+def on_lattice(plan, half):
+    """A half-lattice array of `plan` (its leading axes folded to
+    m = min(j, n - j)) expanded onto the whole lattice."""
+    n, d = plan.grid.n, plan.grid.dimension
+    j = np.arange(n)
+    return half[np.ix_(*[np.minimum(j, n - j)] * (d - 1), j)]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_shell_field_matches_direct_sum(d):
     plan = small_plan(d)
@@ -314,7 +322,7 @@ def test_shell_field_matches_direct_sum(d):
         seq = np.random.SeedSequence(entropy=23, spawn_key=(4, stage))
         g = np.random.Generator(np.random.Philox(seq)).standard_normal(
             plan.grid.shape)
-        b = (g * plan.amps[stage]).ravel()
+        b = (g * on_lattice(plan, plan.amps[stage])).ravel()
         direct = ((np.cos(phase) - np.sin(phase)) @ b).reshape(plan.grid.shape)
         got = fd._hartley(plan._shell_coefficients(23, 4, stage))
         np.testing.assert_allclose(got, direct, rtol=0,
@@ -348,8 +356,89 @@ def test_plan_amplitudes_match_pointwise_weights(d, n):
     for stage in range(plan.ladder.n_stages):
         w = np.maximum(list(plan.ladder.weights(xi))[stage], 0.0)
         want = np.sqrt(w * cell)
-        np.testing.assert_allclose(plan.amps[stage], want, rtol=1e-13,
+        np.testing.assert_allclose(on_lattice(plan, plan.amps[stage]), want,
+                                   rtol=1e-13,
                                    atol=1e-13 * np.max(want))
+
+
+def _whole_lattice_reference(plan):
+    """Each stage's amplitudes sqrt(w cell) gathered onto the whole lattice
+    from a table of lattice radii (by k2 = sum_i j_i^2 in d >= 2, by |j|
+    in d = 1), and the clipped weights of all stages gathered likewise
+    times the cell: the layout plans held before the half-lattice."""
+    grid, ladder = plan.grid, plan.ladder
+    d, h = grid.dimension, grid.n // 2
+    j = np.fft.ifftshift(np.arange(-h, h))
+    if d == 1:
+        index, radii = np.abs(j), np.arange(h + 1) / grid.length
+    else:
+        index = sum(np.meshgrid(*([j * j] * d), indexing="ij", sparse=True))
+        radii = np.sqrt(np.arange(d * h * h + 1)) / grid.length
+    cell = 1.0 / grid.length ** d
+    rem = ladder.kernel.remainder
+    amps, total = [], 0.0
+    for k, w in enumerate(ladder.weights(radii)):
+        if k == 0 and rem.kind == "constant":
+            w[0] += rem.value * grid.length ** d
+        w = np.where(w < 0, 0.0, w)
+        amps.append(np.sqrt(w * cell)[index])
+        total = total + w
+    return amps, (total * cell)[index]
+
+
+@pytest.mark.parametrize("c", [0.0, 0.3], ids=["zero", "constant"])
+@pytest.mark.parametrize("d, n", [(1, 2 ** 10), (2, 64), (3, 32)])
+def test_half_lattice_plan_matches_the_whole_lattice_gather_to_the_bit(d, n,
+                                                                       c):
+    remainder = kn.Remainder("constant", value=c) if c else kn.Remainder()
+    kernel = kn.KernelSpec(d, 0.5, 1.0, remainder=remainder)
+    ladder = fd.build_ladder(kernel, kn.MollifierSpec("gaussian", 0.4, d),
+                             (0.5, 0.4, 0.3))
+    plan = fd.SpectralPlan(ladder, fd.GridSpec(d, n, 3.0))
+    amps, spectrum = _whole_lattice_reference(plan)
+    b = 0.0
+    for k, amp in enumerate(amps):
+        b = b + fd._philox(9, 1, k).standard_normal(plan.grid.shape) * amp
+        want = fd._hartley(b.copy())
+        assert np.array_equal(plan.sample(9, 1, stage=k).values, want)
+        if k:
+            coarse = plan.sample(9, 1, stage=k - 1)
+            assert np.array_equal(plan.refine(coarse).values, want)
+        for name, window in _windows(d, n).items():
+            got = plan.sample(9, 1, stage=k, window=window).values
+            assert np.array_equal(got, want[window]), name
+    assert np.array_equal(plan.discrete_covariance(), fd._hartley(spectrum))
+
+
+def test_dissipation_plan_and_ball_sample_memory():
+    """tracemalloc at 64^3 on run_dissipation's l = 0.5 plan and ball, in
+    units of one n^3 float64 lattice.  Whole-lattice amplitudes held 1.01
+    and a windowed sample peaked 2.24 above them (normals plus the whole
+    r2c output); the half-lattice plan holds 0.28 and the column-pruned
+    r2c peaks at 1.71 (normals, the window's columns, one slab).  Each
+    bound sits between the two."""
+    import tracemalloc
+
+    n, l = 64, 0.5
+    grid = fd.GridSpec(3, n, 1.0 + 2 * l + 0.1)
+    ladder = fd.build_ladder(kn.KernelSpec(3, 0.2, 1.0),
+                             kn.MollifierSpec("gaussian", 0.4 * l, 3),
+                             (0.4 * l,))
+    window = ms._region_weights(grid, ms.Ball((0.0, 0.0, 0.0), l),
+                                0.0).window
+    fd.SpectralPlan(ladder, grid).sample(1, 0, window=window)   # warm caches
+    lattice = 8 * n ** 3
+    tracemalloc.start()
+    try:
+        plan = fd.SpectralPlan(ladder, grid)
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        plan.sample(1, 0, window=window)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 0.6 * lattice
+    assert peak - held < 2.0 * lattice
 
 
 # ----------------------------------------------------------------------

@@ -61,6 +61,19 @@ def test_kernel_spec_validation():
         kn.KernelSpec(1, 0.5, 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_kernel_spec_refuses_non_finite_numbers(bad):
+    with pytest.raises(ValidationError):
+        kn.KernelSpec(1, bad, 1.0)
+    with pytest.raises(ValidationError):
+        kn.KernelSpec(1, 0.5, bad)
+    with pytest.raises(ValidationError):
+        kn.KernelSpec(1, 0.5, 1.0, kn.Remainder("constant", value=bad))
+    with pytest.raises(ValidationError):
+        kn.KernelSpec(1, 0.5, 1.0, kn.Remainder("table", radii=[0.0, 1.0],
+                                                values=[bad, 0.0]))
+
+
 # ----------------------------------------------------------------------
 # cone construction
 # ----------------------------------------------------------------------
