@@ -365,6 +365,7 @@ def run_scale_invariance(kernel: KernelSpec, mollifier_kind, grid: GridSpec,
     sampled at mollification c * eps_a so both ensembles see the same
     relative smoothing.  Requires the pure log kernel (g = 0).
     """
+    _refuse_one_replica(n_replicas)
     if not kernel.remainder.is_zero:
         raise ValidationError(
             "scale invariance holds for the pure log kernel only (g = 0)")
@@ -381,6 +382,14 @@ def run_scale_invariance(kernel: KernelSpec, mollifier_kind, grid: GridSpec,
                      "seed": seed, "replicas": n_replicas,
                      "mollifier": mollifier_kind})
     return rep
+
+
+def _refuse_one_replica(n_replicas):
+    """The spread across replicas that an estimate's standard errors and
+    tests read needs two replicas or more."""
+    if n_replicas < 2:
+        raise ValidationError(f"a spread across replicas needs n_replicas "
+                              f">= 2, got {n_replicas!r}")
 
 
 def _ln_box_masses(kernel, mollifier_kind, grid, side, eps, seed, n):
@@ -433,6 +442,7 @@ def degeneracy_scan(lam2_list, dimension, scale, mollifier_kind,
     plateau below it: a plateau when the moment's relative change over the
     last two shells stays below `PLATEAU_TOL`.
     """
+    _refuse_one_replica(n_replicas)
     if len(epsilons) < 5:
         raise ValidationError("ladder needs enough shells to see decay")
     if len(lam2_list) == 0:

@@ -33,16 +33,20 @@ transform, computed from one real forward FFT F of b (the values of
 `rfftn`, to the bit) as Re F + Im F on the stored half-spectrum and
 Re F - Im F on its mirror image (Hermitian symmetry).
 The transform is linear, so a sample at stage K adds its shells'
-coefficient arrays b_k = amp_k g_k in stage order and transforms the sum
-once; `refine` continues that sum.  `SYNTHESIS` names this algorithm in
-every field file and `simulate` manifest.
+coefficients b_k = amp_k g_k in stage order and transforms the sum once;
+`refine` continues that sum.  `SYNTHESIS` names this algorithm in every
+field file and `simulate` manifest.
 
-A region reduction reads only the nodes of its region's bounding slab, so
-a sample can be drawn on such a window (one slice of nodes per axis): the
-normals and the spectral sum stay whole-lattice, and the transform keeps
-only the rows that the window and its mirror image read (`_hartley`; the
-whole grid is the window that reads every row).  The windowed values
-equal the whole grid's to the bit.
+The sum is built and transformed in slabs of rows along axis 0
+(`_slabs`): each shell draws a slab's normals from its own stream, and
+the slab goes straight into the transform's first pass, so in d >= 2 no
+whole-lattice array of normals or coefficients exists unless a refine
+can follow, which keeps the sum.  A region reduction reads only the nodes
+of its region's bounding slab, so a sample can be drawn on such a window
+(one slice of nodes per axis): the transform keeps only the columns and
+rows that the window and its mirror image read (`_hartley`; the whole
+grid is the window that reads every row).  The windowed values equal the
+whole grid's to the bit.
 
 Randomness: counter-based Philox streams keyed by (seed, replica, shell),
 so replicas and shells are reproducible and order-independent.
@@ -212,8 +216,10 @@ class ShellLadder:
         doc["epsilons"] = list(self.epsilons)
         return doc
 
-    @property
+    @functools.cached_property
     def digest(self):
+        """Hash of `to_json`, worked out once: every sample and refine
+        reads it, and a ladder does not change once built."""
         payload = json.dumps(self.to_json(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
 
@@ -286,16 +292,37 @@ def _half_lattice(grid: GridSpec):
             np.sqrt(np.arange(d * h * h + 1)) / grid.length)
 
 
-def _mirror_blocks(n, d):
+def _mirror_blocks(n, d, lo=0, hi=None):
     """(dst, src) slice pairs that expand a half-lattice array onto the
-    n^d lattice: along each leading axis, lattice rows 0..n/2 read rows
-    0..n/2 and rows n/2+1..n-1 read rows n/2-1..1 (m = min(j, n - j)).
-    There are 2^(d-1) pairs; in d = 1 one pair of empty tuples."""
-    h = n // 2
-    axis = ((slice(0, h + 1), slice(0, h + 1)),
-            (slice(h + 1, n), slice(h - 1, 0, -1)))
-    return [(tuple(dst for dst, _ in pairs), tuple(src for _, src in pairs))
-            for pairs in itertools.product(axis, repeat=d - 1)]
+    lattice rows lo..hi-1 (default every row) along axis 0 of the n^d
+    lattice, dst counting rows from lo: along each leading axis, lattice
+    rows 0..n/2 read rows 0..n/2 and rows n/2+1..n-1 read rows n/2-1..1
+    (m = min(j, n - j)).  Every row range gives at most 2^(d-1) pairs; in
+    d = 1 one pair of empty tuples."""
+    if d == 1:
+        return [((), ())]
+    h, hi = n // 2, n if hi is None else hi
+    rows = []
+    a, z = lo, min(hi, h + 1)                    # rows read where they are
+    if a < z:
+        rows.append((slice(a - lo, z - lo), slice(a, z)))
+    a, z = max(lo, h + 1), hi                    # rows read at n - j
+    if a < z:
+        rows.append((slice(a - lo, z - lo), slice(n - a, n - z, -1)))
+    return [((dst,) + d_rest, (src,) + s_rest) for dst, src in rows
+            for d_rest, s_rest in _mirror_blocks(n, d - 1)]
+
+
+_SLAB_ROWS = 8    # axis-0 rows per slab of a spectral sum and per r2c call
+
+
+def _slabs(n, d):
+    """(rows, blocks) for each slab of the n^d lattice, in order: `rows`
+    is a slice of _SLAB_ROWS rows along axis 0 (d = 1: the whole line, one
+    slab) and `blocks` its `_mirror_blocks`."""
+    step = n if d == 1 else min(n, _SLAB_ROWS)
+    for lo in range(0, n, step):
+        yield slice(lo, lo + step), _mirror_blocks(n, d, lo, lo + step)
 
 
 def _window(grid: GridSpec, window):
@@ -375,45 +402,49 @@ def _unfolding(n, bounds):
     return tuple(_indexer(k) for k in kept), tuple(blocks)
 
 
-_SLAB_ROWS = 8    # leading-axis rows per r2c call in `_hartley`
-
-
-def _hartley(b, window=None):
+def _hartley(slabs, shape, window=None):
     """sum_j b_j (cos - sin)(2 pi j . x / n) at the nodes x of `window`
     (one slice(lo, hi) per axis, default every node) of a real float64
-    array b with n points per axis.  b is consumed: without a window the
-    result is written into b.
+    array b of `shape`, n points per axis, read as `slabs`: its
+    consecutive row blocks along axis 0, in order.  In d = 1 b is one
+    slab, the whole line, and the whole grid's result is written into it;
+    in d >= 2 each slab is read once, before the next is asked for, so a
+    slab may be a buffer that the next one overwrites.
 
     The transform F holds sum_j b_j (cos - i sin), so the sum is Re F +
     Im F at a node x whose last index m <= n/2 (stored), and Re F - Im F
     at (-x mod n) otherwise, whose last index n - m is stored (F(-x) =
     conj F(x) for real b).  F is computed line by line as `rfftn`
-    computes it: an r2c along the last axis, run on slabs of _SLAB_ROWS
-    leading-axis rows (d = 1 is one slab), each keeping only the columns
-    the window reads, so the whole r2c output is never built; then a c2c
-    along each of the axes 0..d-2 in that order, keeping the rows that the
-    window and its mirror image read (every row and every stored column
-    for the whole grid).  So the values equal those unfolded from
-    `rfftn(b)`, to the bit.
+    computes it: an r2c along the last axis, run slab by slab, each
+    keeping only the columns the window reads, so neither b nor the whole
+    r2c output is ever built; then a c2c along each of the axes 0..d-2 in
+    that order, keeping the rows that the window and its mirror image read
+    (every row and every stored column for the whole grid).  So the values
+    equal those unfolded from `rfftn(b)`, to the bit.
     """
-    d, n = b.ndim, b.shape[-1]
+    d, n = len(shape), shape[-1]
     bounds = tuple((s.start, s.stop) for s in window or (slice(0, n),) * d)
     read, blocks = _unfolding(n, bounds)
     workers = default_workers()
+    out = None
     if d == 1:
-        f = sfft.rfft(b, workers=workers)[read[-1]]
+        (out,) = slabs            # the line, and the whole grid's result
+        f = sfft.rfft(out, workers=workers)[read[-1]]
     else:
-        f = np.empty(b.shape[:-1] + np.arange(n // 2 + 1)[read[-1]].shape,
+        f = np.empty(shape[:-1] + np.arange(n // 2 + 1)[read[-1]].shape,
                      complex)
-        for i in range(0, n, _SLAB_ROWS):
-            rows = slice(i, i + _SLAB_ROWS)
-            f[rows] = sfft.rfft(b[rows], axis=-1,
-                                workers=workers)[..., read[-1]]
+        lo = 0
+        for slab in slabs:
+            f[lo:lo + len(slab)] = sfft.rfft(slab, axis=-1,
+                                             workers=workers)[..., read[-1]]
+            lo += len(slab)
+        del slab                  # let the last slab go before `out`
     for ax in range(d - 1):
         f = sfft.fft(f, axis=ax, overwrite_x=True, workers=workers)[
             (slice(None),) * ax + (read[ax],)]
     re, im = f.real, f.imag
-    out = b if window is None else np.empty([z - a for a, z in bounds])
+    if out is None or window is not None:
+        out = np.empty([z - a for a, z in bounds])
     for op, dst, src in blocks:
         op(re[src], im[src], out=out[dst])
     return out
@@ -430,11 +461,11 @@ class SpectralPlan:
     holds one (n/2+1,)*(d-1) + (n,) array per stage, the leading axes
     folded by the lattice's mirror symmetry.  The per-radius mode counts
     weigh each half-lattice mode by the lattice modes it stands for.  A
-    shell is then one Philox draw of standard normals g on the whole
-    lattice and the product g * amp in place, through the 2^(d-1)
-    mirrored blocks of `_mirror_blocks`; `sample` adds the shells'
-    products in stage order and runs one real FFT on the sum, which gives
-    the (cos - sin) sum (see `_hartley`).
+    shell is then a Philox stream of standard normals g and the product
+    g * amp, through the mirrored blocks of `_mirror_blocks`; `sample`
+    adds the shells' products in stage order, one slab of axis-0 rows at
+    a time, and runs one real FFT on the sum as the slabs arrive, which
+    gives the (cos - sin) sum (see `_coefficients` and `_hartley`).
     A sample that can still be refined keeps that spectral sum, and
     `refine` adds the next shell to it and transforms once more, so a
     refined sample is bit-identical to one drawn at its stage.  A constant
@@ -501,22 +532,48 @@ class SpectralPlan:
         """Exact lattice variance of the field at stage `stage`."""
         return float(sum(self.stage_variance[:stage + 1]))
 
-    def _shell_coefficients(self, seed, replica, stage):
-        """One shell's spectral coefficients: its Philox normals times the
-        amplitudes, in place."""
-        g = _philox(seed, replica, stage).standard_normal(self.grid.shape)
-        amps = self.amps[stage]
-        for dst, src in _mirror_blocks(self.grid.n, self.grid.dimension):
-            g[dst] *= amps[src]
-        return g
+    def _coefficients(self, seed, replica, shells, base=None, keep=None):
+        """The slabs (see `_slabs`) of the sum of the spectral
+        coefficients amp_k g_k of `shells`, in stage order, then plus
+        `base`, a sample's kept sum.  Each shell draws its normals g_k slab
+        by slab from its own Philox stream, and consecutive draws continue
+        the stream as one draw on the whole lattice would, so each slab is
+        that of the whole-lattice sum, to the bit.  With `keep`, a lattice
+        array, the sum is also written there.  The slabs share one buffer."""
+        n, d = self.grid.n, self.grid.dimension
+        gens = [_philox(seed, replica, k) for k in shells]
+        amps = [self.amps[k] for k in shells]
+        slab = g = None
+        for rows, blocks in _slabs(n, d):
+            size = (rows.stop - rows.start,) + self.grid.shape[1:]
+            for i, (gen, amp) in enumerate(zip(gens, amps)):
+                c = gen.standard_normal(size, out=g if i else slab)
+                for dst, src in blocks:
+                    c[dst] *= amp[src]
+                if i == 0:
+                    slab = c
+                else:
+                    g = c
+                    slab += g
+            if base is not None:
+                slab += base[rows]
+            if keep is not None:
+                keep[rows] = slab
+            yield slab
 
-    def _field_sample(self, seed, replica, stage, spectrum, window):
-        """The sample at `stage` on `window` from its spectral sum,
-        transformed once; a copy of the sum stays on the sample while a
-        refine can follow."""
-        keep = spectrum.copy() if stage + 1 < self.ladder.n_stages else None
+    def _field_sample(self, seed, replica, stage, window, base=None):
+        """The sample at `stage` on `window`, from one transform of the
+        spectral sum streamed slab by slab: every shell through `stage`,
+        or only shell `stage` added to `base` in a refine.  The sum is
+        kept on the sample while a refine can follow."""
+        keep = (np.empty(self.grid.shape)
+                if stage + 1 < self.ladder.n_stages else None)
+        shells = range(stage + 1) if base is None else (stage,)
+        values = _hartley(self._coefficients(seed, replica, shells, base,
+                                             keep),
+                          self.grid.shape, window)
         return FieldSample(grid=self.grid, epsilon=self.ladder.epsilons[stage],
-                           values=_hartley(spectrum, window),
+                           values=values,
                            variance=self.variance_through(stage),
                            seed=seed, replica=replica, stage=stage,
                            ladder_digest=self.ladder.digest, window=window,
@@ -533,16 +590,12 @@ class SpectralPlan:
             stage = self.ladder.n_stages - 1
         if not (0 <= stage < self.ladder.n_stages):
             raise ValidationError("stage outside the ladder")
-        seed, replica = int(seed), int(replica)
-        spectrum = self._shell_coefficients(seed, replica, 0)
-        for k in range(1, stage + 1):
-            spectrum += self._shell_coefficients(seed, replica, k)
-        return self._field_sample(seed, replica, stage, spectrum, window)
+        return self._field_sample(int(seed), int(replica), stage, window)
 
     def refine(self, sample: FieldSample) -> FieldSample:
         """One more shell: X_(k+1) = X_k + independent increment, added to
-        the sample's spectral sum in stage order, so the result is
-        bit-identical to `sample` at stage k + 1 on the sample's window."""
+        the sample's spectral sum, so the result is bit-identical to
+        `sample` at stage k + 1 on the sample's window."""
         nxt = sample.stage + 1
         if nxt >= self.ladder.n_stages:
             raise ValidationError("shell index exhausted")
@@ -553,10 +606,8 @@ class SpectralPlan:
         if sample._spectrum is None:
             raise ValidationError("sample carries no spectral sum (one read "
                                   "from a file cannot be refined)")
-        spectrum = sample._spectrum + self._shell_coefficients(
-            sample.seed, sample.replica, nxt)
-        return self._field_sample(sample.seed, sample.replica, nxt, spectrum,
-                                  sample.window)
+        return self._field_sample(sample.seed, sample.replica, nxt,
+                                  sample.window, sample._spectrum)
 
     def discrete_covariance(self):
         """Exact grid covariance of the field the plan synthesizes at its
@@ -564,13 +615,18 @@ class SpectralPlan:
         sum of the clipped shell weights, whose even weight leaves only the
         cosine part."""
         grid = self.grid
+        n, d = grid.n, grid.dimension
         index, _, _ = _half_lattice(grid)
-        cell = 1.0 / grid.length ** grid.dimension
+        cell = 1.0 / grid.length ** d
         half = (self._spectrum * cell)[index]
-        b = np.empty(grid.shape)
-        for dst, src in _mirror_blocks(grid.n, grid.dimension):
-            b[dst] = half[src]
-        return _hartley(b)
+
+        def slabs():
+            for rows, blocks in _slabs(n, d):
+                b = np.empty((rows.stop - rows.start,) + grid.shape[1:])
+                for dst, src in blocks:
+                    b[dst] = half[src]
+                yield b
+        return _hartley(slabs(), grid.shape)
 
 
 # ----------------------------------------------------------------------

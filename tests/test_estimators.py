@@ -254,6 +254,17 @@ def test_run_scale_invariance_refuses_wide_region():
                                  eps_a=0.2, seed=1, n_replicas=10)
 
 
+@pytest.mark.parametrize("n", [1, 0])
+def test_run_scale_invariance_refuses_fewer_than_two_replicas(monkeypatch, n):
+    # one replica gives a variance of one sample per region
+    kernel = kn.KernelSpec(1, 0.5, 1.0)
+    grid = fd.GridSpec(1, 2 ** 10, 4.0)
+    monkeypatch.setattr(est, "SpectralPlan", no_plan)
+    with pytest.raises(ValidationError, match=f"got {n}"):
+        est.run_scale_invariance(kernel, "gaussian", grid, side=0.5, c=0.5,
+                                 eps_a=2 ** -5, seed=1, n_replicas=n)
+
+
 def test_run_scale_invariance_small_d1():
     kernel = kn.KernelSpec(1, 0.5, 1.0)
     grid = fd.GridSpec(1, 2 ** 13, 4.0)
@@ -315,6 +326,18 @@ def test_degeneracy_scan_refuses_inputs(monkeypatch, lam2_list, alpha):
     with pytest.raises(ValidationError):
         est.degeneracy_scan(lam2_list, 1, 1.0, "gaussian", grid, eps,
                             region, alpha, 1, 10)
+
+
+@pytest.mark.parametrize("n", [1, 0])
+def test_degeneracy_scan_refuses_fewer_than_two_replicas(monkeypatch, n):
+    # one replica gives an exponent_se of round-off, from a single sample
+    grid = fd.GridSpec(1, 2 ** 10, 4.0)
+    eps = fd.geometric_schedule(2 ** -3, 5)
+    region = ms.Box((0.0,), (1.0,))
+    monkeypatch.setattr(est, "SpectralPlan", no_plan)
+    with pytest.raises(ValidationError, match=f"got {n}"):
+        est.degeneracy_scan([0.5], 1, 1.0, "gaussian", grid, eps, region,
+                            alpha=0.5, seed=1, n_replicas=n)
 
 
 def test_degeneracy_report_io(tmp_path):

@@ -198,7 +198,8 @@ def test_refine_refuses_a_sample_from_another_grid():
 def test_one_transform_sample_matches_sum_of_shell_fields(make):
     plan = make()
     s = plan.sample(61, 2)
-    shells = sum(fd._hartley(plan._shell_coefficients(61, 2, k))
+    shells = sum(hartley(fd._philox(61, 2, k).standard_normal(plan.grid.shape)
+                         * on_lattice(plan, plan.amps[k]))
                  for k in range(plan.ladder.n_stages))
     np.testing.assert_allclose(s.values, shells, rtol=0,
                                atol=1e-13 * np.sqrt(s.variance))
@@ -322,11 +323,22 @@ def test_shell_field_matches_direct_sum(d):
         seq = np.random.SeedSequence(entropy=23, spawn_key=(4, stage))
         g = np.random.Generator(np.random.Philox(seq)).standard_normal(
             plan.grid.shape)
-        b = (g * on_lattice(plan, plan.amps[stage])).ravel()
-        direct = ((np.cos(phase) - np.sin(phase)) @ b).reshape(plan.grid.shape)
-        got = fd._hartley(plan._shell_coefficients(23, 4, stage))
+        b = g * on_lattice(plan, plan.amps[stage])
+        direct = ((np.cos(phase) - np.sin(phase)) @ b.ravel()).reshape(
+            plan.grid.shape)
+        got = hartley(b)
         np.testing.assert_allclose(got, direct, rtol=0,
                                    atol=1e-12 * np.max(np.abs(direct)))
+
+
+def hartley(b):
+    """`fd._hartley` of the whole array b, fed to it slab by slab as a
+    plan feeds it (in d = 1 one slab, a copy of the line)."""
+    if b.ndim == 1:
+        return fd._hartley([b.copy()], b.shape)
+    rows = fd._SLAB_ROWS
+    return fd._hartley((b[i:i + rows] for i in range(0, len(b), rows)),
+                       b.shape)
 
 
 def _rfftn_hartley(b):
@@ -345,7 +357,7 @@ def _rfftn_hartley(b):
 @pytest.mark.parametrize("d, n", [(1, 2 ** 12), (2, 64), (3, 32)])
 def test_whole_grid_hartley_is_the_rfftn_unfolding_to_the_bit(d, n):
     b = np.random.default_rng(d).standard_normal((n,) * d)
-    assert np.array_equal(fd._hartley(b.copy()), _rfftn_hartley(b))
+    assert np.array_equal(hartley(b), _rfftn_hartley(b))
 
 
 @pytest.mark.parametrize("d, n", [(1, 2 ** 12), (2, 64), (3, 32)])
@@ -387,19 +399,25 @@ def _whole_lattice_reference(plan):
 
 
 @pytest.mark.parametrize("c", [0.0, 0.3], ids=["zero", "constant"])
-@pytest.mark.parametrize("d, n", [(1, 2 ** 10), (2, 64), (3, 32)])
-def test_half_lattice_plan_matches_the_whole_lattice_gather_to_the_bit(d, n,
-                                                                       c):
+@pytest.mark.parametrize("d, n, length", [
+    pytest.param(1, 2 ** 10, 3.0, id="1-1024"),
+    pytest.param(2, 64, 3.0, id="2-64"),
+    pytest.param(3, 32, 3.0, id="3-32"),
+    pytest.param(2, 4, 0.5, id="2-4"),      # one short slab: n < _SLAB_ROWS
+    pytest.param(3, 4, 0.5, id="3-4"),
+])
+def test_half_lattice_plan_matches_the_whole_lattice_gather_to_the_bit(
+        d, n, length, c):
     remainder = kn.Remainder("constant", value=c) if c else kn.Remainder()
     kernel = kn.KernelSpec(d, 0.5, 1.0, remainder=remainder)
     ladder = fd.build_ladder(kernel, kn.MollifierSpec("gaussian", 0.4, d),
                              (0.5, 0.4, 0.3))
-    plan = fd.SpectralPlan(ladder, fd.GridSpec(d, n, 3.0))
+    plan = fd.SpectralPlan(ladder, fd.GridSpec(d, n, length))
     amps, spectrum = _whole_lattice_reference(plan)
     b = 0.0
     for k, amp in enumerate(amps):
         b = b + fd._philox(9, 1, k).standard_normal(plan.grid.shape) * amp
-        want = fd._hartley(b.copy())
+        want = hartley(b)
         assert np.array_equal(plan.sample(9, 1, stage=k).values, want)
         if k:
             coarse = plan.sample(9, 1, stage=k - 1)
@@ -407,38 +425,70 @@ def test_half_lattice_plan_matches_the_whole_lattice_gather_to_the_bit(d, n,
         for name, window in _windows(d, n).items():
             got = plan.sample(9, 1, stage=k, window=window).values
             assert np.array_equal(got, want[window]), name
-    assert np.array_equal(plan.discrete_covariance(), fd._hartley(spectrum))
+    assert np.array_equal(plan.discrete_covariance(), hartley(spectrum))
 
 
 def test_dissipation_plan_and_ball_sample_memory():
-    """tracemalloc at 64^3 on run_dissipation's l = 0.5 plan and ball, in
-    units of one n^3 float64 lattice.  Whole-lattice amplitudes held 1.01
-    and a windowed sample peaked 2.24 above them (normals plus the whole
-    r2c output); the half-lattice plan holds 0.28 and the column-pruned
-    r2c peaks at 1.71 (normals, the window's columns, one slab).  Each
-    bound sits between the two."""
+    """tracemalloc at 64^3 on run_dissipation's l = 0.5 plan and ball, and
+    on a three-stage ladder down to the same scale, in units of one n^3
+    float64 lattice.  Whole-lattice amplitudes held 1.01 and a windowed
+    sample peaked 2.24 above them (normals plus the whole r2c output).
+    The half-lattice plan holds 0.28; with whole-lattice normals and a
+    column-pruned r2c a windowed sample peaked at 1.71, and a windowed
+    refine that keeps its sum at 2.71 above the coarse sample.  Streaming
+    the normals slab by slab into the r2c takes them to 0.76 (the window's
+    columns, one slab and its r2c) and 1.76 (plus the kept sum); each of
+    these bounds sits between the two.  The whole grid, at 2.16 for a
+    sample and 3.16 for a refine that keeps its sum (2.12 and 3.12 now),
+    must not grow."""
     import tracemalloc
 
     n, l = 64, 0.5
     grid = fd.GridSpec(3, n, 1.0 + 2 * l + 0.1)
-    ladder = fd.build_ladder(kn.KernelSpec(3, 0.2, 1.0),
-                             kn.MollifierSpec("gaussian", 0.4 * l, 3),
-                             (0.4 * l,))
+
+    def ladder(epsilons):
+        return fd.build_ladder(kn.KernelSpec(3, 0.2, 1.0),
+                               kn.MollifierSpec("gaussian", 0.4 * l, 3),
+                               epsilons)
+
+    one, three = ladder((0.4 * l,)), ladder((0.8 * l, 0.6 * l, 0.4 * l))
     window = ms._region_weights(grid, ms.Ball((0.0, 0.0, 0.0), l),
                                 0.0).window
-    fd.SpectralPlan(ladder, grid).sample(1, 0, window=window)   # warm caches
+    fd.SpectralPlan(one, grid).sample(1, 0, window=window)   # warm caches
     lattice = 8 * n ** 3
-    tracemalloc.start()
-    try:
-        plan = fd.SpectralPlan(ladder, grid)
-        held, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        plan.sample(1, 0, window=window)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert held < 0.6 * lattice
-    assert peak - held < 2.0 * lattice
+
+    def peak(setup, call):
+        """What `setup()` holds and how far `call` on it peaks above
+        that, in lattices."""
+        tracemalloc.start()
+        try:
+            state = setup()
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            call(state)
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return held / lattice, (top - held) / lattice
+
+    def coarse(win):
+        def setup():
+            plan = fd.SpectralPlan(three, grid)
+            return plan, plan.sample(1, 0, stage=0, window=win)
+        return setup
+
+    def refine(state):
+        plan, sample = state
+        plan.refine(sample)
+
+    held, windowed = peak(lambda: fd.SpectralPlan(one, grid),
+                          lambda plan: plan.sample(1, 0, window=window))
+    assert held < 0.6
+    assert windowed < 1.3
+    assert peak(coarse(window), refine)[1] < 2.2
+    assert peak(lambda: fd.SpectralPlan(one, grid),
+                lambda plan: plan.sample(1, 0))[1] < 2.2
+    assert peak(coarse(None), refine)[1] < 3.2
 
 
 # ----------------------------------------------------------------------
