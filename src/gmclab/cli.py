@@ -14,9 +14,9 @@ command and report kind: `seed` >= 0, `out` a directory; `grid.origin`
 `mrw_paths.csv` or `dissipation_samples.csv` (ROADMAP item 1(a));
 rerunning a manifest reproduces byte-identical binaries.  Exit codes: 0
 success, 2 validation error, 3 certified oracle/acceptance failure.
-GMC_LAB_THREADS (or --threads, at least 1) sets the FFT worker count of
-`simulate` and `estimate` and never changes results; `oracles` takes
-`--seed` and `--budget` >= 0.
+`oracles` takes `--seed` and `--budget` >= 0.  Every refusal, a usage
+error (an unknown flag, a flag value that is not an integer) and a config
+file that cannot be read included, prints one JSON line and exits 2.
 """
 
 from __future__ import annotations
@@ -57,8 +57,11 @@ def _config_digest(cfg):
 
 
 def _load_config(path):
-    with open(path) as fh:
-        return parse_object(json.load(fh), "config")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_object(json.load(fh), "config")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read config {path!r}: {exc}") from None
 
 
 def _section(cfg, name):
@@ -114,11 +117,6 @@ def _apply_overrides(cfg, args):
     for name in ("seed", "replicas", "out"):
         if getattr(args, name) is not None:
             cfg[name] = getattr(args, name)
-    threads = args.threads
-    if threads is None:
-        threads = os.environ.get("GMC_LAB_THREADS")
-    if threads is not None:
-        fd.set_workers(threads)
 
 
 def _setup(args, replicas, least):
@@ -283,8 +281,16 @@ def cmd_oracles(args):
     return EXIT_FAILURE if n_fail else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ValidationError, so it is refused like any
+    other setting; the subcommands' parsers share the class."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="gmclab",
         description="log-correlated Gaussian fields, multiplicative chaos "
                     "measures, and their statistical verification")
@@ -303,14 +309,13 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
     for p in (sim, est_p):
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--replicas", type=int, default=None)
     return ap
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "simulate":
             return cmd_simulate(args)
         if args.command == "estimate":

@@ -58,13 +58,12 @@ import functools
 import hashlib
 import itertools
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import GateError, ValidationError, parse_count
+from .errors import GateError, ValidationError
 from .kernels import KernelSpec, MollifierSpec, kernel_hat, spec_to_json
 from .spectral import sphere_area
 
@@ -78,27 +77,16 @@ __all__ = [
     "FieldSample",
     "write_grid_file",
     "read_grid_file",
-    "default_workers",
 ]
 
 SYNTHESIS = "rfftn-hartley-2"
 
-_WORKERS = None
-
 
 def default_workers():
-    """FFT worker count; affects wall time only, never values.  Read once
-    from GMC_LAB_THREADS (default 1), which must be an integer >= 1."""
-    global _WORKERS
-    if _WORKERS is None:
-        _WORKERS = parse_count(os.environ.get("GMC_LAB_THREADS", 1),
-                               "GMC_LAB_THREADS", 1)
-    return _WORKERS
-
-
-def set_workers(n):
-    global _WORKERS
-    _WORKERS = parse_count(n, "thread count", 1)
+    """The FFT worker count, always 1: `_hartley` runs scipy.fft on one
+    worker.  Kept only for the benchmark's environment record, which
+    reads it."""
+    return 1
 
 
 def _philox(seed, *key):
@@ -425,22 +413,20 @@ def _hartley(slabs, shape, window=None):
     d, n = len(shape), shape[-1]
     bounds = tuple((s.start, s.stop) for s in window or (slice(0, n),) * d)
     read, blocks = _unfolding(n, bounds)
-    workers = default_workers()
     out = None
     if d == 1:
         (out,) = slabs            # the line, and the whole grid's result
-        f = sfft.rfft(out, workers=workers)[read[-1]]
+        f = sfft.rfft(out)[read[-1]]
     else:
         f = np.empty(shape[:-1] + np.arange(n // 2 + 1)[read[-1]].shape,
                      complex)
         lo = 0
         for slab in slabs:
-            f[lo:lo + len(slab)] = sfft.rfft(slab, axis=-1,
-                                             workers=workers)[..., read[-1]]
+            f[lo:lo + len(slab)] = sfft.rfft(slab, axis=-1)[..., read[-1]]
             lo += len(slab)
         del slab                  # let the last slab go before `out`
     for ax in range(d - 1):
-        f = sfft.fft(f, axis=ax, overwrite_x=True, workers=workers)[
+        f = sfft.fft(f, axis=ax, overwrite_x=True)[
             (slice(None),) * ax + (read[ax],)]
     re, im = f.real, f.imag
     if out is None or window is not None:

@@ -414,8 +414,7 @@ def _certify_table(spec: KernelSpec):
     if key not in _VERDICTS:
         rep = spectral.check_positive_definite(
             lambda r: eval_kernel(spec, np.maximum(r, 1e-12)),
-            spec.dimension, spectral.default_check_grid(spec.scale),
-            support=spec.scale)
+            spec.dimension, support=spec.scale)
         _VERDICTS[key] = rep.certificate
     if _VERDICTS[key] != spectral.CERT_NONNEGATIVE:
         raise GateError("positivity gate: kernel spectral density is not "
@@ -509,15 +508,14 @@ def field_variance(spec: KernelSpec, moll: MollifierSpec):
 # JSON document (kernel + mollifier)
 # ----------------------------------------------------------------------
 
-def spec_to_json(spec: KernelSpec, moll: MollifierSpec, as_string=False):
-    doc = {
+def spec_to_json(spec: KernelSpec, moll: MollifierSpec):
+    return {
         "dimension": spec.dimension,
         "lambda2": spec.lam2,
         "scale": spec.scale,
         "remainder": spec.remainder.to_json(),
         "mollifier": moll.to_json(),
     }
-    return json.dumps(doc, indent=2) if as_string else doc
 
 
 def spec_from_json(doc):

@@ -22,6 +22,7 @@ The lemma-level objects:
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -101,20 +102,15 @@ class OracleVerdict:
 # Gauss-Hermite machinery
 # ----------------------------------------------------------------------
 
-_GH_CACHE = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _gh_nodes(dim, order):
-    key = (dim, order)
-    if key not in _GH_CACHE:
-        x, w = np.polynomial.hermite_e.hermegauss(order)
-        w = w / np.sqrt(2.0 * np.pi)
-        grids = np.meshgrid(*([x] * dim), indexing="ij")
-        nodes = np.stack([g.ravel() for g in grids], axis=-1)
-        wg = np.meshgrid(*([w] * dim), indexing="ij")
-        weights = np.prod(np.stack([g.ravel() for g in wg], axis=-1), axis=-1)
-        _GH_CACHE[key] = (nodes, weights)
-    return _GH_CACHE[key]
+    x, w = np.polynomial.hermite_e.hermegauss(order)
+    w = w / np.sqrt(2.0 * np.pi)
+    grids = np.meshgrid(*([x] * dim), indexing="ij")
+    nodes = np.stack([g.ravel() for g in grids], axis=-1)
+    wg = np.meshgrid(*([w] * dim), indexing="ij")
+    weights = np.prod(np.stack([g.ravel() for g in wg], axis=-1), axis=-1)
+    return nodes, weights
 
 
 def _sqrt_psd(cov):

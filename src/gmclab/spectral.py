@@ -20,6 +20,7 @@ positive-definiteness checker.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -150,13 +151,11 @@ def logplus_hat(xi, d, T=1.0):
 # ----------------------------------------------------------------------
 
 _QUAD_ORDER = 16  # Gauss-Legendre nodes per panel (the bound uses 16 and 28)
-_GAUSS_CACHE = {}
 
 
+@functools.lru_cache(maxsize=None)
 def _gauss(order):
-    if order not in _GAUSS_CACHE:
-        _GAUSS_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GAUSS_CACHE[order]
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _panel_count(xi, support):
@@ -327,77 +326,45 @@ class SpectralProfile:
 def default_check_grid(support):
     """Grid for check_positive_definite: a log-spaced spine from
     1e-2/support to xi_max = 1e3/support plus dense linear windows of 48
-    points (spacing 1/(4*support)) in the mid and top oscillation range,
-    so sign structure at large xi is sampled below Nyquist."""
+    points (spacing 1/(4*support)) ending at xi*support = 60, 300 and
+    1000, so sign structure at large xi is sampled below Nyquist."""
+    if not 0.0 < support < math.inf:
+        raise ValidationError(f"support must be finite and > 0, got "
+                              f"{support!r}")
     xi_max = 1e3 / support
     spine = np.geomspace(1e-2 / support, xi_max, 240)
     step = 1.0 / (4.0 * support)
-    windows = []
-    for hi_frac in (0.06, 0.3, 1.0):
-        hi = xi_max * hi_frac
-        if hi * support > 10:
-            windows.append(hi - step * np.arange(48)[::-1])
-    grid = np.unique(np.concatenate([spine] + windows))
-    return grid[grid > 0]
+    windows = [xi_max * hi_frac - step * np.arange(48)[::-1]
+               for hi_frac in (0.06, 0.3, 1.0)]
+    return np.unique(np.concatenate([spine] + windows))
 
 
-def _has_dense_window(xi, support):
-    """>= 8 consecutive points <= 1/(2*support) apart where xi*support >= 10."""
-    osc = xi * support >= 10.0
-    if not np.any(osc):
-        return True  # nothing oscillatory to resolve
-    idx = np.where(osc)[0]
-    gaps = np.diff(xi)
-    run = 0
-    for i in idx[:-1]:
-        if gaps[i] <= 1.0 / (2.0 * support):
-            run += 1
-            if run >= 7:
-                return True
-        else:
-            run = 0
-    return False
-
-
-def check_positive_definite(profile, d, xi_grid, support=1.0):
-    """Evaluate the radial transform of `profile` on a grid and certify
-    its sign pattern.
+def check_positive_definite(profile, d, support=1.0):
+    """Evaluate the radial transform of `profile` on
+    `default_check_grid(support)` and certify its sign pattern.
 
     Certificate rules: 'nonnegative-on-grid' when every value clears
     -(pointwise quadrature bound); 'sign-oscillating' when values beyond
     their bounds take both signs in the upper half (by frequency) of the
     oscillatory range; 'indeterminate' otherwise.
 
-    The grid must span >= 50 oscillation periods (xi_max * support >= 50)
-    and must contain at least one dense window (>= 8 consecutive points at
-    spacing <= 1/(2*support)) inside the oscillatory range; otherwise a
-    GateError states the required resolution.
+    The grid spans 1000 oscillation periods (xi_max * support = 1e3) and
+    its dense windows sample the oscillatory range (xi * support >= 10)
+    at spacing 1/(4*support), below Nyquist at every support.
 
     The transform is `radial_fourier_grid` on the increasing grid, so the
     profile is evaluated once per run of frequencies sharing their panels,
     not once per frequency.
     """
-    xi_grid = np.asarray(xi_grid, dtype=float)
-    if xi_grid.ndim != 1 or len(xi_grid) < 8:
-        raise ValidationError("xi_grid must be a 1-d grid with >= 8 points")
-    if np.any(np.diff(xi_grid) <= 0):
-        raise ValidationError("xi_grid must be strictly increasing")
-    if xi_grid[-1] * support < 50.0:
-        raise ValidationError(
-            "grid must reach xi_max * support >= 50 oscillation periods")
-    if not _has_dense_window(xi_grid, support):
-        raise GateError(
-            "grid too coarse relative to the oscillation wavelength",
-            required_spacing=1.0 / (2.0 * support), support=support)
-
-    vals, errs = radial_fourier_grid(profile, d, xi_grid, support)
+    xi = default_check_grid(support)
+    vals, errs = radial_fourier_grid(profile, d, xi, support)
 
     bound = errs + 1e-12 * np.maximum(np.abs(vals), 1.0)
     negative = vals < -bound
     if not np.any(negative):
         cert = CERT_NONNEGATIVE
     else:
-        osc = xi_grid * support >= 10.0
+        osc = xi * support >= 10.0
         # both signs must show up in the upper half of the oscillatory range
         osc_idx = np.where(osc)[0]
         upper = osc_idx[len(osc_idx) // 2:]
@@ -405,6 +372,6 @@ def check_positive_definite(profile, d, xi_grid, support=1.0):
         neg_up = np.any(vals[upper] < -bound[upper])
         cert = CERT_OSCILLATING if (pos_up and neg_up) else CERT_INDETERMINATE
 
-    return SpectralProfile(dimension=d, xi=xi_grid, fhat=vals, err=errs,
+    return SpectralProfile(dimension=d, xi=xi, fhat=vals, err=errs,
                            certificate=cert,
                            meta={"support": support, "order": _QUAD_ORDER})

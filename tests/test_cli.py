@@ -201,19 +201,8 @@ def test_missing_config_is_validation_error(tmp_path, capsys):
     assert code == cli.EXIT_VALIDATION
 
 
-def test_threads_flag_does_not_change_bytes(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    write_cfg(cfg)
-    out1, out2 = tmp_path / "t1", tmp_path / "t2"
-    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out1),
-                    "--threads", "1"]) == 0
-    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out2),
-                    "--threads", "2"]) == 0
-    assert (out1 / "field_r0000.bin").read_bytes() \
-        == (out2 / "field_r0000.bin").read_bytes()
-
-
-@pytest.mark.parametrize("command, overrides, env", [
+# `seed` is None, or a value for --seed
+@pytest.mark.parametrize("command, overrides, seed", [
     ("simulate", {"grid": {"n": "lots", "length": 4.0}}, None),
     ("simulate", {"grid": {"n": 2 ** 12, "length": "long"}}, None),
     ("simulate", {"grid": {"n": 1e400, "length": 4.0}}, None),
@@ -250,11 +239,10 @@ def test_threads_flag_does_not_change_bytes(tmp_path):
     ("estimate", {"estimate": {"kind": "mrw", "t_max": "long"}}, None),
     ("estimate", {"estimate": {"kind": "mrw", "n_times": "many"}}, None),
 ])
-def test_non_numeric_settings_are_refused(tmp_path, capsys, monkeypatch,
-                                          command, overrides, env):
-    if env is not None:
-        monkeypatch.setenv("GMC_LAB_THREADS", env)
-    assert_refused(tmp_path, capsys, command, overrides)
+def test_non_numeric_settings_are_refused(tmp_path, capsys, command,
+                                          overrides, seed):
+    flags = () if seed is None else ("--seed", seed)
+    assert_refused(tmp_path, capsys, command, overrides, flags)
 
 
 D3_KERNEL = {"dimension": 3, "lambda2": 0.5, "scale": 1.0}
@@ -266,76 +254,70 @@ DEGENERACY_LADDER = {"eps0": 2 ** -5, "shells": 4}
 DISSIPATION = {"kind": "dissipation", "radii": [0.5, 0.45, 0.4]}
 
 
-@pytest.mark.parametrize("command, overrides, flags, env", [
-    ("estimate", {"estimate": {"kind": "mrw", "n_times": -5}}, [], None),
-    ("estimate", {"estimate": {"kind": "mrw", "n_times": 0}}, [], None),
-    ("estimate", {"estimate": {"kind": "mrw", "t_max": 0.0}}, [], None),
-    ("estimate", {"estimate": {"kind": "mrw", "t_max": -1.0}}, [], None),
-    ("estimate", {"estimate": {"kind": "zeta", "regions": "spheres"}}, [],
-     None),
-    ("estimate", {"estimate": {"kind": "zeta"}}, ["--replicas", "-1"], None),
-    ("estimate", {"estimate": {"kind": "zeta"}, "replicas": 0}, [], None),
+@pytest.mark.parametrize("command, overrides, flags", [
+    ("estimate", {"estimate": {"kind": "mrw", "n_times": -5}}, []),
+    ("estimate", {"estimate": {"kind": "mrw", "n_times": 0}}, []),
+    ("estimate", {"estimate": {"kind": "mrw", "t_max": 0.0}}, []),
+    ("estimate", {"estimate": {"kind": "mrw", "t_max": -1.0}}, []),
+    ("estimate", {"estimate": {"kind": "zeta", "regions": "spheres"}}, []),
+    ("estimate", {"estimate": {"kind": "zeta"}}, ["--replicas", "-1"]),
+    ("estimate", {"estimate": {"kind": "zeta"}, "replicas": 0}, []),
     ("estimate", {"estimate": {"kind": "scale-invariance"}, "replicas": 0},
-     [], None),
-    ("estimate", {"estimate": {"kind": "mrw"}, "replicas": 0}, [], None),
-    ("simulate", {}, ["--replicas", "-3"], None),
-    ("simulate", {}, ["--threads", "-4"], None),
-    ("simulate", {}, ["--threads", "0"], None),
-    ("simulate", {}, [], "0"),
-    ("estimate", {}, [], "-2"),
-    ("estimate", {"estimate": {"kind": "zeta", "p_list": []}}, [], None),
+     []),
+    ("estimate", {"estimate": {"kind": "mrw"}, "replicas": 0}, []),
+    ("simulate", {}, ["--replicas", "-3"]),
+    ("estimate", {"estimate": {"kind": "zeta", "p_list": []}}, []),
     ("estimate", {"kernel": D3_KERNEL, "grid": {"n": 32}, "mollifier": DROP,
-                  "estimate": {"kind": "dissipation", "radii": []}}, [], None),
+                  "estimate": {"kind": "dissipation", "radii": []}}, []),
     ("estimate", {"kernel": D3_KERNEL, "grid": {"n": 32}, "mollifier": DROP,
                   "estimate": {"kind": "dissipation", "radii": [0.5, 0.5]}},
-     [], None),
+     []),
     ("estimate", {"grid": {"n": 32},
                   "estimate": {"kind": "dissipation",
-                               "radii": [0.5, 0.45, 0.4]}}, [], None),
+                               "radii": [0.5, 0.45, 0.4]}}, []),
     ("estimate", {"kernel": {**D3_KERNEL, "remainder": {"kind": "constant",
                                                         "value": 0.7}},
                   "grid": {"n": 32},
                   "estimate": {"kind": "dissipation",
-                               "radii": [0.5, 0.45, 0.4]}}, [], None),
+                               "radii": [0.5, 0.45, 0.4]}}, []),
     ("estimate", {"kernel": D3_KERNEL, "grid": {"n": 32}, "mollifier": DROP,
                   "estimate": {"kind": "dissipation",
-                               "radii": [0.5, 0.5, 0.4]}}, [], None),
+                               "radii": [0.5, 0.5, 0.4]}}, []),
     ("estimate", {"kernel": {"dimension": 1, "lambda2": 0.5, "scale": 1.0,
                              "remainder": {"kind": "constant", "value": 0.5}},
                   "ladder": {"eps0": 2 ** -5, "shells": 4},
-                  "estimate": {"kind": "degeneracy"}}, [], None),
+                  "estimate": {"kind": "degeneracy"}}, []),
     ("estimate", {"kernel": D3_KERNEL, "grid": {"n": 32, "length": 9.0},
-                  "mollifier": DROP, "estimate": DISSIPATION}, [], None),
+                  "mollifier": DROP, "estimate": DISSIPATION}, []),
     ("estimate", {"kernel": D3_KERNEL,
                   "grid": {"n": 32, "origin": [0.0, 0.0, 0.0]},
-                  "mollifier": DROP, "estimate": DISSIPATION}, [], None),
+                  "mollifier": DROP, "estimate": DISSIPATION}, []),
     ("estimate", {"kernel": D3_KERNEL, "grid": {"n": 32},
                   "mollifier": {"kind": "gaussian", "epsilon": 0.3},
-                  "estimate": DISSIPATION}, [], None),
-    ("simulate", {}, ["--seed", "-1"], None),
-    ("simulate", {"seed": -1}, [], None),
-    ("estimate", {"estimate": {"kind": "mrw"}}, ["--seed", "-3"], None),
+                  "estimate": DISSIPATION}, []),
+    ("simulate", {}, ["--seed", "-1"]),
+    ("simulate", {"seed": -1}, []),
+    ("estimate", {"estimate": {"kind": "mrw"}}, ["--seed", "-3"]),
     ("simulate", {"kernel": {"dimension": 1, "lambda2": float("inf"),
-                             "scale": 1.0}, "grid": {"n": 1024}}, [], None),
+                             "scale": 1.0}, "grid": {"n": 1024}}, []),
     ("simulate", {"kernel": {"dimension": 1, "lambda2": 0.5,
                              "scale": float("inf")}, "grid": {"n": 1024}},
-     [], None),
+     []),
     ("simulate", {"kernel": {"dimension": 1, "lambda2": 0.5, "scale": 1.0,
                              "remainder": {"kind": "constant",
                                            "value": float("inf")}},
-                  "grid": {"n": 1024}}, [], None),
-    ("estimate", {"estimate": {"kind": "zeta"}, "replicas": 1}, [], None),
+                  "grid": {"n": 1024}}, []),
+    ("estimate", {"estimate": {"kind": "zeta"}, "replicas": 1}, []),
     ("estimate", {"estimate": {"kind": "scale-invariance"}, "replicas": 1},
-     [], None),
+     []),
     ("estimate", {"estimate": {"kind": "degeneracy"},
-                  "ladder": DEGENERACY_LADDER}, ["--replicas", "1"], None),
+                  "ladder": DEGENERACY_LADDER}, ["--replicas", "1"]),
     ("estimate", {"kernel": D3_KERNEL, "grid": {"n": 32}, "mollifier": DROP,
-                  "estimate": DISSIPATION, "replicas": 1}, [], None),
+                  "estimate": DISSIPATION, "replicas": 1}, []),
 ], ids=["n_times-negative", "n_times-zero", "t_max-zero", "t_max-negative",
         "regions-unknown", "zeta-replicas-negative", "zeta-replicas-zero",
         "scale-invariance-replicas-zero", "mrw-replicas-zero",
-        "simulate-replicas-negative", "threads-negative", "threads-zero",
-        "env-threads-zero", "env-threads-negative", "zeta-p_list-empty",
+        "simulate-replicas-negative", "zeta-p_list-empty",
         "dissipation-radii-empty", "dissipation-radii-repeated",
         "dissipation-dimension-1", "dissipation-remainder",
         "dissipation-radii-repeated-among-distinct", "degeneracy-remainder",
@@ -345,10 +327,8 @@ DISSIPATION = {"kind": "dissipation", "radii": [0.5, 0.45, 0.4]}
         "lambda2-infinite", "scale-infinite", "remainder-constant-infinite",
         "zeta-replicas-one", "scale-invariance-replicas-one",
         "degeneracy-replicas-one", "dissipation-replicas-one"])
-def test_out_of_range_settings_are_refused(tmp_path, capsys, monkeypatch,
-                                           command, overrides, flags, env):
-    if env is not None:
-        monkeypatch.setenv("GMC_LAB_THREADS", env)
+def test_out_of_range_settings_are_refused(tmp_path, capsys,
+                                           command, overrides, flags):
     assert_refused(tmp_path, capsys, command, overrides, flags)
 
 
@@ -409,13 +389,15 @@ def test_every_estimate_kind_refuses_a_malformed_ladder(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", ["simulate", "estimate"])
-@pytest.mark.parametrize("overrides", [
-    {"grid": {"n": 2 ** 12, "length": 4.0, "origin": [0.0]}},
-    {"ladder": {"eps0": 2 ** -5, "shells": 2, "factor": 3.0}},
-], ids=["grid-origin", "ladder-factor"])
-def test_removed_settings_are_refused(tmp_path, capsys, command, overrides):
+@pytest.mark.parametrize("overrides, flags", [
+    ({"grid": {"n": 2 ** 12, "length": 4.0, "origin": [0.0]}}, []),
+    ({"ladder": {"eps0": 2 ** -5, "shells": 2, "factor": 3.0}}, []),
+    ({}, ["--threads", "2"]),
+], ids=["grid-origin", "ladder-factor", "threads"])
+def test_removed_settings_are_refused(tmp_path, capsys, command, overrides,
+                                      flags):
     assert_refused(tmp_path, capsys, command,
-                   {**overrides, "estimate": {"kind": "zeta"}})
+                   {**overrides, "estimate": {"kind": "zeta"}}, flags)
 
 
 @pytest.mark.parametrize("argv", [
@@ -433,6 +415,30 @@ def test_out_file_and_negative_oracle_settings_are_refused(tmp_path, capsys,
     taken.write_text("")
     argv = [a.format(cfg=cfg, file=taken, dir=tmp_path / "o") for a in argv]
     assert_one_refusal(capsys, run_cli(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "{cfg}", "--bogus", "1"],
+    ["estimate", "--config", "{cfg}", "--kind", "nope"],
+    ["oracles", "--budget", "x"],
+    ["simulate", "--config", "{dir}"],
+    ["estimate", "--config", "{latin1}", "--kind", "mrw"],
+], ids=["unknown-flag", "unknown-kind", "budget-not-integer",
+        "config-directory", "config-not-utf8"])
+def test_usage_errors_and_unreadable_configs_are_refused(tmp_path, capsys,
+                                                         argv):
+    cfg, latin1 = tmp_path / "cfg.json", tmp_path / "latin1.json"
+    write_cfg(cfg)
+    latin1.write_bytes('{"seed": 42, "note": "\u00e9"}'.encode("latin-1"))
+    argv = [a.format(cfg=cfg, dir=tmp_path, latin1=latin1) for a in argv]
+    assert_one_refusal(capsys, run_cli(argv))
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["simulate", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def assert_refused(tmp_path, capsys, command, overrides, flags=()):

@@ -251,45 +251,6 @@ def test_windowed_sample_is_not_exponentiated_or_written(tmp_path):
     assert not (tmp_path / "f.bin").exists()
 
 
-def test_workers_do_not_change_values():
-    plan, _, _ = make_plan(n=2 ** 10, shells=3)
-    fd.set_workers(1)
-    a = plan.sample(5, 0)
-    fd.set_workers(2)
-    b = plan.sample(5, 0)
-    fd.set_workers(1)
-    assert np.array_equal(a.values, b.values)
-
-
-def test_workers_do_not_change_values_d3():
-    kernel = kn.KernelSpec(3, 1.0, 1.0)
-    moll = kn.MollifierSpec("gaussian", 0.1, 3)
-    plan = fd.SpectralPlan(fd.build_ladder(kernel, moll, (0.2, 0.1)),
-                           fd.GridSpec(3, 32, 2.5))
-    fd.set_workers(1)
-    a = plan.sample(5, 0)
-    fd.set_workers(2)
-    b = plan.sample(5, 0)
-    fd.set_workers(1)
-    assert np.array_equal(a.values, b.values)
-
-
-def test_default_workers_shares_the_cli_rule(monkeypatch):
-    for bad in ("-4", "0", "abc", "2.5"):
-        monkeypatch.setenv("GMC_LAB_THREADS", bad)
-        monkeypatch.setattr(fd, "_WORKERS", None)
-        with pytest.raises(ValidationError):
-            fd.default_workers()
-    monkeypatch.setenv("GMC_LAB_THREADS", "3")
-    monkeypatch.setattr(fd, "_WORKERS", None)
-    assert fd.default_workers() == 3
-    monkeypatch.delenv("GMC_LAB_THREADS")
-    monkeypatch.setattr(fd, "_WORKERS", None)
-    assert fd.default_workers() == 1
-    with pytest.raises(ValidationError):
-        fd.set_workers(0)
-
-
 def small_plan(d, n=8, length=2.0):
     """A plan whose grid is small enough for O(N^2) sums over the lattice."""
     kernel = kn.KernelSpec(d, 0.5, 1.0)

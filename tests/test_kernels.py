@@ -294,7 +294,7 @@ def test_dimension_mismatch_rejected():
 def test_spec_json_roundtrip():
     spec = kn.KernelSpec(2, 0.7, 1.5, kn.Remainder("constant", 0.1))
     moll = kn.MollifierSpec("gaussian", 0.02, 2)
-    doc = kn.spec_to_json(spec, moll, as_string=True)
+    doc = json.dumps(kn.spec_to_json(spec, moll))
     parsed = json.loads(doc)
     assert set(parsed) == {"dimension", "lambda2", "scale", "remainder",
                            "mollifier"}

@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 from gmclab import kernels as kn
 from gmclab import spectral as sp
-from gmclab.errors import GateError, ValidationError
+from gmclab.errors import ValidationError
 
 
 def test_si_minus_sin_nonnegative_and_cubic():
@@ -100,40 +100,47 @@ def test_shared_panels_match_pointwise_transform(d, table):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_checker_nonnegative_low_dimensions(d):
-    grid = sp.default_check_grid(1.0)
-    rep = sp.check_positive_definite(_log_profile, d, grid, support=1.0)
+    rep = sp.check_positive_definite(_log_profile, d, support=1.0)
     assert rep.certificate == sp.CERT_NONNEGATIVE
 
 
 def test_checker_oscillating_d4():
-    grid = sp.default_check_grid(1.0)
-    rep = sp.check_positive_definite(_log_profile, 4, grid, support=1.0)
+    rep = sp.check_positive_definite(_log_profile, 4, support=1.0)
     assert rep.certificate == sp.CERT_OSCILLATING
 
 
 def test_checker_gaussian_profile_positive():
     ga = lambda r: np.exp(-r * r / 2.0)
-    grid = sp.default_check_grid(8.0)
-    rep = sp.check_positive_definite(ga, 2, grid, support=8.0)
+    rep = sp.check_positive_definite(ga, 2, support=8.0)
     assert rep.certificate == sp.CERT_NONNEGATIVE
+    np.testing.assert_array_equal(rep.xi, sp.default_check_grid(8.0))
 
 
-def test_checker_refuses_short_grid():
-    grid = np.geomspace(0.01, 10.0, 64)   # only 10 periods
+@pytest.mark.parametrize("support", [1e-2, 1.0, 8.0, 1e2])
+def test_check_grid_resolves_the_oscillation(support):
+    """The certificate's grid is strictly increasing, spans >= 50
+    oscillation periods and holds >= 8 consecutive points <= 1/(2 support)
+    apart where xi * support >= 10, at every support."""
+    xi = sp.default_check_grid(support)
+    assert np.all(np.diff(xi) > 0)
+    assert xi[-1] * support >= 50.0
+    dense = (xi[1:] - xi[:-1] <= 1.0 / (2.0 * support)) \
+        & (xi[:-1] * support >= 10.0)
+    run = longest = 0
+    for close in dense:
+        run = run + 1 if close else 0
+        longest = max(longest, run)
+    assert longest >= 7          # 7 short gaps join 8 points
+
+
+@pytest.mark.parametrize("support", [0.0, -1.0, np.inf, np.nan])
+def test_checker_refuses_a_support_that_is_not_finite_and_positive(support):
     with pytest.raises(ValidationError):
-        sp.check_positive_definite(_log_profile, 3, grid, support=1.0)
-
-
-def test_checker_refuses_coarse_grid():
-    grid = np.geomspace(0.01, 120.0, 64)  # log-only: no dense window
-    with pytest.raises(GateError) as exc:
-        sp.check_positive_definite(_log_profile, 3, grid, support=1.0)
-    assert "required_spacing" in exc.value.detail
+        sp.check_positive_definite(_log_profile, 3, support=support)
 
 
 def test_profile_csv_roundtrip(tmp_path):
-    grid = sp.default_check_grid(1.0)
-    rep = sp.check_positive_definite(_log_profile, 3, grid, support=1.0)
+    rep = sp.check_positive_definite(_log_profile, 3, support=1.0)
     path = tmp_path / "prof.csv"
     rep.write(path)
     back = sp.SpectralProfile.read(path)
