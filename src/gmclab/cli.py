@@ -315,17 +315,13 @@ def build_parser():
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "estimate":
-            return cmd_estimate(args)
-        if args.command == "oracles":
-            return cmd_oracles(args)
+        args = build_parser().parse_args(argv)   # a command is required
+        command = {"simulate": cmd_simulate, "estimate": cmd_estimate,
+                   "oracles": cmd_oracles}[args.command]
+        return command(args)
     except (ValidationError, GateError, FileNotFoundError,
             json.JSONDecodeError, KeyError) as exc:
         return _fail(exc)
-    return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

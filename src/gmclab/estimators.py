@@ -20,6 +20,7 @@ view at desk-scale replica counts; plain Monte Carlo provably misses them
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -265,14 +266,12 @@ def moment_scaling(kernel: KernelSpec, mollifier: MollifierSpec,
 
 
 def _ball_centers(grid, halfwidth, radius):
+    """Centres of touching balls of `radius` packed on a cubic lattice in
+    [-halfwidth, halfwidth]^d, in row-major order."""
     step = 2.0 * radius
     n_side = max(1, int(np.floor(2 * halfwidth / step)))
     offs = (np.arange(n_side) - (n_side - 1) / 2.0) * step
-    if grid.dimension == 1:
-        return [(o,) for o in offs]
-    grids = np.meshgrid(*([offs] * grid.dimension), indexing="ij")
-    return [tuple(float(g.ravel()[i]) for g in grids)
-            for i in range(grids[0].size)]
+    return list(itertools.product(offs.tolist(), repeat=grid.dimension))
 
 
 # ----------------------------------------------------------------------

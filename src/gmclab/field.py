@@ -112,8 +112,8 @@ class GridSpec:
             raise ValidationError("grid dimension must be 1, 2 or 3")
         if self.n < 4 or (self.n & (self.n - 1)) != 0:
             raise ValidationError("points per side must be a power of two >= 4")
-        if not (self.length > 0):
-            raise ValidationError("side length must be positive")
+        if not 0 < self.length < np.inf:
+            raise ValidationError("side length must be finite and positive")
 
     @property
     def origin(self):
@@ -166,8 +166,8 @@ class ShellLadder:
 
     def __init__(self, kernel: KernelSpec, mollifier: MollifierSpec, epsilons):
         epsilons = tuple(float(e) for e in epsilons)
-        if len(epsilons) < 1 or any(e <= 0 for e in epsilons):
-            raise ValidationError("epsilon schedule must be positive")
+        if len(epsilons) < 1 or not all(0 < e < np.inf for e in epsilons):
+            raise ValidationError("epsilon schedule must be finite and positive")
         if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
             raise ValidationError("epsilon schedule must be strictly decreasing")
         if mollifier.dimension != kernel.dimension:
@@ -333,17 +333,26 @@ def _window(grid: GridSpec, window):
     return None if out == (slice(0, grid.n),) * grid.dimension else out
 
 
-def _read_blocks(kept, n, start, lo, hi, sign):
+def _span(n, parts):
+    """slice from the least to the greatest transform index sign * x mod n
+    that the nodes x = a..z-1 of each (sign, a, z) in `parts` read; -x mod
+    n is monotone on 1..n-1, so nodes a, 1 and z - 1 bound it."""
+    ends = [sign * x % n for sign, a, z in parts for x in (a, 1, z - 1)
+            if a <= x < z]
+    return slice(min(ends), max(ends) + 1)
+
+
+def _read_blocks(k0, n, start, lo, hi, sign):
     """(dst, src) slice pairs: window nodes x = lo..hi-1 (dst, counted from
     the window's `start`) read the transform at (sign * x mod n), found at
-    src among the sorted transform indices `kept`.  x -> -x mod n keeps 0
-    and reverses 1..n-1, so a mirrored node 0 reads on its own."""
+    src, counted from the axis's least kept index k0.  x -> -x mod n keeps
+    0 and reverses 1..n-1, so a mirrored node 0 reads on its own."""
     pieces = [(lo, hi)] if sign > 0 or lo > 0 else [(0, 1), (1, hi)]
     pairs = []
     for a, z in pieces:
         if a >= z:
             continue
-        p0, p1 = np.searchsorted(kept, [sign * a % n, sign * (z - 1) % n])
+        p0, p1 = sign * a % n - k0, sign * (z - 1) % n - k0
         step = 1 if p1 >= p0 else -1
         stop = p1 + step
         pairs.append((slice(a - start, z - start),
@@ -351,43 +360,33 @@ def _read_blocks(kept, n, start, lo, hi, sign):
     return pairs
 
 
-def _indexer(kept):
-    """The sorted indices `kept` as a slice when they are one run, so that
-    indexing with them gives a view."""
-    if kept[-1] - kept[0] + 1 == kept.size:
-        return slice(int(kept[0]), int(kept[-1]) + 1)
-    kept.setflags(write=False)
-    return kept
-
-
 @functools.lru_cache(maxsize=256)
 def _unfolding(n, bounds):
     """How `_hartley` reads the window with per-axis node bounds (lo, hi)
     of an n^d grid, worked out once per window: (read, blocks).  `read`
-    is the indexer of the transform indices kept along each axis (every
-    one for the whole grid); `blocks` lists (op, dst, src) with `op`
-    np.add for nodes read at x and np.subtract for nodes read at -x mod
-    n."""
+    is, per axis, the slice of transform indices kept, from the least to
+    the greatest that the window and its mirror image read (so disjoint
+    direct and mirrored rows keep the rows between them too); `blocks`
+    lists (op, dst, src) with `op` np.add for nodes read at x and
+    np.subtract for nodes read at -x mod n."""
     h = n // 2
     lo, hi = bounds[-1]
     # last-axis nodes read at x (direct) and at -x mod n (mirrored)
     parts = [(1, np.add, lo, min(hi, h + 1)),
              (-1, np.subtract, max(lo, h + 1), hi)]
     parts = [p for p in parts if p[2] < p[3]]
-    kept = [np.unique(np.concatenate([sign * np.arange(a, z) % n
-                                      for sign, *_ in parts]))
+    read = [_span(n, [(sign, a, z) for sign, *_ in parts])
             for a, z in bounds[:-1]]
-    kept.append(np.unique(np.concatenate([sign * np.arange(u, v) % n
-                                          for sign, _, u, v in parts])))
+    read.append(_span(n, [(sign, u, v) for sign, _, u, v in parts]))
     blocks = []
     for sign, op, u, v in parts:
-        axes = [_read_blocks(k, n, a, a, z, sign)
-                for k, (a, z) in zip(kept, bounds[:-1])]
-        axes.append(_read_blocks(kept[-1], n, lo, u, v, sign))
+        axes = [_read_blocks(r.start, n, a, a, z, sign)
+                for r, (a, z) in zip(read, bounds[:-1])]
+        axes.append(_read_blocks(read[-1].start, n, lo, u, v, sign))
         for pairs in itertools.product(*axes):
             blocks.append((op, tuple(t for t, _ in pairs),
                            tuple(s for _, s in pairs)))
-    return tuple(_indexer(k) for k in kept), tuple(blocks)
+    return tuple(read), tuple(blocks)
 
 
 def _hartley(slabs, shape, window=None):

@@ -13,7 +13,6 @@ through the spectral product.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -310,8 +309,8 @@ class MollifierSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "fejer"):
             raise ValidationError(f"unknown mollifier kind {self.kind!r}")
-        if not (self.epsilon > 0):
-            raise ValidationError("mollifier scale epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValidationError("mollifier epsilon must be finite and positive")
         if self.kind == "fejer" and self.dimension != 1:
             raise ValidationError("the built-in Fejer profile is one-dimensional")
         if self.dimension not in (1, 2, 3):
@@ -519,8 +518,8 @@ def spec_to_json(spec: KernelSpec, moll: MollifierSpec):
 
 
 def spec_from_json(doc):
-    if isinstance(doc, str):
-        doc = json.loads(doc)
+    """(KernelSpec, MollifierSpec) from a parsed kernel section, a dict
+    as `spec_to_json` writes it; every value passes the specs' checks."""
     for name in ("remainder", "mollifier"):
         parse_object(doc.get(name, {}), name)
     spec = KernelSpec(dimension=int(doc["dimension"]),

@@ -11,8 +11,9 @@ volume fraction (exact per-axis overlap on a box's slab, `_slab`; 3^d
 subsampling of the cells of a ball's bounding slab).  Every region mass
 in gmclab goes through one pair: `_region_weights` checks a region
 against a grid and builds its weights once, and `_RegionWeights.mass`
-reduces cell masses, or the covered cells of a FieldSample, with them;
-`_tile_masses` sums the whole-cell tiles of the moment-scaling window.
+reduces cell masses, or the covered cells of a FieldSample drawn on the
+region's window, with them; `_tile_masses` sums the whole-cell tiles of
+the moment-scaling window.
 The weights carry the region's bounding slab as a `window`: samples
 drawn for one region are drawn on it (`SpectralPlan.sample(...,
 window=weights.window)`), so only the nodes the region reads are
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .field import (FieldSample, GridSpec, SpectralPlan, _philox,
+from .field import (FieldSample, GridSpec, SpectralPlan, _philox, _window,
                     read_grid_file, write_grid_file)
 from .report import write_table
 
@@ -110,8 +111,9 @@ class Box:
     def __post_init__(self):
         lo = tuple(float(v) for v in np.atleast_1d(self.lo))
         hi = tuple(float(v) for v in np.atleast_1d(self.hi))
-        if len(lo) != len(hi) or any(b <= a for a, b in zip(lo, hi)):
-            raise ValidationError("box needs lo < hi per axis")
+        if len(lo) != len(hi) or not np.all(np.isfinite(lo + hi)) \
+                or any(b <= a for a, b in zip(lo, hi)):
+            raise ValidationError("box needs finite bounds, lo < hi per axis")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -130,8 +132,9 @@ class Ball:
 
     def __post_init__(self):
         center = tuple(float(v) for v in np.atleast_1d(self.center))
-        if not (self.radius > 0):
-            raise ValidationError("ball radius must be positive")
+        if not (np.all(np.isfinite(center)) and 0 < self.radius < np.inf):
+            raise ValidationError("ball needs a finite centre and a finite "
+                                  "positive radius")
         object.__setattr__(self, "center", center)
 
     @property
@@ -232,19 +235,18 @@ class _RegionWeights:
 
     def mass(self, source):
         """Region mass from cell masses on the window (`masses[window]` of
-        a whole-grid array), or from a FieldSample drawn on the window or
-        on the whole grid, of which only the selected cells are
-        exponentiated.  Either way the contraction runs over a contiguous
-        copy of the selected cells, so every source rounds alike."""
+        a whole-grid array), or from a FieldSample drawn on the window
+        (`SpectralPlan.sample(..., window=self.window)`), of which only
+        the selected cells are exponentiated; a sample drawn on any other
+        window, or on the whole grid for a smaller region, is refused.
+        Either way the contraction runs over a contiguous copy of the
+        selected cells, so both sources round alike."""
         if isinstance(source, FieldSample):
-            if source.window is None:
-                values = source.values[self.window]
-            elif source.window == self.window:
-                values = source.values
-            else:
+            # a window covering the whole grid is drawn as the whole grid
+            if source.window != _window(source.grid, self.window):
                 raise ValidationError("the sample was drawn on another "
                                       "window than the region's")
-            vals = _cell_masses(values[self.local], source.variance,
+            vals = _cell_masses(source.values[self.local], source.variance,
                                 self.cell_volume)
         else:
             vals = np.ascontiguousarray(source[self.local])

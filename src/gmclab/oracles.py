@@ -251,7 +251,6 @@ def convex_comparison_check(spec_x: GaussianVectorSpec,
 _SUP_F = {
     "positive_part": lambda u, a: np.maximum(u, 0.0),
     "identity": lambda u, a: u,
-    "smoothed_indicator": lambda u, a: 0.5 * (1.0 + np.tanh((u - a) / 0.25)),
 }
 
 

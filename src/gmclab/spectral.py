@@ -19,17 +19,14 @@ positive-definiteness checker.
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0, j1, jv, sici
+from scipy.special import j0, j1, sici
 
 from .errors import GateError, ValidationError
-from .report import write_table
 
 __all__ = [
     "si_minus_sin",
@@ -68,8 +65,6 @@ def si_minus_sin(x):
             total += term
             k += 1
             term = term * (-x2) * (k * (2 * k - 1)) / ((k - 1) * (2 * k + 1) * (2 * k) * (2 * k + 1))
-            if k > 12:
-                break
         out[small] = total
     big = ~small
     if np.any(big):
@@ -197,12 +192,12 @@ _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi, 4: 2.0 * np.pi ** 2}
 
 
 def sphere_area(d):
-    """Surface area of the unit sphere in R^d (2, the two points, in d = 1)."""
-    return _SPHERE_AREA.get(d, 2.0 * np.pi ** (d / 2.0) / math.gamma(d / 2.0))
+    """Surface area of the unit sphere in R^d, d = 1..4 (2 in d = 1)."""
+    return _SPHERE_AREA[d]
 
 
-# J_nu for the orders of d = 2, 3, 4; J_1/2 in its elementary form,
-# because scipy's general jv is markedly slower there
+# J_nu for d = 2, 3, 4; J_1/2 in its elementary form, because scipy's
+# general-order Bessel function is markedly slower there
 _BESSEL = {0.0: j0,
            0.5: lambda x: np.sqrt(2.0 / (np.pi * x)) * np.sin(x),
            1.0: j1}
@@ -212,7 +207,7 @@ def radial_fourier(profile, d, xi, support):
     """Radial Fourier transform of a compactly supported radial profile.
 
     profile : callable rho-array -> values (radial profile f(rho))
-    d       : dimension >= 1
+    d       : dimension, 1..4
     xi      : evaluation frequency (>= 0, scalar)
     support : upper integration limit (profile negligible beyond it)
 
@@ -235,15 +230,15 @@ def radial_fourier_grid(profile, d, xi, support):
     Neighbouring frequencies with the same panel count share their panels,
     so `profile` is evaluated once per run of equal panels at each of the
     two orders; only the current run is held.  An increasing grid makes
-    the runs long.
+    the runs long.  Supports d = 1..4, as `logplus_hat` does.
     """
-    if d < 1:
-        raise ValidationError("dimension must be >= 1")
+    if d not in (1, 2, 3, 4):
+        raise ValidationError("radial_fourier_grid supports d in 1..4")
     xi = np.asarray(xi, dtype=float)
     if np.any(xi < 0):
         raise ValidationError("xi must be nonnegative")
     nu = (d - 2) / 2.0
-    bessel = _BESSEL.get(nu, lambda x: jv(nu, x))
+    bessel = _BESSEL.get(nu)      # None in d = 1, which uses the cosine
     vals = np.empty_like(xi)
     errs = np.empty_like(xi)
     run = None                    # panel count of the current run
@@ -288,39 +283,14 @@ CERT_INDETERMINATE = "indeterminate"
 
 @dataclass
 class SpectralProfile:
-    """Tabulated radial spectral density with a grid-based certificate."""
+    """Tabulated radial spectral density with a grid-based certificate,
+    the in-memory result of `check_positive_definite` (no file format)."""
 
     dimension: int
     xi: np.ndarray
     fhat: np.ndarray
     err: np.ndarray
     certificate: str = CERT_INDETERMINATE
-    meta: dict = field(default_factory=dict)
-
-    def write(self, csv_path):
-        """CSV columns (xi, fhat, err) plus a JSON sidecar (the CSV path
-        with ".json" appended) with the verdict."""
-        write_table(csv_path, ["xi", "fhat", "err"],
-                    zip(self.xi, self.fhat, self.err),
-                    {"dimension": self.dimension,
-                     "certificate": self.certificate,
-                     "points": int(len(self.xi)), **self.meta})
-
-    @staticmethod
-    def read(csv_path):
-        xi, fhat, err = [], [], []
-        with open(csv_path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                xi.append(float(row["xi"]))
-                fhat.append(float(row["fhat"]))
-                err.append(float(row["err"]))
-        with open(str(csv_path) + ".json") as fh:
-            side = json.load(fh)
-        return SpectralProfile(dimension=side.pop("dimension"),
-                               xi=np.asarray(xi), fhat=np.asarray(fhat),
-                               err=np.asarray(err),
-                               certificate=side.pop("certificate"),
-                               meta=side)
 
 
 def default_check_grid(support):
@@ -373,5 +343,4 @@ def check_positive_definite(profile, d, support=1.0):
         cert = CERT_OSCILLATING if (pos_up and neg_up) else CERT_INDETERMINATE
 
     return SpectralProfile(dimension=d, xi=xi, fhat=vals, err=errs,
-                           certificate=cert,
-                           meta={"support": support, "order": _QUAD_ORDER})
+                           certificate=cert)

@@ -314,6 +314,23 @@ DISSIPATION = {"kind": "dissipation", "radii": [0.5, 0.45, 0.4]}
                   "ladder": DEGENERACY_LADDER}, ["--replicas", "1"]),
     ("estimate", {"kernel": D3_KERNEL, "grid": {"n": 32}, "mollifier": DROP,
                   "estimate": DISSIPATION, "replicas": 1}, []),
+    ("simulate", {"ladder": {"epsilons": [float("nan")]},
+                  "grid": {"n": 1024}}, []),
+    ("simulate", {"ladder": {"epsilons": [float("inf"), 0.01]},
+                  "grid": {"n": 1024}}, []),
+    ("simulate", {"grid": {"n": 1024, "length": float("inf")}}, []),
+    ("estimate", {"mollifier": {"kind": "gaussian", "epsilon": float("inf")},
+                  "estimate": {"kind": "mrw"}}, []),
+    ("estimate", {"estimate": {"kind": "scale-invariance",
+                               "eps_a": float("inf")}}, []),
+    ("estimate", {"kernel": D3_KERNEL, "grid": {"n": 32}, "mollifier": DROP,
+                  "estimate": {"kind": "dissipation",
+                               "radii": [float("inf"), 0.45]}}, []),
+    ("estimate", {"estimate": {"kind": "scale-invariance",
+                               "side": float("nan")}}, []),
+    ("estimate", {"ladder": DEGENERACY_LADDER,
+                  "estimate": {"kind": "degeneracy",
+                               "region_side": float("nan")}}, []),
 ], ids=["n_times-negative", "n_times-zero", "t_max-zero", "t_max-negative",
         "regions-unknown", "zeta-replicas-negative", "zeta-replicas-zero",
         "scale-invariance-replicas-zero", "mrw-replicas-zero",
@@ -326,7 +343,11 @@ DISSIPATION = {"kind": "dissipation", "radii": [0.5, 0.45, 0.4]}
         "simulate-seed-negative", "mrw-seed-flag-negative",
         "lambda2-infinite", "scale-infinite", "remainder-constant-infinite",
         "zeta-replicas-one", "scale-invariance-replicas-one",
-        "degeneracy-replicas-one", "dissipation-replicas-one"])
+        "degeneracy-replicas-one", "dissipation-replicas-one",
+        "epsilons-nan", "epsilons-infinite", "grid-length-infinite",
+        "mrw-mollifier-epsilon-infinite", "scale-invariance-eps_a-infinite",
+        "dissipation-radius-infinite", "scale-invariance-side-nan",
+        "degeneracy-region_side-nan"])
 def test_out_of_range_settings_are_refused(tmp_path, capsys,
                                            command, overrides, flags):
     assert_refused(tmp_path, capsys, command, overrides, flags)

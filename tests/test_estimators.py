@@ -96,6 +96,28 @@ def test_moment_scaling_refuses_window_narrower_than_largest_scale(regions):
                            regions=regions)
 
 
+def test_moment_scaling_ball_moments_are_region_masses_in_d2():
+    # p = 1 and one replica: each row is the mean ball mass, balls on the
+    # d = 2 lattice of centres that `_ball_centers` lays out
+    kernel = kn.KernelSpec(2, 0.5, 1.0)
+    moll = kn.MollifierSpec("gaussian", 2.0 ** -8, 2)
+    grid = fd.GridSpec(2, 2 ** 11, 2.5)
+    cs = [2.0 ** -k for k in range(6, 1, -1)]
+    rep = est.moment_scaling(kernel, moll, grid, [1.0], cs, seed=5,
+                             n_replicas=1, regions="balls")
+    plan = fd.SpectralPlan(fd.build_ladder(kernel, moll, (moll.epsilon,)),
+                           grid)
+    m = ms.exponentiate(plan.sample(5, 0))
+    halfwidth = (grid.length - 2 * kernel.scale) / 2.0
+    assert len(rep.rows) == len(cs)
+    for row in rep.rows:
+        centers = est._ball_centers(grid, halfwidth, row.c)
+        assert len(centers) == max(1, int(halfwidth // row.c)) ** 2
+        want = np.mean([ms.region_mass(m, ms.Ball(ctr, row.c), margin=0.0)
+                        for ctr in centers])
+        assert abs(row.moment - want) <= 1e-12 * want
+
+
 def test_moment_scaling_mean_slope_is_dimension():
     kernel, moll, grid = _small_setup()
     cs = [2.0 ** -k for k in range(7, 2, -1)]

@@ -34,6 +34,9 @@ def test_grid_validation():
         fd.GridSpec(1, 64, -1.0)
     with pytest.raises(ValidationError):
         fd.GridSpec(5, 64, 4.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValidationError, match="finite"):
+            fd.GridSpec(1, 64, bad)
     g = fd.GridSpec(2, 64, 4.0)
     assert g.origin == (-2.0, -2.0)
     assert g.step == 0.0625
@@ -114,6 +117,9 @@ def test_ladder_rejects_bad_schedules():
         fd.build_ladder(kernel, moll, (0.1, 0.2))       # increasing
     with pytest.raises(ValidationError):
         fd.build_ladder(kernel, moll, (0.1, -0.05))
+    for bad in [(np.nan,), (np.inf, 0.01), (0.1, np.nan)]:
+        with pytest.raises(ValidationError, match="finite"):
+            fd.build_ladder(kernel, moll, bad)
 
 
 def test_ladder_rejects_negative_weights():
@@ -215,6 +221,12 @@ def _windows(d, n):
              "whole": slice(0, n)}
     out = {name: (s,) * d for name, s in kinds.items()}
     out["mixed"] = tuple(list(kinds.values())[ax] for ax in range(d))
+    if d > 1 and n >= 32:
+        # the last axis holds nodes on both sides of n/2, so the leading
+        # axes read rows k+2, k+3 and, disjoint from them, their mirror
+        # images n-k-3, n-k-2 (at n = 64: (slice(10, 12), slice(3, 60)))
+        out["disjoint-mirror"] = ((slice(k + 2, k + 4),) * (d - 1)
+                                  + (slice(3, n - 4),))
     return out
 
 

@@ -211,6 +211,9 @@ def test_mollifier_validation():
         kn.MollifierSpec("gaussian", 0.0, 1)
     with pytest.raises(ValidationError):
         kn.MollifierSpec("boxcar", 0.1, 1)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValidationError, match="finite"):
+            kn.MollifierSpec("gaussian", bad, 1)
 
 
 # ----------------------------------------------------------------------
@@ -298,7 +301,7 @@ def test_spec_json_roundtrip():
     parsed = json.loads(doc)
     assert set(parsed) == {"dimension", "lambda2", "scale", "remainder",
                            "mollifier"}
-    spec2, moll2 = kn.spec_from_json(doc)
+    spec2, moll2 = kn.spec_from_json(parsed)
     assert spec2.dimension == 2 and spec2.lam2 == 0.7 and spec2.scale == 1.5
     assert spec2.remainder.value == 0.1
     assert moll2.kind == "gaussian" and moll2.epsilon == 0.02

@@ -139,12 +139,35 @@ def test_windowed_sample_mass_is_region_mass(region):
     weights = ms._region_weights(grid, region, 0.0)
     whole = plan.sample(4, 1)
     windowed = plan.sample(4, 1, window=weights.window)
-    assert weights.mass(windowed) == weights.mass(whole)
     assert weights.mass(windowed) == ms.region_mass(ms.exponentiate(whole),
                                                     region, margin=0.0)
-    other = plan.sample(4, 1, window=(slice(0, 8), slice(0, 8)))
-    with pytest.raises(ValidationError):
-        weights.mass(other)
+    for other in [whole, plan.sample(4, 1, window=(slice(0, 8),) * 2)]:
+        with pytest.raises(ValidationError, match="another window"):
+            weights.mass(other)
+
+
+def test_region_spanning_the_grid_takes_the_whole_grid_sample():
+    # a window covering the whole grid is drawn as the whole grid
+    grid = fd.GridSpec(1, 2 ** 6, 4.0)
+    plan = fd.SpectralPlan(
+        fd.build_ladder(kn.KernelSpec(1, 0.5, 1.0),
+                        kn.MollifierSpec("gaussian", 0.2, 1), (0.2,)), grid)
+    box = ms.Box((-2.0 - grid.step / 2,), (2.0 - grid.step / 2,))
+    trace = ms.convergence_trace(plan, box, 4, 1)
+    m = ms.exponentiate(plan.sample(4, 0))
+    assert trace.masses[0, 0] == ms.region_mass(m, box, margin=0.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda bad: ms.Box((bad,), (1.0,)),
+    lambda bad: ms.Box((0.0, 0.0), (1.0, bad)),
+    lambda bad: ms.Ball((0.0, bad), 0.5),
+    lambda bad: ms.Ball((0.0,), bad),
+], ids=["box-lo", "box-hi", "ball-centre", "ball-radius"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_regions_refuse_non_finite_bounds(make, bad):
+    with pytest.raises(ValidationError, match="finite"):
+        make(bad)
 
 
 def test_fractional_boundary_cells():

@@ -5,7 +5,6 @@ import numpy as np
 
 from gmclab import estimators as est
 from gmclab import measure as ms
-from gmclab import spectral as sp
 
 
 def written(path):
@@ -71,20 +70,6 @@ def test_dissipation_report_bytes(tmp_path):
         "0.25,1e-300,2.0,0.75,0.125,3.0\r\n",
         '{\n  "slope": 0.5,\n  "slope_se": 0.1,\n  "intercept": -0.25,\n'
         '  "replicas": 2\n}')
-
-
-def test_spectral_profile_bytes(tmp_path):
-    prof = sp.SpectralProfile(
-        dimension=3, xi=np.array([0.1, 2.0]), fhat=np.array([1e-300, -2.5]),
-        err=np.array([0.30000000000000004, 0.0]),
-        certificate=sp.CERT_OSCILLATING, meta={"support": 1.0, "order": 64})
-    prof.write(tmp_path / "prof.csv")
-    assert written(tmp_path / "prof.csv") == (
-        "xi,fhat,err\r\n"
-        "0.1,1e-300,0.30000000000000004\r\n"
-        "2.0,-2.5,0.0\r\n",
-        '{\n  "dimension": 3,\n  "certificate": "sign-oscillating",\n'
-        '  "points": 2,\n  "support": 1.0,\n  "order": 64\n}')
 
 
 def test_mrw_and_dissipation_sample_bytes(tmp_path):

@@ -139,11 +139,7 @@ def test_checker_refuses_a_support_that_is_not_finite_and_positive(support):
         sp.check_positive_definite(_log_profile, 3, support=support)
 
 
-def test_profile_csv_roundtrip(tmp_path):
-    rep = sp.check_positive_definite(_log_profile, 3, support=1.0)
-    path = tmp_path / "prof.csv"
-    rep.write(path)
-    back = sp.SpectralProfile.read(path)
-    assert back.certificate == rep.certificate
-    assert back.dimension == 3
-    np.testing.assert_allclose(back.fhat, rep.fhat, rtol=0, atol=0)
+@pytest.mark.parametrize("d", [0, 5])
+def test_radial_transform_refuses_a_dimension_outside_1_to_4(d):
+    with pytest.raises(ValidationError, match="d in 1..4"):
+        sp.radial_fourier_grid(_log_profile, d, [0.0, 1.0], 1.0)
