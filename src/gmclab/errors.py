@@ -20,8 +20,12 @@ class GateError(RuntimeError):
 
 
 def parse_number(value, convert, name):
-    """convert(value) for a numeric setting; a value that does not convert
-    is refused with a ValidationError naming the setting."""
+    """convert(value) for a numeric setting; a value that does not convert,
+    or a bool or non-integral number given for an int, is refused with a
+    ValidationError naming the setting."""
+    if convert is int and (isinstance(value, bool) or (
+            isinstance(value, float) and not value.is_integer())):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError):

@@ -596,22 +596,17 @@ class SpectralPlan:
 
     def discrete_covariance(self):
         """Exact grid covariance of the field the plan synthesizes at its
-        finest stage, as an array over lag indices: the transform of the
-        sum of the clipped shell weights, whose even weight leaves only the
-        cosine part."""
+        finest stage, as an array over lag indices: the transform, as one
+        slab, of the sum of the clipped shell weights, whose even weight
+        leaves only the cosine part."""
         grid = self.grid
-        n, d = grid.n, grid.dimension
         index, _, _ = _half_lattice(grid)
-        cell = 1.0 / grid.length ** d
+        cell = 1.0 / grid.length ** grid.dimension
         half = (self._spectrum * cell)[index]
-
-        def slabs():
-            for rows, blocks in _slabs(n, d):
-                b = np.empty((rows.stop - rows.start,) + grid.shape[1:])
-                for dst, src in blocks:
-                    b[dst] = half[src]
-                yield b
-        return _hartley(slabs(), grid.shape)
+        b = np.empty(grid.shape)
+        for dst, src in _mirror_blocks(grid.n, grid.dimension):
+            b[dst] = half[src]
+        return _hartley([b], grid.shape)
 
 
 # ----------------------------------------------------------------------
@@ -642,22 +637,22 @@ def read_grid_file(path):
     return header, grid, values
 
 
+# the provenance in field and measure file headers, as attribute names
+_PROVENANCE = ("epsilon", "seed", "replica", "stage", "ladder_digest")
+
+
 def write_field(path, sample: FieldSample):
     if sample.window is not None:
         raise ValidationError("a windowed sample holds only part of its "
                               "grid and cannot be written")
     write_grid_file(path, sample.grid, sample.values, {
-        "kind": "field", "epsilon": sample.epsilon,
-        "variance": sample.variance, "seed": sample.seed,
-        "replica": sample.replica, "stage": sample.stage,
-        "ladder_digest": sample.ladder_digest, "synthesis": SYNTHESIS})
+        "kind": "field", "variance": sample.variance, "synthesis": SYNTHESIS,
+        **{k: getattr(sample, k) for k in _PROVENANCE}})
 
 
 def read_field(path):
     header, grid, values = read_grid_file(path)
     if header.get("kind") != "field":
         raise ValidationError("grid file does not hold a field")
-    return FieldSample(grid=grid, epsilon=header["epsilon"], values=values,
-                       variance=header["variance"], seed=header["seed"],
-                       replica=header["replica"], stage=header["stage"],
-                       ladder_digest=header["ladder_digest"])
+    return FieldSample(grid=grid, values=values, variance=header["variance"],
+                       **{k: header[k] for k in _PROVENANCE})

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral
-from .errors import GateError, ValidationError, parse_object
+from .errors import GateError, ValidationError, parse_number, parse_object
 
 __all__ = [
     "Remainder",
@@ -522,7 +522,8 @@ def spec_from_json(doc):
     as `spec_to_json` writes it; every value passes the specs' checks."""
     for name in ("remainder", "mollifier"):
         parse_object(doc.get(name, {}), name)
-    spec = KernelSpec(dimension=int(doc["dimension"]),
+    spec = KernelSpec(dimension=parse_number(doc["dimension"], int,
+                                             "kernel.dimension"),
                       lam2=float(doc["lambda2"]),
                       scale=float(doc.get("scale", 1.0)),
                       remainder=Remainder.from_json(doc.get("remainder")))

@@ -11,16 +11,17 @@ volume fraction (exact per-axis overlap on a box's slab, `_slab`; 3^d
 subsampling of the cells of a ball's bounding slab).  Every region mass
 in gmclab goes through one pair: `_region_weights` checks a region
 against a grid and builds its weights once, and `_RegionWeights.mass`
-reduces cell masses, or the covered cells of a FieldSample drawn on the
-region's window, with them; `_tile_masses` sums the whole-cell tiles of
-the moment-scaling window.
-The weights carry the region's bounding slab as a `window`: samples
-drawn for one region are drawn on it (`SpectralPlan.sample(...,
-window=weights.window)`), so only the nodes the region reads are
-transformed, and cell masses of a whole grid enter as `masses[window]`.
-`convergence_trace` is the one loop that draws replicas this way and
-reduces them to region masses; the estimators' dissipation, scale
-invariance and degeneracy ensembles all come from it.
+contracts the masses of the region's selected cells with them;
+`_tile_masses` sums the whole-cell tiles of the moment-scaling window.
+The weights carry the region's bounding slab as a `window` and the
+region's cells within it as `local`: cell masses of a whole grid enter
+as `masses[window][local]`, and samples drawn for one region are drawn
+on the window (`SpectralPlan.sample(..., window=weights.window)`), so
+only the nodes the region reads are transformed and only its cells are
+exponentiated (`values[local]`).  `convergence_trace` is the one loop
+that draws replicas this way and reduces them to region masses; the
+estimators' dissipation, scale invariance and degeneracy ensembles all
+come from it.
 
 On top of the d=1 measure sits the time-changed Brownian path
 X(t) = B(m[0,t]).  The dissipation variables eps_l of the d=3 measure are
@@ -36,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .field import (FieldSample, GridSpec, SpectralPlan, _philox, _window,
-                    read_grid_file, write_grid_file)
+from .field import (FieldSample, GridSpec, SpectralPlan, _PROVENANCE,
+                    _philox, read_grid_file, write_grid_file)
 from .report import write_table
 
 __all__ = [
@@ -86,7 +87,7 @@ def _cell_masses(values, variance, cell_volume):
 def exponentiate(sample: FieldSample) -> ChaosMeasure:
     """The measure of a sample, normalized by the exact variance v carried
     by the sample; deterministic given the sample.  A windowed sample has
-    no whole-grid measure: reduce it with `_RegionWeights.mass`."""
+    no whole-grid measure: `convergence_trace` reduces its region's cells."""
     if sample.window is not None:
         raise ValidationError("a windowed sample covers only part of its "
                               "grid and has no whole-grid measure")
@@ -233,23 +234,11 @@ class _RegionWeights:
         return float(np.prod([np.sum(w) for w in self.fractions])) \
             * self.cell_volume
 
-    def mass(self, source):
-        """Region mass from cell masses on the window (`masses[window]` of
-        a whole-grid array), or from a FieldSample drawn on the window
-        (`SpectralPlan.sample(..., window=self.window)`), of which only
-        the selected cells are exponentiated; a sample drawn on any other
-        window, or on the whole grid for a smaller region, is refused.
-        Either way the contraction runs over a contiguous copy of the
-        selected cells, so both sources round alike."""
-        if isinstance(source, FieldSample):
-            # a window covering the whole grid is drawn as the whole grid
-            if source.window != _window(source.grid, self.window):
-                raise ValidationError("the sample was drawn on another "
-                                      "window than the region's")
-            vals = _cell_masses(source.values[self.local], source.variance,
-                                self.cell_volume)
-        else:
-            vals = np.ascontiguousarray(source[self.local])
+    def mass(self, cells):
+        """Region mass from the masses of the selected cells,
+        `masses[window][local]`, contracted over a contiguous copy so
+        that every caller rounds alike."""
+        vals = np.ascontiguousarray(cells)
         for w in self.fractions:
             vals = np.tensordot(vals, w, axes=([0], [0]))
         return float(vals)
@@ -289,7 +278,7 @@ def region_mass(measure: ChaosMeasure, region, margin=None):
     one mollification width (override with `margin`)."""
     margin = measure.epsilon if margin is None else margin
     weights = _region_weights(measure.grid, region, margin)
-    return weights.mass(measure.cell_masses[weights.window])
+    return weights.mass(measure.cell_masses[weights.window][weights.local])
 
 
 # ----------------------------------------------------------------------
@@ -314,15 +303,16 @@ def convergence_trace(plan: SpectralPlan, region, seed, n_replicas):
     scale-invariance box masses).  Non-convergence is data, not an
     error."""
     lad, grid = plan.ladder, plan.grid
-    n_stages = lad.n_stages
-    masses = np.empty((n_replicas, n_stages))
+    masses = np.empty((n_replicas, lad.n_stages))
     weights = _region_weights(grid, region, 0.0)
+    local, cell_volume = weights.local, grid.cell_volume
     for rep in range(n_replicas):
         sample = plan.sample(seed, rep, stage=0, window=weights.window)
-        masses[rep, 0] = weights.mass(sample)
-        for k in range(1, n_stages):
-            sample = plan.refine(sample)
-            masses[rep, k] = weights.mass(sample)
+        for k in range(lad.n_stages):
+            if k:
+                sample = plan.refine(sample)
+            masses[rep, k] = weights.mass(_cell_masses(
+                sample.values[local], sample.variance, cell_volume))
     return TraceResult(epsilons=lad.epsilons, masses=masses,
                        volume=weights.volume)
 
@@ -382,21 +372,17 @@ def quadratic_variation(path, every=1):
 
 def write_measure(path, measure: ChaosMeasure):
     write_grid_file(path, measure.grid, measure.cell_masses, {
-        "kind": "measure", "epsilon": measure.epsilon,
-        "variance_used": measure.variance_used, "seed": measure.seed,
-        "replica": measure.replica, "stage": measure.stage,
-        "ladder_digest": measure.ladder_digest})
+        "kind": "measure", "variance_used": measure.variance_used,
+        **{k: getattr(measure, k) for k in _PROVENANCE}})
 
 
 def read_measure(path):
     header, grid, values = read_grid_file(path)
     if header.get("kind") != "measure":
         raise ValidationError("grid file does not hold a measure")
-    return ChaosMeasure(grid=grid, epsilon=header["epsilon"],
-                        cell_masses=values, seed=header["seed"],
-                        replica=header["replica"], stage=header["stage"],
-                        ladder_digest=header["ladder_digest"],
-                        variance_used=header["variance_used"])
+    return ChaosMeasure(grid=grid, cell_masses=values,
+                        variance_used=header["variance_used"],
+                        **{k: header[k] for k in _PROVENANCE})
 
 
 def write_mrw_csv(path, times, paths):

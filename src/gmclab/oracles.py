@@ -137,16 +137,12 @@ _PHI = {
 }
 
 
-def _phi_pair(phi):
-    """('power', alpha) with alpha in (0,1), ('exp_neg',) or ('square',)."""
-    kind = phi[0]
-    if kind not in _PHI:
-        raise ValidationError(f"unsupported test function {phi!r}")
-    alpha = float(phi[1]) if len(phi) > 1 else 0.0
-    if kind == "power" and not (0.0 < alpha < 1.0):
-        raise ValidationError("power test function needs alpha in (0, 1)")
-    f, fdd = _PHI[kind]
-    return (lambda u: f(u, alpha)), (lambda u: fdd(u, alpha))
+def _named(table, spec, what):
+    """(table[spec[0]], its parameter spec[1] or 0.0) for a named test
+    function such as ('power', 0.4) or ('square',)."""
+    if spec[0] not in table:
+        raise ValidationError(f"unsupported {what} function {spec!r}")
+    return table[spec[0]], float(spec[1]) if len(spec) > 1 else 0.0
 
 
 _GH_ORDER = 48  # Gauss-Hermite nodes per dimension; budgets also use 56
@@ -157,11 +153,13 @@ def interpolation_derivative_check(spec_x: GaussianVectorSpec,
                                    spec_y: GaussianVectorSpec,
                                    phi, t):
     """Residual between the finite-difference derivative of
-    E[phi(sum p_i exp(Z_i(t) - var/2))] and the covariance-gap formula.
+    E[phi(sum p_i exp(Z_i(t) - var/2))] and the covariance-gap formula
+    1/2 E[phi''(W) sum_ij (cx - cy)_ij u_i u_j], u_i = p_i e^(Z_i - var/2).
 
     Both sides are tensor Gauss-Hermite expectations (48 nodes per
-    dimension); the budget combines the Richardson estimate of the central
-    difference error with the quadrature difference at 48 and 56 nodes.
+    dimension), the formula one quadrature of its whole double sum; the
+    budget combines the Richardson estimate of the central difference
+    error with the quadrature difference at 48 and 56 nodes.
     """
     if spec_x.size != spec_y.size or spec_x.size > 3:
         raise ValidationError("interpolation check needs matching n <= 3")
@@ -169,11 +167,13 @@ def interpolation_derivative_check(spec_x: GaussianVectorSpec,
         raise ValidationError("t must lie in (0, 1)")
     if not np.allclose(spec_x.weights, spec_y.weights):
         raise ValidationError("weight sequences must agree")
-    f, fdd = _phi_pair(phi)
+    (f, fdd), alpha = _named(_PHI, phi, "test")
+    if phi[0] == "power" and not (0.0 < alpha < 1.0):
+        raise ValidationError("power test function needs alpha in (0, 1)")
     cx, cy, p = spec_x.covariance, spec_y.covariance, spec_x.weights
 
     def phi_of_t(tt, order=_GH_ORDER):
-        return _gh_mean(lambda terms: f(terms.sum(axis=1)),
+        return _gh_mean(lambda terms: f(terms.sum(axis=1), alpha),
                         tt * cx + (1.0 - tt) * cy, p, order)
 
     def fd(h):
@@ -184,17 +184,9 @@ def interpolation_derivative_check(spec_x: GaussianVectorSpec,
     fd_err = abs(lhs - lhs_half) * 4.0 / 3.0
 
     def rhs_at(order=_GH_ORDER):
-        cov = t * cx + (1.0 - t) * cy
-        gap = cx - cy
-        total = 0.0
-        for i in range(spec_x.size):
-            for j in range(spec_x.size):
-                if gap[i, j] == 0.0:
-                    continue
-                total += 0.5 * p[i] * p[j] * gap[i, j] * _gh_mean(
-                    lambda u, i=i, j=j: u[:, i] * u[:, j] / (p[i] * p[j])
-                    * fdd(u.sum(axis=1)), cov, p, order)
-        return total
+        return 0.5 * _gh_mean(
+            lambda u: np.einsum("ni,ij,nj->n", u, cx - cy, u)
+            * fdd(u.sum(axis=1), alpha), t * cx + (1.0 - t) * cy, p, order)
 
     rhs = rhs_at()
     quad_err = abs(rhs - rhs_at(_GH_ORDER + 8)) \
@@ -229,10 +221,7 @@ def convex_comparison_check(spec_x: GaussianVectorSpec,
     gap = spec_y.covariance - spec_x.covariance
     if gap.min() < -1e-12:
         raise ValidationError("need E[X_i X_j] <= E[Y_i Y_j] entrywise")
-    if F[0] not in _CONVEX_F:
-        raise ValidationError(f"unsupported convex function {F!r}")
-    fn = _CONVEX_F[F[0]]
-    arg = float(F[1]) if len(F) > 1 else 0.0
+    fn, arg = _named(_CONVEX_F, F, "convex")
 
     def side(cov, order=_GH_ORDER):
         return _gh_mean(lambda terms: fn(terms.sum(axis=1), arg), cov,
@@ -270,10 +259,7 @@ def sup_comparison_check(spec_x: GaussianVectorSpec,
     off = (spec_y.covariance - spec_x.covariance)[~np.eye(n, dtype=bool)]
     if off.min() < -1e-12:
         raise ValidationError("need off-diagonal E[X_i X_j] <= E[Y_i Y_j]")
-    if F[0] not in _SUP_F:
-        raise ValidationError(f"unsupported increasing function {F!r}")
-    fn = _SUP_F[F[0]]
-    arg = float(F[1]) if len(F) > 1 else 0.0
+    fn, arg = _named(_SUP_F, F, "increasing")
     if n_samples < 100:
         return OracleVerdict(name="sup-comparison", passed=False,
                              certified=False, margin=0.0, budget=np.inf,
@@ -387,20 +373,17 @@ def proof_envelope(theta_abs, z, mass=None):
         if mass is None:
             mass, _ = quad(theta_abs, -np.inf, np.inf, limit=1200)
         term1 = mass / (sz - 1.0) if sz > 1 else np.inf
-        t2, _ = quad(theta_abs, sz, np.inf, limit=1200)
-        t2b, _ = quad(lambda v: theta_abs(-v), sz, np.inf, limit=1200)
-        term2 = np.log(z) * (t2 + t2b)
-        t3, _ = quad(lambda v: theta_abs(v) * (np.log(z) + np.log(abs(v))),
-                     z + 1.0, np.inf, limit=1200)
-        t3b, _ = quad(lambda v: theta_abs(-v) * (np.log(z) + np.log(abs(v))),
-                      z + 1.0, np.inf, limit=1200)
-        term3 = t3 + t3b
-        q2, _ = quad(lambda v: theta_abs(v) ** 2, sz, z + 1.0, limit=400)
-        q2b, _ = quad(lambda v: theta_abs(-v) ** 2, sz, z + 1.0, limit=400)
+        tails = (theta_abs, lambda v: theta_abs(-v))   # v > 0, then v < 0
+        term2 = np.log(z) * sum(quad(th, sz, np.inf, limit=1200)[0]
+                                for th in tails)
+        term3 = sum(quad(lambda v: th(v) * (np.log(z) + np.log(abs(v))),
+                         z + 1.0, np.inf, limit=1200)[0] for th in tails)
+        q2 = sum(quad(lambda v: th(v) ** 2, sz, z + 1.0, limit=400)[0]
+                 for th in tails)
         l2, _ = quad(lambda v: np.log(abs(z - v)) ** 2, sz, z + 1.0,
                      points=[z], limit=800)
         l2b, _ = quad(lambda v: np.log(z + v) ** 2, sz, z + 1.0, limit=400)
-        term4 = np.sqrt(q2 + q2b) * np.sqrt(max(l2, 0.0) + max(l2b, 0.0))
+        term4 = np.sqrt(q2) * np.sqrt(max(l2, 0.0) + max(l2b, 0.0))
     return term1 + term2 + term3 + term4
 
 

@@ -331,6 +331,17 @@ DISSIPATION = {"kind": "dissipation", "radii": [0.5, 0.45, 0.4]}
     ("estimate", {"ladder": DEGENERACY_LADDER,
                   "estimate": {"kind": "degeneracy",
                                "region_side": float("nan")}}, []),
+    ("simulate", {"grid": {"n": 1024.7}}, []),
+    ("simulate", {"replicas": 1.9, "grid": {"n": 1024}}, []),
+    ("simulate", {"seed": 3.5, "grid": {"n": 1024}}, []),
+    ("simulate", {"ladder": {"eps0": 2 ** -5, "shells": 0.9},
+                  "grid": {"n": 1024}}, []),
+    ("simulate", {"grid": {"n": 1024.7}, "replicas": 1.9, "seed": 3.5,
+                  "ladder": {"eps0": 2 ** -5, "shells": 0.9}}, []),
+    ("simulate", {"replicas": True, "grid": {"n": 1024}}, []),
+    ("simulate", {"kernel": {"dimension": 1.5, "lambda2": 0.5,
+                             "scale": 1.0}, "grid": {"n": 1024}}, []),
+    ("estimate", {"estimate": {"kind": "mrw", "n_times": 10.9}}, []),
 ], ids=["n_times-negative", "n_times-zero", "t_max-zero", "t_max-negative",
         "regions-unknown", "zeta-replicas-negative", "zeta-replicas-zero",
         "scale-invariance-replicas-zero", "mrw-replicas-zero",
@@ -347,10 +358,24 @@ DISSIPATION = {"kind": "dissipation", "radii": [0.5, 0.45, 0.4]}
         "epsilons-nan", "epsilons-infinite", "grid-length-infinite",
         "mrw-mollifier-epsilon-infinite", "scale-invariance-eps_a-infinite",
         "dissipation-radius-infinite", "scale-invariance-side-nan",
-        "degeneracy-region_side-nan"])
+        "degeneracy-region_side-nan", "grid-n-fractional",
+        "replicas-fractional", "seed-fractional", "shells-fractional",
+        "all-four-fractional", "replicas-bool", "dimension-fractional",
+        "n_times-fractional"])
 def test_out_of_range_settings_are_refused(tmp_path, capsys,
                                            command, overrides, flags):
     assert_refused(tmp_path, capsys, command, overrides, flags)
+
+
+def test_integral_float_counts_are_accepted(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    write_cfg(cfg, replicas=2.0, seed=3.0, grid={"n": 1024.0, "length": 4.0})
+    out = tmp_path / "o"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "field_r0000.bin", "field_r0001.bin", "manifest.json",
+        "measure_r0000.bin", "measure_r0001.bin"]
+    assert fd.read_field(out / "field_r0001.bin").seed == 3
 
 
 def test_mrw_runs_on_one_replica(tmp_path, capsys):

@@ -658,6 +658,31 @@ def test_field_binary_roundtrip(tmp_path):
     assert raw.shape[0] == s.grid.n
 
 
+def test_field_and_measure_headers_carry_the_same_provenance(tmp_path):
+    grid = fd.GridSpec(1, 4, 2.0)
+    provenance = dict(epsilon=0.125, seed=7, replica=2, stage=1,
+                      ladder_digest="0123456789abcdef")
+    fd.write_field(tmp_path / "f.bin", fd.FieldSample(
+        grid=grid, values=np.zeros(4), variance=0.5, **provenance))
+    ms.write_measure(tmp_path / "m.bin", ms.ChaosMeasure(
+        grid=grid, cell_masses=np.ones(4), variance_used=0.5, **provenance))
+    common = ('{"epsilon": 0.125, "format": "gmclab-grid-v1", "grid": '
+              '{"dimension": 1, "length": 2.0, "n": 4, "origin": [-1.0]}, ')
+    with open(tmp_path / "f.bin", "rb") as fh:
+        assert fh.readline() == (
+            common + '"kind": "field", "ladder_digest": "0123456789abcdef", '
+            '"replica": 2, "seed": 7, "stage": 1, "synthesis": '
+            '"rfftn-hartley-2", "variance": 0.5}\n').encode()
+    with open(tmp_path / "m.bin", "rb") as fh:
+        assert fh.readline() == (
+            common + '"kind": "measure", "ladder_digest": '
+            '"0123456789abcdef", "replica": 2, "seed": 7, "stage": 1, '
+            '"variance_used": 0.5}\n').encode()
+    assert fd.read_field(tmp_path / "f.bin").replica == 2
+    assert ms.read_measure(tmp_path / "m.bin").ladder_digest == \
+        "0123456789abcdef"
+
+
 @settings(max_examples=40, deadline=None)
 @given(d=st.integers(1, 3), log_n=st.integers(2, 4),
        seed=st.integers(0, 2 ** 32 - 1))

@@ -1,8 +1,10 @@
-"""What importing and running gmclab loads, checked in fresh interpreters.
+"""What importing and running gmclab loads, checked in fresh interpreters,
+and what its modules import, checked in their source.
 
-pytest and other test modules load scipy.integrate themselves, so each check
-runs in a child process that starts from nothing but the interpreter.
+pytest and other test modules load scipy.integrate themselves, so each load
+check runs in a child process that starts from nothing but the interpreter.
 """
+import ast
 import json
 import os
 import subprocess
@@ -70,3 +72,22 @@ def test_quadrature_callers_load_quad_on_first_use():
     assert cone > 0
     assert abs(mass - 1.0) < 1e-8
     assert 0 < abs(log_int) <= envelope
+
+
+def test_every_imported_name_is_used():
+    # a name a module imports but never reads is a leftover of a deleted
+    # path; __init__ re-exports, and __future__ imports change the parser
+    unused = []
+    for name in sorted(os.listdir(os.path.join(SRC, "gmclab"))):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        with open(os.path.join(SRC, "gmclab", name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                unused += [f"{name}: {a.asname or a.name}" for a in node.names
+                           if (a.asname or a.name).split(".")[0] not in used]
+    assert unused == []

@@ -87,6 +87,41 @@ def test_interpolation_infinite_quadrature_difference_is_not_certified(
     assert not v.certified and v.inconclusive
 
 
+def test_interpolation_formula_is_the_per_pair_sum_n3():
+    # 1/2 sum_ij (cx - cy)_ij E[u_i u_j phi''(W)], one quadrature per pair
+    cx = np.array([[0.5, 0.1, 0.0], [0.1, 0.4, 0.05], [0.0, 0.05, 0.3]])
+    cy = cx + np.array([[0.2, 0.1, 0.15], [0.1, 0.1, 0.05],
+                        [0.15, 0.05, 0.2]])
+    p, a, t = np.array([1.0, 0.5, 2.0]), 0.25, 0.3
+    v = oc.interpolation_derivative_check(oc.GaussianVectorSpec(cx, p),
+                                          oc.GaussianVectorSpec(cy, p),
+                                          ("power", a), t)
+    cov = t * cx + (1.0 - t) * cy
+    ref = 0.0
+    for i in range(3):
+        for j in range(3):
+            ref += 0.5 * (cx - cy)[i, j] * oc._gh_mean(
+                lambda u, i=i, j=j: u[:, i] * u[:, j] * a * (a - 1.0)
+                * u.sum(axis=1) ** (a - 2.0), cov, p, oc._GH_ORDER)
+    assert ref != 0.0
+    assert v.detail["formula_value"] == pytest.approx(ref, rel=1e-12, abs=0)
+    assert v.passed
+
+
+@pytest.mark.parametrize("check, message", [
+    (lambda s, F: oc.interpolation_derivative_check(s, s, F, 0.5),
+     "unsupported test function"),
+    (lambda s, F: oc.convex_comparison_check(s, s, F),
+     "unsupported convex function"),
+    (lambda s, F: oc.sup_comparison_check(s, s, F),
+     "unsupported increasing function"),
+], ids=["interpolation", "convex", "sup"])
+def test_unknown_test_function_is_refused(check, message):
+    s = oc.GaussianVectorSpec([[0.5, 0.1], [0.1, 0.5]])
+    with pytest.raises(ValidationError, match=message):
+        check(s, ("cube",))
+
+
 def test_interpolation_validations():
     s1 = oc.GaussianVectorSpec([[1.0]])
     s2 = oc.GaussianVectorSpec([[1.0, 0.0], [0.0, 1.0]])
