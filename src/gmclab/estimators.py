@@ -161,6 +161,7 @@ def moment_scaling(kernel: KernelSpec, mollifier: MollifierSpec,
     if regions not in ("boxes", "balls"):
         raise ValidationError(
             f"regions must be 'boxes' or 'balls', got {regions!r}")
+    _refuse_replicas_below(1, n_replicas)
     if not p_list:
         raise ValidationError("p_list must hold at least one moment")
     if not np.all(np.isfinite(p_list + c_list)):
@@ -298,8 +299,7 @@ class ScaleInvarianceReport:
 
     def write(self, path):
         with open(path, "w") as fh:
-            json.dump({k: (list(v) if isinstance(v, tuple) else v)
-                       for k, v in self.__dict__.items()}, fh, indent=2)
+            json.dump(self.__dict__, fh, indent=2)
 
 
 def _ks_two_sample(a, b):
@@ -363,9 +363,12 @@ def run_scale_invariance(kernel: KernelSpec, mollifier_kind, grid: GridSpec,
     the log range, the regime where the rescaling identity
     q_(c eps)(c x) = lam2 ln(1/c) + q_eps(x) is exact); cA masses are
     sampled at mollification c * eps_a so both ensembles see the same
-    relative smoothing.  Requires the pure log kernel (g = 0).
+    relative smoothing.  Requires the pure log kernel (g = 0) and c in
+    (0, 1], both checked before any replica is drawn.
     """
-    _refuse_one_replica(n_replicas)
+    if not 0 < c <= 1:
+        raise ValidationError(f"c must lie in (0, 1], got {c!r}")
+    _refuse_replicas_below(2, n_replicas)
     if not kernel.remainder.is_zero:
         raise ValidationError(
             "scale invariance holds for the pure log kernel only (g = 0)")
@@ -384,12 +387,13 @@ def run_scale_invariance(kernel: KernelSpec, mollifier_kind, grid: GridSpec,
     return rep
 
 
-def _refuse_one_replica(n_replicas):
-    """The spread across replicas that an estimate's standard errors and
-    tests read needs two replicas or more."""
-    if n_replicas < 2:
-        raise ValidationError(f"a spread across replicas needs n_replicas "
-                              f">= 2, got {n_replicas!r}")
+def _refuse_replicas_below(least, n_replicas):
+    """A mean over replicas needs one replica or more, and the spread
+    across replicas that an estimate's standard errors and tests read
+    needs two or more."""
+    if n_replicas < least:
+        raise ValidationError(f"the estimate needs n_replicas >= {least}, "
+                              f"got {n_replicas!r}")
 
 
 def _ln_box_masses(kernel, mollifier_kind, grid, side, eps, seed, n):
@@ -442,7 +446,7 @@ def degeneracy_scan(lam2_list, dimension, scale, mollifier_kind,
     plateau below it: a plateau when the moment's relative change over the
     last two shells stays below `PLATEAU_TOL`.
     """
-    _refuse_one_replica(n_replicas)
+    _refuse_replicas_below(2, n_replicas)
     if len(epsilons) < 5:
         raise ValidationError("ladder needs enough shells to see decay")
     if len(lam2_list) == 0:
@@ -520,7 +524,7 @@ def lognormality_report(samples_by_radius, scale):
         skew = float((cen ** 3).mean() / m2 ** 1.5)
         skz.append(skew / np.sqrt(6.0 / n))
     slope, intercept, slope_se, _ = _wls_line(np.log(scale / np.asarray(radii)),
-                                              V, np.asarray(SEv) / 1.0)
+                                              V, SEv)
     return DissipationReport(
         radii=tuple(float(l) for l in radii), variances=tuple(map(float, V)),
         variance_ses=tuple(map(float, SEv)), means=tuple(means),
@@ -542,8 +546,9 @@ def run_dissipation(lam2, scale, radii, seed, n_replicas, mean_eps=1.0,
     contamination (the log kernel vanishes beyond R, so periodic images
     at distance >= L - 2l >= R + margin contribute nothing), which keeps
     eps resolved: eps >= 2.5 * step is enforced.  The slope fit needs at
-    least two radii, each given once.
+    least two radii, each given once, and at least one replica.
     """
+    _refuse_replicas_below(1, n_replicas)
     if len(radii) < 2 or len(set(radii)) != len(radii):
         raise ValidationError(f"the Var(ln eps_l) fit needs two or more "
                               f"distinct radii, each once, got {radii!r}")

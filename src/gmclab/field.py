@@ -77,6 +77,8 @@ __all__ = [
     "FieldSample",
     "write_grid_file",
     "read_grid_file",
+    "write_field",
+    "read_field",
 ]
 
 SYNTHESIS = "rfftn-hartley-2"

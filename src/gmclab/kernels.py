@@ -99,8 +99,6 @@ class Remainder:
 
     @staticmethod
     def from_json(doc):
-        if doc is None:
-            return Remainder("zero")
         kind = doc.get("kind", "zero")
         if kind == "table":
             radii, values = doc["table"]
@@ -184,10 +182,8 @@ def _lens(d, radius, dist):
     if d == 2:
         out[open_] = 2.0 * r * r * np.arccos(s / (2.0 * r)) \
             - 0.5 * s * np.sqrt(4.0 * r * r - s * s)
-    elif d == 3:
+    else:  # d == 3, the only other dimension eval_cone_kernel passes
         out[open_] = np.pi * (4.0 * r + s) * (2.0 * r - s) ** 2 / 12.0
-    else:
-        raise ValidationError("lens section only needed for d in {2, 3}")
     return out
 
 
@@ -526,8 +522,8 @@ def spec_from_json(doc):
                                              "kernel.dimension"),
                       lam2=float(doc["lambda2"]),
                       scale=float(doc.get("scale", 1.0)),
-                      remainder=Remainder.from_json(doc.get("remainder")))
-    m = doc.get("mollifier", {"kind": "gaussian", "epsilon": 1e-2})
+                      remainder=Remainder.from_json(doc.get("remainder", {})))
+    m = doc.get("mollifier", {})
     moll = MollifierSpec(kind=m.get("kind", "gaussian"),
                          epsilon=float(m.get("epsilon", 1e-2)),
                          dimension=spec.dimension)

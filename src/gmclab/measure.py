@@ -51,6 +51,7 @@ __all__ = [
     "TraceResult",
     "convergence_trace",
     "mrw_path",
+    "quadratic_variation",
     "write_measure",
     "read_measure",
     "write_mrw_csv",
@@ -290,7 +291,6 @@ class TraceResult:
     """Region masses of a convergence trace, and the region's discrete
     volume (its covered cell fractions times the cell volume)."""
 
-    epsilons: tuple
     masses: np.ndarray        # (replica, stage)
     volume: float
 
@@ -313,8 +313,7 @@ def convergence_trace(plan: SpectralPlan, region, seed, n_replicas):
                 sample = plan.refine(sample)
             masses[rep, k] = weights.mass(_cell_masses(
                 sample.values[local], sample.variance, cell_volume))
-    return TraceResult(epsilons=lad.epsilons, masses=masses,
-                       volume=weights.volume)
+    return TraceResult(masses=masses, volume=weights.volume)
 
 
 # ----------------------------------------------------------------------
@@ -324,17 +323,17 @@ def convergence_trace(plan: SpectralPlan, region, seed, n_replicas):
 def mrw_path(measure: ChaosMeasure, times, seed):
     """X(t_i) = B_(m[0, t_i]) for a d=1 measure and an independent
     Brownian stream: increments are centered Gaussians with variance
-    m(t_(i-1), t_i], drawn from a stream keyed by (seed, replica)."""
+    m(t_(i-1), t_i], drawn from a stream keyed by (seed, replica).  The
+    times must be non-empty, increasing, positive and inside the grid."""
     if measure.grid.dimension != 1:
         raise ValidationError("the random walk is built on a d=1 measure")
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or np.any(np.diff(times) <= 0) or times[0] <= 0:
+    if (times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0)
+            or times[0] <= 0):
         raise ValidationError("times must be increasing and positive")
-    grid = measure.grid
-    _check_region_inside(grid, Box((0.0,), (float(times[-1]),)),
+    _check_region_inside(measure.grid, Box((0.0,), (float(times[-1]),)),
                          measure.epsilon)
-    edges = np.concatenate([[0.0], times])
-    cum = _cumulative_mass(measure, edges)
+    cum = _cumulative_mass(measure, np.concatenate([[0.0], times]))
     dm = np.diff(cum)
     rng = _philox(seed, measure.replica, 1 << 20)
     increments = rng.standard_normal(len(dm)) * np.sqrt(dm)
@@ -342,20 +341,13 @@ def mrw_path(measure: ChaosMeasure, times, seed):
 
 
 def _cumulative_mass(measure: ChaosMeasure, positions):
-    """m[0, p] for each position via cell cumulative sums plus an exact
-    fractional end cell."""
+    """m[0, p] for each position, linear in p within a cell: the cumulative
+    cell masses at the n + 1 cell edges, interpolated (clamped outside)."""
     grid = measure.grid
-    h = grid.step
-    left_edges = grid.axis_coordinates(0) - h / 2.0
-    cells = measure.cell_masses
-    cum = np.concatenate([[0.0], np.cumsum(cells)])
-
-    def mass_below(p):
-        j = np.clip(np.searchsorted(left_edges, p, side="right") - 1,
-                    0, grid.n - 1)
-        return cum[j] + np.clip((p - left_edges[j]) / h, 0.0, 1.0) * cells[j]
-
-    return mass_below(np.asarray(positions, dtype=float)) - mass_below(0.0)
+    left = grid.axis_coordinates(0) - grid.step / 2.0
+    edges = np.append(left, left[-1] + grid.step)
+    cum = np.concatenate([[0.0], np.cumsum(measure.cell_masses)])
+    return np.interp(positions, edges, cum) - np.interp(0.0, edges, cum)
 
 
 def quadratic_variation(path, every=1):

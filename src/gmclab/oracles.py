@@ -43,6 +43,7 @@ __all__ = [
     "log_convolution_tail",
     "proof_envelope",
     "run_all",
+    "verdicts_to_json",
 ]
 
 
@@ -391,10 +392,13 @@ def proof_envelope(theta_abs, z, mass=None):
 # aggregated run for the command line
 # ----------------------------------------------------------------------
 
-def _random_admissible_pair(rng, n, scale=0.6):
-    a = rng.standard_normal((n, n)) * scale / np.sqrt(n)
+_PAIR_SCALE = 0.6  # entry scale of the random admissible covariances
+
+
+def _random_admissible_pair(rng, n):
+    a = rng.standard_normal((n, n)) * _PAIR_SCALE / np.sqrt(n)
     cx = a @ a.T
-    b = (0.25 + np.abs(rng.standard_normal((n, n)))) * scale / np.sqrt(n)
+    b = (0.25 + np.abs(rng.standard_normal((n, n)))) * _PAIR_SCALE / np.sqrt(n)
     bump = b @ b.T   # nonnegative entries, PSD, bounded away from zero
     return (GaussianVectorSpec(cx, np.ones(n)),
             GaussianVectorSpec(cx + bump, np.ones(n)))

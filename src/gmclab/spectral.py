@@ -283,14 +283,12 @@ CERT_INDETERMINATE = "indeterminate"
 
 @dataclass
 class SpectralProfile:
-    """Tabulated radial spectral density with a grid-based certificate,
-    the in-memory result of `check_positive_definite` (no file format)."""
+    """Radial spectral density on the frequency grid `xi` and the sign
+    certificate `check_positive_definite` gave it (bounds not kept)."""
 
-    dimension: int
     xi: np.ndarray
     fhat: np.ndarray
-    err: np.ndarray
-    certificate: str = CERT_INDETERMINATE
+    certificate: str
 
 
 def default_check_grid(support):
@@ -309,7 +307,7 @@ def default_check_grid(support):
     return np.unique(np.concatenate([spine] + windows))
 
 
-def check_positive_definite(profile, d, support=1.0):
+def check_positive_definite(profile, d, support):
     """Evaluate the radial transform of `profile` on
     `default_check_grid(support)` and certify its sign pattern.
 
@@ -342,5 +340,4 @@ def check_positive_definite(profile, d, support=1.0):
         neg_up = np.any(vals[upper] < -bound[upper])
         cert = CERT_OSCILLATING if (pos_up and neg_up) else CERT_INDETERMINATE
 
-    return SpectralProfile(dimension=d, xi=xi, fhat=vals, err=errs,
-                           certificate=cert)
+    return SpectralProfile(xi=xi, fhat=vals, certificate=cert)

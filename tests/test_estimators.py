@@ -71,6 +71,14 @@ def no_plan(*args, **kwargs):
     raise AssertionError("a plan was built")
 
 
+def test_moment_scaling_refuses_empty_ensemble(monkeypatch):
+    kernel, moll, grid = _small_setup()
+    cs = [2.0 ** -k for k in range(7, 2, -1)]
+    monkeypatch.setattr(est, "SpectralPlan", no_plan)
+    with pytest.raises(ValidationError, match="n_replicas >= 1, got 0"):
+        est.moment_scaling(kernel, moll, grid, [1.0], cs, 1, 0)
+
+
 @pytest.mark.parametrize("p_list, c_list", [
     ([np.nan], [2.0 ** -k for k in range(7, 2, -1)]),
     ([1.0, -np.inf], [2.0 ** -k for k in range(7, 2, -1)]),
@@ -287,6 +295,24 @@ def test_run_scale_invariance_refuses_fewer_than_two_replicas(monkeypatch, n):
                                  eps_a=2 ** -5, seed=1, n_replicas=n)
 
 
+@pytest.mark.parametrize("c", [0.0, 1.5])
+def test_run_scale_invariance_refuses_c_before_drawing(monkeypatch, c):
+    # refused by name before any draw: c = 0 would otherwise reach
+    # MollifierSpec as the epsilon c * eps_a, and c = 1.5 would reach
+    # scale_invariance_test only after both ensembles
+    kernel = kn.KernelSpec(1, 0.5, 1.0)
+    grid = fd.GridSpec(1, 2 ** 10, 4.0)
+
+    def no_trace(*args, **kwargs):
+        raise AssertionError("an ensemble was drawn")
+
+    monkeypatch.setattr(ms, "convergence_trace", no_trace)
+    with pytest.raises(ValidationError,
+                       match=rf"^c must lie in \(0, 1\], got {c!r}$"):
+        est.run_scale_invariance(kernel, "gaussian", grid, side=0.5, c=c,
+                                 eps_a=2 ** -5, seed=1, n_replicas=4)
+
+
 def test_run_scale_invariance_small_d1():
     kernel = kn.KernelSpec(1, 0.5, 1.0)
     grid = fd.GridSpec(1, 2 ** 13, 4.0)
@@ -417,6 +443,13 @@ def test_dissipation_refuses_repeated_radius(monkeypatch):
     with pytest.raises(ValidationError):
         est.run_dissipation(1.0, 1.0, [0.5, 0.5, 0.4], seed=1,
                             n_replicas=2, n_side=2 ** 5)
+
+
+def test_dissipation_refuses_empty_ensemble(monkeypatch):
+    monkeypatch.setattr(est, "SpectralPlan", no_plan)
+    with pytest.raises(ValidationError, match="n_replicas >= 1, got 0"):
+        est.run_dissipation(1.0, 1.0, [0.5, 0.4], seed=1, n_replicas=0,
+                            n_side=2 ** 5)
 
 
 @pytest.mark.parametrize("mean_eps", [-1.0, 0.0, np.inf, np.nan])

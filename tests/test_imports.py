@@ -5,6 +5,7 @@ pytest and other test modules load scipy.integrate themselves, so each load
 check runs in a child process that starts from nothing but the interpreter.
 """
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -91,3 +92,26 @@ def test_every_imported_name_is_used():
                 unused += [f"{name}: {a.asname or a.name}" for a in node.names
                            if (a.asname or a.name).split(".")[0] not in used]
     assert unused == []
+
+
+def test_public_names_are_declared_where_they_live():
+    # a name the package re-exports is in its module's __all__, and every
+    # __all__ entry of every module names something the module defines
+    with open(os.path.join(SRC, "gmclab", "__init__.py"),
+              encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    undeclared, unresolved = [], []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.level == 1 and
+                node.module in ("kernels", "spectral", "field", "measure",
+                                "estimators")):
+            declared = importlib.import_module(f"gmclab.{node.module}").__all__
+            undeclared += [f"{node.module}.{a.name}" for a in node.names
+                           if a.name not in declared]
+    for name in sorted(os.listdir(os.path.join(SRC, "gmclab"))):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        module = importlib.import_module(f"gmclab.{name[:-3]}")
+        unresolved += [f"{name}: {n}" for n in getattr(module, "__all__", [])
+                       if not hasattr(module, n)]
+    assert undeclared == [] and unresolved == []

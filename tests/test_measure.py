@@ -319,6 +319,12 @@ def test_mrw_requires_d1_and_interior():
         ms.mrw_path(m1, np.array([3.5]), seed=1)
 
 
+def test_mrw_refuses_empty_times():
+    _, m = make_measure(n=2 ** 8, eps=2 ** -4)
+    with pytest.raises(ValidationError, match="increasing and positive"):
+        ms.mrw_path(m, [], seed=1)
+
+
 _, _CUM_MEASURE = make_measure(n=2 ** 10)
 _CUM_EDGE = 0.5 - 2.0 ** -9     # a cell edge of the 2^10-point grid
 
