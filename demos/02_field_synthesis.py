@@ -22,7 +22,7 @@ print("ladder scales:", [f"{e:g}" for e in ladder.epsilons])
 print("per-shell variance increments:",
       [f"{v:.4f}" for v in plan.stage_variance])
 print(f"total lattice variance: {plan.total_variance:.6f}")
-q0 = kn.field_variance(kernel, kn.MollifierSpec("gaussian", epsilons[-1], 1))
+q0 = kn.mollified_covariance(kernel, moll, 0.0)          # eps = epsilons[-1]
 print(f"continuum q_eps(0):     {q0:.6f}")
 
 # exact grid covariance vs the mollified kernel at a physical lag

@@ -10,7 +10,7 @@ for the underlying Gaussian comparison inequalities.
 from .errors import GateError, ValidationError
 from .kernels import (KernelSpec, MollifierSpec, Remainder, eval_kernel,
                       eval_cone_kernel, sigma_positive_layer,
-                      mollified_covariance, field_variance, kernel_hat,
+                      mollified_covariance, kernel_hat,
                       spec_to_json, spec_from_json)
 from .spectral import (SpectralProfile, logplus_hat, radial_fourier,
                        check_positive_definite, default_check_grid)

@@ -163,6 +163,14 @@ def cmd_estimate(args):
         return parse_number(params.get(name, default), convert,
                             f"estimate.{name}")
 
+    def length(name, default, convert=float):
+        """A length, or a tuple of them: each finite and > 0."""
+        value = param(name, default, convert)
+        if not all(0 < v < np.inf for v in np.atleast_1d(value)):
+            raise ValidationError(f"estimate.{name} must be finite and > 0, "
+                                  f"got {value!r}")
+        return value
+
     def emit(report, name, lines):
         report.meta["config_digest"] = digest
         report.write(os.path.join(out, name))
@@ -191,9 +199,9 @@ def cmd_estimate(args):
     elif kind == "scale-invariance":
         report = est.run_scale_invariance(
             spec, moll.kind, grid,
-            side=param("side", spec.scale / 2),
+            side=length("side", spec.scale / 2),
             c=param("c", 0.5),
-            eps_a=param("eps_a", moll.epsilon),
+            eps_a=length("eps_a", moll.epsilon),
             seed=seed, n_replicas=n)
         emit(report, "scale_invariance.json", [
             f"scale-invariance c={report.c}: mean shift "
@@ -202,7 +210,7 @@ def cmd_estimate(args):
             f"(target {report.var_gain_target:.4f}), "
             f"KS rejected: {report.ks_rejected}"])
     elif kind == "degeneracy":
-        region_side = param("region_side", 1.0)
+        region_side = length("region_side", 1.0)
         region = ms.Box((0.0,) * spec.dimension,
                         (region_side,) * spec.dimension)
         report = est.degeneracy_scan(
@@ -218,7 +226,7 @@ def cmd_estimate(args):
             for f in report.fits])
     elif kind == "dissipation":
         mean_eps = param("mean_eps", 1.0)
-        radii = param("radii", [0.5, 0.25, 0.125, 0.0625], _floats)
+        radii = length("radii", [0.5, 0.25, 0.125, 0.0625], _floats)
         if spec.dimension != 3:
             raise ValidationError("dissipation runs in d = 3: set "
                                   "kernel.dimension to 3")

@@ -37,6 +37,13 @@ coefficients b_k = amp_k g_k in stage order and transforms the sum once;
 `refine` continues that sum.  `SYNTHESIS` names this algorithm in every
 field file and `simulate` manifest.
 
+The band: a plan keeps the lattice radii up to the largest, K, whose
+summed (finest-stage) weight exceeds 1e-32 of the largest, an amplitude
+of 1e-16 of the largest, which float64 cannot resolve against it.  Every
+shell's weight beyond K is 0, and the lattice variance is the kept weight;
+the dropped variance is recorded on the plan.  The transform leaves out
+the lines that then hold only zeros (in d >= 2; d = 1 is one line).
+
 The sum is built and transformed in slabs of rows along axis 0
 (`_slabs`): each shell draws a slab's normals from its own stream, and
 the slab goes straight into the transform's first pass, so in d >= 2 no
@@ -45,8 +52,8 @@ can follow, which keeps the sum.  A region reduction reads only the nodes
 of its region's bounding slab, so a sample can be drawn on such a window
 (one slice of nodes per axis): the transform keeps only the columns and
 rows that the window and its mirror image read (`_hartley`; the whole
-grid is the window that reads every row).  The windowed values equal the
-whole grid's to the bit.
+grid is the window that reads every row), and only the lines inside the
+band.  The windowed values equal the whole grid's to the bit.
 
 Randomness: counter-based Philox streams keyed by (seed, replica, shell),
 so replicas and shells are reproducible and order-independent.
@@ -58,6 +65,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,7 +89,11 @@ __all__ = [
     "read_field",
 ]
 
-SYNTHESIS = "rfftn-hartley-2"
+SYNTHESIS = "rfftn-hartley-3"
+
+# a plan keeps the lattice radii whose weight exceeds this fraction of its
+# largest: the amplitude threshold 1e-16, below float64's resolution
+_BAND_FLOOR = 1e-32
 
 
 def default_workers():
@@ -282,21 +294,23 @@ def _half_lattice(grid: GridSpec):
             np.sqrt(np.arange(d * h * h + 1)) / grid.length)
 
 
-def _mirror_blocks(n, d, lo=0, hi=None):
+def _mirror_blocks(n, d, lo=0, hi=None, top=None):
     """(dst, src) slice pairs that expand a half-lattice array onto the
     lattice rows lo..hi-1 (default every row) along axis 0 of the n^d
     lattice, dst counting rows from lo: along each leading axis, lattice
     rows 0..n/2 read rows 0..n/2 and rows n/2+1..n-1 read rows n/2-1..1
-    (m = min(j, n - j)).  Every row range gives at most 2^(d-1) pairs; in
-    d = 1 one pair of empty tuples."""
+    (m = min(j, n - j)).  With `top`, only the axis-0 rows with m <= top
+    are covered.  Every row range gives at most 2^(d-1) pairs; in d = 1
+    one pair of empty tuples."""
     if d == 1:
         return [((), ())]
     h, hi = n // 2, n if hi is None else hi
+    top = h if top is None else min(top, h)
     rows = []
-    a, z = lo, min(hi, h + 1)                    # rows read where they are
+    a, z = lo, min(hi, top + 1)                  # rows read where they are
     if a < z:
         rows.append((slice(a - lo, z - lo), slice(a, z)))
-    a, z = max(lo, h + 1), hi                    # rows read at n - j
+    a, z = max(lo, h + 1, n - top), hi           # rows read at n - j
     if a < z:
         rows.append((slice(a - lo, z - lo), slice(n - a, n - z, -1)))
     return [((dst,) + d_rest, (src,) + s_rest) for dst, src in rows
@@ -306,13 +320,34 @@ def _mirror_blocks(n, d, lo=0, hi=None):
 _SLAB_ROWS = 8    # axis-0 rows per slab of a spectral sum and per r2c call
 
 
-def _slabs(n, d):
-    """(rows, blocks) for each slab of the n^d lattice, in order: `rows`
-    is a slice of _SLAB_ROWS rows along axis 0 (d = 1: the whole line, one
-    slab) and `blocks` its `_mirror_blocks`."""
-    step = n if d == 1 else min(n, _SLAB_ROWS)
-    for lo in range(0, n, step):
-        yield slice(lo, lo + step), _mirror_blocks(n, d, lo, lo + step)
+def _reach(n, k2, lo=0, hi=None):
+    """The indices lo..hi-1 (default every index) along one axis of the
+    n^d lattice whose frequency j = min(i, n - i) has j^2 <= k2, as at
+    most two slices: 0..J and n-J..n-1 with J = isqrt(k2), cut to lo..hi.
+    An axis with J >= n/2 is reached whole."""
+    hi = n if hi is None else hi
+    top = math.isqrt(k2)
+    if 2 * top + 1 >= n:
+        return [slice(lo, hi)] if lo < hi else []
+    return [slice(a, z) for a, z in ((lo, min(hi, top + 1)),
+                                     (max(lo, n - top), hi)) if a < z]
+
+
+def _slabs(n, d, band):
+    """(rows, kept, blocks) for each slab of the n^d lattice, in order:
+    `rows` is a slice of _SLAB_ROWS rows along axis 0 (d = 1: the whole
+    line, one slab), `kept` the slices of its rows, counted from its
+    first, whose j0^2 <= band (d = 1: the line) and `blocks` the
+    `_mirror_blocks` of those rows."""
+    if d == 1:
+        yield slice(0, n), [slice(0, n)], _mirror_blocks(n, d)
+        return
+    for lo in range(0, n, _SLAB_ROWS):
+        hi = min(n, lo + _SLAB_ROWS)
+        kept = [slice(r.start - lo, r.stop - lo)
+                for r in _reach(n, band, lo, hi)]
+        yield (slice(lo, hi), kept,
+               _mirror_blocks(n, d, lo, hi, top=math.isqrt(band)))
 
 
 def _window(grid: GridSpec, window):
@@ -391,14 +426,17 @@ def _unfolding(n, bounds):
     return tuple(read), tuple(blocks)
 
 
-def _hartley(slabs, shape, window=None):
+def _hartley(slabs, shape, window=None, band=None):
     """sum_j b_j (cos - sin)(2 pi j . x / n) at the nodes x of `window`
     (one slice(lo, hi) per axis, default every node) of a real float64
     array b of `shape`, n points per axis, read as `slabs`: its
     consecutive row blocks along axis 0, in order.  In d = 1 b is one
     slab, the whole line, and the whole grid's result is written into it;
     in d >= 2 each slab is read once, before the next is asked for, so a
-    slab may be a buffer that the next one overwrites.
+    slab may be a buffer that the next one overwrites.  In d >= 2 b must
+    be zero at every mode whose k2 = sum_i j_i^2 (j_i = min(i, n - i))
+    exceeds `band` (default the whole lattice), and its rows with
+    j0^2 > band are never read, so they may hold anything.
 
     The transform F holds sum_j b_j (cos - i sin), so the sum is Re F +
     Im F at a node x whose last index m <= n/2 (stored), and Re F - Im F
@@ -408,10 +446,15 @@ def _hartley(slabs, shape, window=None):
     keeping only the columns the window reads, so neither b nor the whole
     r2c output is ever built; then a c2c along each of the axes 0..d-2 in
     that order, keeping the rows that the window and its mirror image read
-    (every row and every stored column for the whole grid).  So the values
-    equal those unfolded from `rfftn(b)`, to the bit.
+    (every row and every stored column for the whole grid).  Lines that
+    hold only zeros are left out, their transforms being zeros: the r2c
+    runs on the rows j0^2 <= band in d = 2 and, of those, on the lines
+    j0^2 + j1^2 <= band in d = 3 (bounded per slab by its row nearest
+    j0 = 0), and in d = 3 the first c2c on the columns j1^2 <= band.  So
+    the values equal those unfolded from `rfftn(b)`, to the bit.
     """
     d, n = len(shape), shape[-1]
+    band = d * (n // 2) ** 2 if band is None else band
     bounds = tuple((s.start, s.stop) for s in window or (slice(0, n),) * d)
     read, blocks = _unfolding(n, bounds)
     out = None
@@ -419,16 +462,28 @@ def _hartley(slabs, shape, window=None):
         (out,) = slabs            # the line, and the whole grid's result
         f = sfft.rfft(out)[read[-1]]
     else:
-        f = np.empty(shape[:-1] + np.arange(n // 2 + 1)[read[-1]].shape,
+        f = np.zeros(shape[:-1] + np.arange(n // 2 + 1)[read[-1]].shape,
                      complex)
         lo = 0
         for slab in slabs:
-            f[lo:lo + len(slab)] = sfft.rfft(slab, axis=-1)[..., read[-1]]
+            for rows in _reach(n, band, lo, lo + len(slab)):
+                j0 = min(rows.start, n - rows.start,
+                         rows.stop - 1, n - rows.stop + 1)
+                lines = ([()] if d == 2 else
+                         [(c,) for c in _reach(n, band - j0 * j0)])
+                for ln in lines:
+                    f[(rows,) + ln] = sfft.rfft(
+                        slab[(slice(rows.start - lo, rows.stop - lo),) + ln],
+                        axis=-1)[..., read[-1]]
             lo += len(slab)
         del slab                  # let the last slab go before `out`
     for ax in range(d - 1):
-        f = sfft.fft(f, axis=ax, overwrite_x=True)[
-            (slice(None),) * ax + (read[ax],)]
+        # in d = 3 the axis-0 columns with j1^2 > band hold only zeros
+        cols = _reach(n, band) if ax + 2 < d else [slice(None)]
+        for c in cols:
+            at = (slice(None),) * (ax + 1) + (c,)
+            f[at] = sfft.fft(f[at], axis=ax, overwrite_x=True)
+        f = f[(slice(None),) * ax + (read[ax],)]
     re, im = f.real, f.imag
     if out is None or window is not None:
         out = np.empty([z - a for a, z in bounds])
@@ -459,6 +514,17 @@ class SpectralPlan:
     remainder g = c >= 0 (`KernelSpec` refuses c < 0) is a delta of mass c
     at xi = 0, absent from `kernel_hat`: stage 0 carries it as zero-mode
     weight c L^d.
+
+    `band` is the plan's cut K, in units of the radius table: the largest
+    k2 = sum_i j_i^2 (d >= 2) or |j| (d = 1) whose summed clipped weight
+    exceeds _BAND_FLOOR of the table's largest (a k2 that no lattice mode
+    has only widens the band, as its weight reaches no mode).  Every stage's weight beyond it is
+    set to 0 before the amplitudes are gathered, so `amps`,
+    `stage_variance` and `discrete_covariance` hold the kept weight, and
+    `dropped_variance` is the lattice variance the cut removed.  In d >= 2
+    a slab's rows with j0^2 > K are not multiplied, and `_hartley` reads
+    only the lines inside the band.  Every shell still draws its normals
+    on the whole lattice, so no normal depends on the band.
     """
 
     def __init__(self, ladder: ShellLadder, grid: GridSpec):
@@ -471,11 +537,9 @@ class SpectralPlan:
                             np.broadcast_to(fold, index.shape).ravel(),
                             radii.size).astype(np.int64)
         cell = 1.0 / grid.length ** grid.dimension   # spectral cell d xi
-        self.amps = []
-        self.stage_variance = []            # per-shell variance increments
-        self._spectrum = 0.0                # clipped radial weight, all shells
         rem = ladder.kernel.remainder
-        trace = 0.0
+        tables = []                         # clipped radial weight per shell
+        spectrum = 0.0                      # and its sum over the shells
         clipped = 0.0
         for k, w in enumerate(ladder.weights(radii)):
             if k == 0 and rem.kind == "constant":
@@ -484,11 +548,23 @@ class SpectralPlan:
             if np.any(neg):
                 clipped += -float(modes[neg] @ w[neg]) * cell
                 w = np.where(neg, 0.0, w)
-            inc = float(modes @ w) * cell
-            trace += inc
-            self.amps.append(np.sqrt(w * cell)[index])
-            self.stage_variance.append(inc)
-            self._spectrum = self._spectrum + w
+            tables.append(w)
+            spectrum = spectrum + w
+        heavy = np.flatnonzero(spectrum > _BAND_FLOOR * spectrum.max())
+        self.band = int(heavy[-1]) if heavy.size else 0
+        self.dropped_variance = float(modes[self.band + 1:]
+                                      @ spectrum[self.band + 1:]) * cell
+        spectrum[self.band + 1:] = 0.0
+        self._spectrum = spectrum           # kept weight, all shells
+        self.amps = []
+        self.stage_variance = []            # per-shell variance increments
+        while tables:                       # each table goes once gathered
+            w = tables.pop(0)
+            w[self.band + 1:] = 0.0
+            self.stage_variance.append(float(modes @ w) * cell)
+            w *= cell
+            self.amps.append(np.sqrt(w, out=w)[index])
+        trace = self.total_variance + self.dropped_variance
         if clipped > 1e-8 * max(trace, 1e-300):
             raise GateError("embedding weights substantially negative",
                             clipped_mass=clipped, trace=trace)
@@ -525,13 +601,15 @@ class SpectralPlan:
         `base`, a sample's kept sum.  Each shell draws its normals g_k slab
         by slab from its own Philox stream, and consecutive draws continue
         the stream as one draw on the whole lattice would, so each slab is
-        that of the whole-lattice sum, to the bit.  With `keep`, a lattice
-        array, the sum is also written there.  The slabs share one buffer."""
+        that of the whole-lattice sum, to the bit, in its rows with
+        j0^2 <= band; the other rows, which `_hartley` does not read, are
+        not multiplied.  With `keep`, a zeroed lattice array, the kept rows
+        of the sum are also written there.  The slabs share one buffer."""
         n, d = self.grid.n, self.grid.dimension
         gens = [_philox(seed, replica, k) for k in shells]
         amps = [self.amps[k] for k in shells]
         slab = g = None
-        for rows, blocks in _slabs(n, d):
+        for rows, kept, blocks in _slabs(n, d, self.band):
             size = (rows.stop - rows.start,) + self.grid.shape[1:]
             for i, (gen, amp) in enumerate(zip(gens, amps)):
                 c = gen.standard_normal(size, out=g if i else slab)
@@ -545,7 +623,8 @@ class SpectralPlan:
             if base is not None:
                 slab += base[rows]
             if keep is not None:
-                keep[rows] = slab
+                for r in kept:
+                    keep[rows][r] = slab[r]
             yield slab
 
     def _field_sample(self, seed, replica, stage, window, base=None):
@@ -553,12 +632,12 @@ class SpectralPlan:
         spectral sum streamed slab by slab: every shell through `stage`,
         or only shell `stage` added to `base` in a refine.  The sum is
         kept on the sample while a refine can follow."""
-        keep = (np.empty(self.grid.shape)
+        keep = (np.zeros(self.grid.shape)
                 if stage + 1 < self.ladder.n_stages else None)
         shells = range(stage + 1) if base is None else (stage,)
         values = _hartley(self._coefficients(seed, replica, shells, base,
                                              keep),
-                          self.grid.shape, window)
+                          self.grid.shape, window, self.band)
         return FieldSample(grid=self.grid, epsilon=self.ladder.epsilons[stage],
                            values=values,
                            variance=self.variance_through(stage),
@@ -608,7 +687,7 @@ class SpectralPlan:
         b = np.empty(grid.shape)
         for dst, src in _mirror_blocks(grid.n, grid.dimension):
             b[dst] = half[src]
-        return _hartley([b], grid.shape)
+        return _hartley([b], grid.shape, band=self.band)
 
 
 # ----------------------------------------------------------------------

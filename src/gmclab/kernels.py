@@ -31,7 +31,6 @@ __all__ = [
     "sigma_positive_layer",
     "kernel_hat",
     "mollified_covariance",
-    "field_variance",
     "mollifier_diagnostics",
     "spec_to_json",
     "spec_from_json",
@@ -492,11 +491,6 @@ def mollified_covariance(spec: KernelSpec, moll: MollifierSpec, r):
     if spec.remainder.kind == "constant":
         vals = vals + spec.remainder.value
     return float(vals[0]) if np.asarray(r).ndim == 0 else vals
-
-
-def field_variance(spec: KernelSpec, moll: MollifierSpec):
-    """Exact continuum variance q_eps(0)."""
-    return mollified_covariance(spec, moll, 0.0)
 
 
 # ----------------------------------------------------------------------

@@ -416,6 +416,38 @@ def test_estimate_parameters_out_of_range_are_refused(tmp_path, capsys,
     assert_refused(tmp_path, capsys, "estimate", overrides)
 
 
+@pytest.mark.parametrize("key, overrides", [
+    ("side", {"estimate": {"kind": "scale-invariance", "side": -0.5}}),
+    ("side", {"estimate": {"kind": "scale-invariance", "side": float("inf")}}),
+    ("eps_a", {"estimate": {"kind": "scale-invariance", "eps_a": 0.0}}),
+    ("eps_a", {"estimate": {"kind": "scale-invariance",
+                            "eps_a": float("nan")}}),
+    ("region_side", {"ladder": DEGENERACY_LADDER,
+                     "estimate": {"kind": "degeneracy", "region_side": 0}}),
+    ("region_side", {"ladder": DEGENERACY_LADDER,
+                     "estimate": {"kind": "degeneracy",
+                                  "region_side": float("-inf")}}),
+    ("radii", {"kernel": D3_KERNEL, "grid": {"n": 32}, "mollifier": DROP,
+               "estimate": {**DISSIPATION, "radii": [0.5, -0.25, 0.4]}}),
+    ("radii", {"kernel": D3_KERNEL, "grid": {"n": 32}, "mollifier": DROP,
+               "estimate": {**DISSIPATION, "radii": [0.5, 0.45, 0.0]}}),
+], ids=["side-negative", "side-infinite", "eps_a-zero", "eps_a-nan",
+        "region_side-zero", "region_side-minus-infinity", "radius-negative",
+        "radius-zero"])
+def test_estimate_lengths_out_of_range_are_refused_by_name(tmp_path, capsys,
+                                                           key, overrides):
+    cfg = tmp_path / "cfg.json"
+    write_cfg(cfg, **overrides)
+    code = run_cli(["estimate", "--config", str(cfg), "--out",
+                    str(tmp_path / "o")])
+    assert code == cli.EXIT_VALIDATION
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "ValidationError"
+    assert doc["message"].startswith(f"estimate.{key} must be finite and > 0")
+
+
 ESTIMATE_KINDS = {
     "zeta": {"estimate": {"kind": "zeta"}},
     "scale-invariance": {"estimate": {"kind": "scale-invariance"}},

@@ -122,19 +122,30 @@ def test_ladder_rejects_bad_schedules():
             fd.build_ladder(kernel, moll, bad)
 
 
+class WigglyMollifier:
+    """A non-monotone theta_hat: its shell weights go negative."""
+    kind = "wiggly"
+    dimension = 1
+    epsilon = 0.01
+
+    def theta_hat(self, u):
+        u = np.abs(np.asarray(u, dtype=float))
+        return np.exp(-u * u) * (1.0 + 0.5 * np.sin(8.0 * u))
+
+
 def test_ladder_rejects_negative_weights():
-    class WigglyMollifier:
-        kind = "wiggly"
-        dimension = 1
-        epsilon = 0.01
-
-        def theta_hat(self, u):
-            u = np.abs(np.asarray(u, dtype=float))
-            return np.exp(-u * u) * (1.0 + 0.5 * np.sin(8.0 * u))
-
     kernel = kn.KernelSpec(1, 0.5, 1.0)
     with pytest.raises(GateError):
         fd.build_ladder(kernel, WigglyMollifier(), (0.5, 0.25))
+
+
+def test_plan_refuses_substantially_negative_embedding_weights():
+    # past build_ladder's probe: the plan clips 0.146 of a 3.44 trace
+    ladder = fd.ShellLadder(kn.KernelSpec(1, 0.5, 1.0), WigglyMollifier(),
+                            (0.05, 0.025))
+    with pytest.raises(GateError) as exc:
+        fd.SpectralPlan(ladder, fd.GridSpec(1, 2 ** 10, 4.0))
+    assert exc.value.detail["clipped_mass"] > 1e-8 * exc.value.detail["trace"]
 
 
 # ----------------------------------------------------------------------
@@ -304,14 +315,14 @@ def test_shell_field_matches_direct_sum(d):
                                    atol=1e-12 * np.max(np.abs(direct)))
 
 
-def hartley(b):
+def hartley(b, window=None, band=None):
     """`fd._hartley` of the whole array b, fed to it slab by slab as a
     plan feeds it (in d = 1 one slab, a copy of the line)."""
     if b.ndim == 1:
-        return fd._hartley([b.copy()], b.shape)
+        return fd._hartley([b.copy()], b.shape, window, band)
     rows = fd._SLAB_ROWS
     return fd._hartley((b[i:i + rows] for i in range(0, len(b), rows)),
-                       b.shape)
+                       b.shape, window, band)
 
 
 def _rfftn_hartley(b):
@@ -333,6 +344,71 @@ def test_whole_grid_hartley_is_the_rfftn_unfolding_to_the_bit(d, n):
     assert np.array_equal(hartley(b), _rfftn_hartley(b))
 
 
+def lattice_k2(d, n):
+    """k2 = sum_i min(j_i, n - j_i)^2 of every mode of the n^d lattice."""
+    j = np.arange(n)
+    m2 = np.minimum(j, n - j) ** 2
+    return sum(np.meshgrid(*[m2] * d, indexing="ij", sparse=True))
+
+
+@pytest.mark.parametrize("d, n", [(2, 64), (3, 32)])
+@pytest.mark.parametrize("band", [0, 25, 41, 300, None],
+                         ids=["zero-mode", "25", "41", "300", "whole"])
+def test_band_pruned_hartley_matches_the_unpruned_to_the_bit(d, n, band):
+    # b is zero beyond the band, and NaN in the rows j0^2 > band that the
+    # pruned transform must never read
+    k2 = lattice_k2(d, n)
+    band = k2.max() if band is None else band
+    b = np.where(k2 <= band,
+                 np.random.default_rng(band).standard_normal((n,) * d), 0.0)
+    hidden = b.copy()
+    hidden[k2.min(axis=tuple(range(1, d))) > band] = np.nan
+    for name, window in {**_windows(d, n), "grid": None}.items():
+        assert np.array_equal(hartley(hidden, window, band),
+                              hartley(b, window)), name
+
+
+@pytest.mark.parametrize("d, n", [(1, 2 ** 10), (2, 64), (3, 32)])
+def test_every_amplitude_beyond_the_band_is_zero(d, n):
+    plan = small_plan(d, n=n, length=3.0)
+    beyond = (np.abs(np.fft.fftfreq(n, 1 / n)) if d == 1
+              else lattice_k2(d, n)) > plan.band
+    assert 0 < np.count_nonzero(beyond) < n ** d
+    for amp in plan.amps:
+        assert np.all(on_lattice(plan, amp)[beyond] == 0.0)
+    spectrum = plan._spectrum
+    assert spectrum[plan.band] > 0 and not spectrum[plan.band + 1:].any()
+    cov = plan.discrete_covariance()
+    assert abs(cov.flat[0] - plan.total_variance) < 1e-14 * cov.flat[0]
+
+
+@pytest.mark.parametrize("d, n", [(1, 2 ** 10), (2, 64), (3, 32)])
+def test_stage_variance_sums_the_kept_weight(d, n):
+    plan = small_plan(d, n=n, length=3.0)
+    xi = lattice_radii(plan.grid)
+    kept = (np.abs(np.fft.fftfreq(n, 1 / n)) if d == 1
+            else lattice_k2(d, n)) <= plan.band
+    cell = 1.0 / plan.grid.length ** d
+    weights = [np.maximum(w, 0.0) * cell for w in plan.ladder.weights(xi)]
+    for k, w in enumerate(weights):
+        np.testing.assert_allclose(plan.stage_variance[k], np.sum(w[kept]),
+                                   rtol=1e-13)
+    total = sum(np.sum(w) for w in weights)
+    assert 0 < plan.dropped_variance < 1e-16 * total
+    np.testing.assert_allclose(plan.total_variance + plan.dropped_variance,
+                               total, rtol=1e-13)
+
+
+def test_run_dissipation_plans_drop_at_most_1e16_of_their_trace():
+    for l in (0.5, 0.25, 0.125, 0.0625):
+        eps = 0.4 * l
+        ladder = fd.build_ladder(kn.KernelSpec(3, 1.0, 1.0),
+                                 kn.MollifierSpec("gaussian", eps, 3), (eps,))
+        plan = fd.SpectralPlan(ladder, fd.GridSpec(3, 2 ** 7, 1.1 + 2 * l))
+        assert plan.band < 3 * 64 ** 2
+        assert 0 < plan.dropped_variance <= 1e-16 * plan.total_variance, l
+
+
 @pytest.mark.parametrize("d, n", [(1, 2 ** 12), (2, 64), (3, 32)])
 def test_plan_amplitudes_match_pointwise_weights(d, n):
     plan = small_plan(d, n=n, length=3.0)
@@ -350,7 +426,9 @@ def _whole_lattice_reference(plan):
     """Each stage's amplitudes sqrt(w cell) gathered onto the whole lattice
     from a table of lattice radii (by k2 = sum_i j_i^2 in d >= 2, by |j|
     in d = 1), and the clipped weights of all stages gathered likewise
-    times the cell: the layout plans held before the half-lattice."""
+    times the cell: the layout plans held before the half-lattice.  Every
+    weight beyond the largest lattice radius whose summed weight exceeds
+    1e-32 of the largest is cut to 0, as the plan's band cuts it."""
     grid, ladder = plan.grid, plan.ladder
     d, h = grid.dimension, grid.n // 2
     j = np.fft.ifftshift(np.arange(-h, h))
@@ -361,14 +439,18 @@ def _whole_lattice_reference(plan):
         radii = np.sqrt(np.arange(d * h * h + 1)) / grid.length
     cell = 1.0 / grid.length ** d
     rem = ladder.kernel.remainder
-    amps, total = [], 0.0
+    weights = []
     for k, w in enumerate(ladder.weights(radii)):
         if k == 0 and rem.kind == "constant":
             w[0] += rem.value * grid.length ** d
-        w = np.where(w < 0, 0.0, w)
-        amps.append(np.sqrt(w * cell)[index])
-        total = total + w
-    return amps, (total * cell)[index]
+        weights.append(np.where(w < 0, 0.0, w))
+    total = sum(weights)
+    on = np.isin(np.arange(radii.size), index)
+    cut = np.flatnonzero(on & (total > 1e-32 * total[on].max()))[-1] + 1
+    for w in weights + [total]:
+        w[cut:] = 0.0
+    return ([np.sqrt(w * cell)[index] for w in weights],
+            (total * cell)[index])
 
 
 @pytest.mark.parametrize("c", [0.0, 0.3], ids=["zero", "constant"])
@@ -470,8 +552,9 @@ def test_dissipation_plan_and_ball_sample_memory():
 
 def test_lattice_variance_matches_continuum():
     plan, ladder, _ = make_plan(shells=4)
-    q0 = kn.field_variance(ladder.kernel,
-                           kn.MollifierSpec("gaussian", ladder.epsilons[-1], 1))
+    q0 = kn.mollified_covariance(
+        ladder.kernel, kn.MollifierSpec("gaussian", ladder.epsilons[-1], 1),
+        0.0)
     assert abs(plan.total_variance - q0) < 1e-6
 
 
@@ -494,7 +577,8 @@ def test_constant_remainder_is_zero_mode_variance():
     moll = kn.MollifierSpec("gaussian", 2 ** -8, 1)
     ladder = fd.build_ladder(kernel, moll, (2 ** -4, 2 ** -6, 2 ** -8))
     plan = fd.SpectralPlan(ladder, fd.GridSpec(1, 2 ** 14, 4.0))
-    assert abs(plan.total_variance - kn.field_variance(kernel, moll)) < 1e-6
+    q0 = kn.mollified_covariance(kernel, moll, 0.0)
+    assert abs(plan.total_variance - q0) < 1e-6
     cov = plan.discrete_covariance()
     assert abs(cov[0] - plan.total_variance) < 1e-12 * plan.total_variance
 
@@ -672,7 +756,7 @@ def test_field_and_measure_headers_carry_the_same_provenance(tmp_path):
         assert fh.readline() == (
             common + '"kind": "field", "ladder_digest": "0123456789abcdef", '
             '"replica": 2, "seed": 7, "stage": 1, "synthesis": '
-            '"rfftn-hartley-2", "variance": 0.5}\n').encode()
+            '"rfftn-hartley-3", "variance": 0.5}\n').encode()
     with open(tmp_path / "m.bin", "rb") as fh:
         assert fh.readline() == (
             common + '"kind": "measure", "ladder_digest": '
@@ -727,7 +811,7 @@ def test_d2_synthesis_variance_and_measure():
     ladder = fd.build_ladder(kernel, moll, (0.1, 0.05))
     grid = fd.GridSpec(2, 2 ** 8, 4.0)
     plan = fd.SpectralPlan(ladder, grid)
-    q0 = kn.field_variance(kernel, moll)
+    q0 = kn.mollified_covariance(kernel, moll, 0.0)
     assert abs(plan.total_variance - q0) < 1e-6
     n = 40
     vals = np.array([plan.sample(19, r).values[10, 20] for r in range(n)])
