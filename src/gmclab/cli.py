@@ -164,7 +164,7 @@ def cmd_estimate(args):
                             f"estimate.{name}")
 
     def length(name, default, convert=float):
-        """A length, or a tuple of them: each finite and > 0."""
+        """A length or lam2, or a list of them: each finite and > 0."""
         value = param(name, default, convert)
         if not all(0 < v < np.inf for v in np.atleast_1d(value)):
             raise ValidationError(f"estimate.{name} must be finite and > 0, "
@@ -214,7 +214,7 @@ def cmd_estimate(args):
         region = ms.Box((0.0,) * spec.dimension,
                         (region_side,) * spec.dimension)
         report = est.degeneracy_scan(
-            param("lam2_list", [spec.lam2], _floats),
+            length("lam2_list", [spec.lam2], _floats),
             spec.dimension, spec.scale, moll.kind, grid,
             epsilons, region,
             alpha=param("alpha", 0.5),
@@ -247,12 +247,9 @@ def cmd_estimate(args):
             f"dissipation: Var(ln eps_l) slope {report.slope:.4f} "
             f"+- {report.slope_se:.4f} (lam2 = {spec.lam2})"])
     elif kind == "mrw":
-        t_max = param("t_max", 1.0)
-        n_times = param("n_times", 1024, int)
-        if not (t_max > 0 and n_times >= 1):
-            raise ValidationError(
-                f"estimate.t_max must be > 0 and estimate.n_times >= 1, "
-                f"got t_max={t_max!r}, n_times={n_times!r}")
+        t_max = length("t_max", 1.0)
+        n_times = parse_count(params.get("n_times", 1024), "estimate.n_times",
+                              1)
         times = np.linspace(0.0, t_max, n_times + 1)[1:]
         plan = fd.SpectralPlan(fd.build_ladder(spec, moll, (moll.epsilon,)),
                                grid)

@@ -31,7 +31,6 @@ __all__ = [
     "sigma_positive_layer",
     "kernel_hat",
     "mollified_covariance",
-    "mollifier_diagnostics",
     "spec_to_json",
     "spec_from_json",
 ]
@@ -292,9 +291,9 @@ class MollifierSpec:
     """Positive-definite unit-mass smoothing profile at scale epsilon.
 
     gaussian: theta(x) = exp(-|x|^2/2) / (2 pi)^(d/2), theta_hat(u) =
-    exp(-2 pi^2 u^2), decay exponent gamma = 2.  fejer (d = 1 only):
-    theta(x) = (sin(pi x)/(pi x))^2, theta_hat(u) = (1 - |u|)_+, gamma = 1.
-    Both have theta_hat decreasing in |u| with theta_hat(0) = 1.
+    exp(-2 pi^2 u^2).  fejer (d = 1 only): theta(x) = (sin(pi x)/(pi x))^2,
+    theta_hat(u) = (1 - |u|)_+.  Both have theta_hat decreasing in |u| with
+    theta_hat(0) = 1.
     """
 
     kind: str
@@ -331,19 +330,6 @@ class MollifierSpec:
         """Fourier transform of theta^eps at radial frequency xi."""
         return self.theta_hat(self.epsilon * np.asarray(xi, dtype=float))
 
-    @property
-    def gamma(self):
-        """Recorded decay exponent: |theta(x)| <= C / (1 + |x|^(d+gamma))."""
-        return 2.0 if self.kind == "gaussian" else 1.0
-
-    @property
-    def decay_constant(self):
-        """Recorded C in the decay bound, a grid sup with 0.5% slack so
-        the bound holds between grid points too."""
-        r = np.linspace(0.0, 60.0, 4001)
-        sup = np.max(np.abs(self.theta(r)) * (1.0 + r ** (self.dimension + self.gamma)))
-        return float(sup * 1.005)
-
     def spectral_cutoff(self):
         """Frequency beyond which theta_hat_eps falls below 1e-18."""
         if self.kind == "fejer":
@@ -353,38 +339,6 @@ class MollifierSpec:
 
     def to_json(self):
         return {"kind": self.kind, "epsilon": self.epsilon}
-
-
-def mollifier_diagnostics(moll: MollifierSpec):
-    """Numeric verification of the admissibility conditions.
-
-    Returns a dict with the unit-mass integral, monotonicity of theta_hat
-    on a 512-point grid of [0, 4], and the decay-bound constant.
-    """
-    from scipy.integrate import quad
-    d = moll.dimension
-    surf = spectral.sphere_area(d)
-    if moll.kind == "fejer":
-        # finite window plus the analytic tail of sinc^2:
-        # int_X^inf sinc(x)^2 dx = 1/(2 pi^2 X) + O(X^-2)
-        X = 200.0
-        mass, mass_err = quad(lambda r: surf * moll.theta(r), 0.0, X, limit=2000)
-        mass += surf * 1.0 / (2.0 * np.pi ** 2 * X)
-        mass_err += surf / (4.0 * np.pi ** 3 * X * X)
-    else:
-        mass, mass_err = quad(lambda r: surf * r ** (d - 1) * moll.theta(r),
-                              0.0, 50.0, limit=400)
-    u = np.linspace(0.0, 4.0, 512)
-    th = moll.theta_hat(u)
-    monotone = bool(np.all(np.diff(th) <= 1e-15))
-    return {
-        "mass": mass,
-        "mass_err": mass_err,
-        "theta_hat_monotone": monotone,
-        "theta_hat_at_zero": float(moll.theta_hat(0.0)),
-        "gamma": moll.gamma,
-        "decay_constant": moll.decay_constant,
-    }
 
 
 # ----------------------------------------------------------------------

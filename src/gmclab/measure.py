@@ -75,10 +75,6 @@ class ChaosMeasure:
     def __post_init__(self):
         self.cell_masses.setflags(write=False)
 
-    @property
-    def total_mass(self):
-        return float(np.sum(self.cell_masses))
-
 
 def _cell_masses(values, variance, cell_volume):
     """m_eps(cell) = exp(X(x_cell) - v/2) * cell_volume."""

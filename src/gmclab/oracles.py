@@ -41,7 +41,6 @@ __all__ = [
     "sup_comparison_check",
     "sup_moment_growth",
     "log_convolution_tail",
-    "proof_envelope",
     "run_all",
     "verdicts_to_json",
 ]
@@ -342,8 +341,9 @@ def log_convolution_tail(theta_abs, a_list, decay_c, decay_gamma):
     """sup over |z| > A of |integral |theta(v)| ln|z/(z-v)| dv| for each A,
     taken over six z log-spaced on [A, 8A].
 
-    theta_abs is |theta| as a 1-d profile with the recorded decay bound
-    |theta(v)| <= C/(1+|v|^(1+gamma)); the quadrature tail beyond the
+    theta_abs is |theta| as a 1-d profile with the decay bound
+    |theta(v)| <= C/(1+|v|^(1+gamma)), C = decay_c and gamma = decay_gamma
+    as the caller states them; the quadrature tail beyond the
     finite window is bounded through that envelope and added to the
     reported value.
     """
@@ -360,32 +360,6 @@ def log_convolution_tail(theta_abs, a_list, decay_c, decay_gamma):
             sup_val = max(sup_val, abs(val) + abs(err) + tail)
         out[float(a)] = float(sup_val)
     return out
-
-
-def proof_envelope(theta_abs, z, mass=None):
-    """Numeric evaluation of the four bounding terms in the tail lemma's
-    proof (split at |v| = sqrt(z), z + 1); an upper bound for the
-    integral at this z."""
-    import warnings
-    from scipy.integrate import quad
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # oscillatory tails cap quad accuracy
-        sz = np.sqrt(z)
-        if mass is None:
-            mass, _ = quad(theta_abs, -np.inf, np.inf, limit=1200)
-        term1 = mass / (sz - 1.0) if sz > 1 else np.inf
-        tails = (theta_abs, lambda v: theta_abs(-v))   # v > 0, then v < 0
-        term2 = np.log(z) * sum(quad(th, sz, np.inf, limit=1200)[0]
-                                for th in tails)
-        term3 = sum(quad(lambda v: th(v) * (np.log(z) + np.log(abs(v))),
-                         z + 1.0, np.inf, limit=1200)[0] for th in tails)
-        q2 = sum(quad(lambda v: th(v) ** 2, sz, z + 1.0, limit=400)[0]
-                 for th in tails)
-        l2, _ = quad(lambda v: np.log(abs(z - v)) ** 2, sz, z + 1.0,
-                     points=[z], limit=800)
-        l2b, _ = quad(lambda v: np.log(z + v) ** 2, sz, z + 1.0, limit=400)
-        term4 = np.sqrt(q2) * np.sqrt(max(l2, 0.0) + max(l2b, 0.0))
-    return term1 + term2 + term3 + term4
 
 
 # ----------------------------------------------------------------------

@@ -431,9 +431,17 @@ def test_estimate_parameters_out_of_range_are_refused(tmp_path, capsys,
                "estimate": {**DISSIPATION, "radii": [0.5, -0.25, 0.4]}}),
     ("radii", {"kernel": D3_KERNEL, "grid": {"n": 32}, "mollifier": DROP,
                "estimate": {**DISSIPATION, "radii": [0.5, 0.45, 0.0]}}),
+    ("t_max", {"estimate": {"kind": "mrw", "t_max": float("inf")}}),
+    ("t_max", {"estimate": {"kind": "mrw", "t_max": float("nan")}}),
+    ("lam2_list", {"ladder": DEGENERACY_LADDER,
+                   "estimate": {"kind": "degeneracy",
+                                "lam2_list": [0.5, float("nan")]}}),
+    ("lam2_list", {"ladder": DEGENERACY_LADDER,
+                   "estimate": {"kind": "degeneracy", "lam2_list": [-1.0]}}),
 ], ids=["side-negative", "side-infinite", "eps_a-zero", "eps_a-nan",
         "region_side-zero", "region_side-minus-infinity", "radius-negative",
-        "radius-zero"])
+        "radius-zero", "t_max-infinite", "t_max-nan", "lam2_list-nan",
+        "lam2_list-negative"])
 def test_estimate_lengths_out_of_range_are_refused_by_name(tmp_path, capsys,
                                                            key, overrides):
     cfg = tmp_path / "cfg.json"

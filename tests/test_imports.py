@@ -11,7 +11,8 @@ import os
 import subprocess
 import sys
 
-SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+SRC = os.path.join(ROOT, "src")
 
 # scipy.integrate and what it pulls in; gmclab needs only scipy.fft and
 # scipy.special until a quadrature runs
@@ -57,22 +58,21 @@ import numpy as np
 from gmclab import kernels, oracles
 before = "scipy.integrate" in sys.modules
 cone = kernels.eval_cone_kernel(1.0, 1.0, 2, 0.5)
-diag = kernels.mollifier_diagnostics(kernels.MollifierSpec("gaussian", 0.1, 1))
 gauss = lambda v: np.exp(-v * v) / np.sqrt(np.pi)
 log_int, _ = oracles._log_kernel_integral(gauss, 9.0, 90.0)
-envelope = oracles.proof_envelope(gauss, 9.0)
 print(json.dumps({"before": before, "after": "scipy.integrate" in sys.modules,
-                  "values": [cone, diag["mass"], log_int, envelope]}))
+                  "values": [cone, log_int]}))
 """
 
 
 def test_quadrature_callers_load_quad_on_first_use():
     got = run_fresh(QUAD_CALLERS)
     assert not got["before"] and got["after"]
-    cone, mass, log_int, envelope = got["values"]
+    cone, log_int = got["values"]
     assert cone > 0
-    assert abs(mass - 1.0) < 1e-8
-    assert 0 < abs(log_int) <= envelope
+    # ln(z/(z-v)) = v/z + v^2/(2z^2) + ...: for this profile (variance 1/2)
+    # the integral is 1/(4z^2) up to a z^-4 term
+    assert abs(log_int - 1.0 / (4 * 9.0 ** 2)) < 1e-4
 
 
 def test_every_imported_name_is_used():
@@ -115,3 +115,39 @@ def test_public_names_are_declared_where_they_live():
         unresolved += [f"{name}: {n}" for n in getattr(module, "__all__", [])
                        if not hasattr(module, n)]
     assert undeclared == [] and unresolved == []
+
+
+def read_names(folder, strings=False):
+    """Every name a folder's modules read (an ast.Name or the attribute of
+    an ast.Attribute), and with `strings` their string constants too."""
+    path = os.path.join(ROOT, folder)
+    files = [path] if path.endswith(".py") else [
+        os.path.join(path, f) for f in sorted(os.listdir(path))
+        if f.endswith(".py") and f != "__init__.py"]
+    read = set()
+    for name in files:
+        with open(name, encoding="utf-8") as fh:
+            for node in ast.walk(ast.parse(fh.read())):
+                if isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif strings and isinstance(node, ast.Constant) \
+                        and isinstance(node.value, str):
+                    read.add(node.value)
+    return read
+
+
+def test_every_public_name_has_a_reader():
+    # a public name that only unit tests read is a capability that no
+    # workload, command, demo or acceptance criterion reaches; perfbench
+    # spans functions by name, so its string constants count as reads
+    read = (read_names("src/gmclab") | read_names("demos")
+            | read_names("tests/test_acceptance.py")
+            | read_names("perfbench", strings=True))
+    unread = [f"{module}.{name}" for module in
+              ("kernels", "spectral", "field", "measure", "estimators",
+               "oracles")
+              for name in importlib.import_module(f"gmclab.{module}").__all__
+              if name not in read]
+    assert unread == []

@@ -281,14 +281,6 @@ def test_log_tail_compact_support_vanishes():
     assert vals[2] < 5e-3
 
 
-def test_log_tail_fejer_below_proof_envelope():
-    fejer = lambda v: np.sinc(v) ** 2
-    for z in (30.0, 100.0):
-        val, _ = oc._log_kernel_integral(fejer, z, max(10 * z, 64.0))
-        env = oc.proof_envelope(fejer, z, mass=1.0)
-        assert abs(val) <= env
-
-
 # ----------------------------------------------------------------------
 # aggregated battery
 # ----------------------------------------------------------------------
