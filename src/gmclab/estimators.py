@@ -236,7 +236,7 @@ def moment_scaling(kernel: KernelSpec, mollifier: MollifierSpec,
             if regions == "boxes":
                 bm = ms._tile_masses(masses, i_lo, (W - 1) // w, w)
             else:
-                bm = np.array([b.mass(masses[b.window][b.local])
+                bm = np.array([b.mass(b.cells(masses[b.window]))
                                for b in balls[c]])
             for p in p_list:
                 acc[(p, c)][rep] = float(np.mean(bm ** p))

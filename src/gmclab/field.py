@@ -26,8 +26,9 @@ lattice radius: on |j| / L in d = 1, and on sqrt(k2) / L for every integer
 k2 = sum_i j_i^2 up to d (n/2)^2 in d >= 2.  All shells share one
 evaluation of fhat there (`ShellLadder.weights`).  The amplitudes are
 gathered from that table onto the half-lattice, the leading d - 1 axes
-folded to min(j, n - j) and the last axis whole, and each shell's normals
-are multiplied through its mirrored blocks (`_mirror_blocks`).  The sum
+folded to min(j, n - j) and the last axis whole, one axis-0 row at a time
+and only on the rows the band reaches, and each shell's normals are
+multiplied through its mirrored blocks (`_mirror_blocks`).  The sum
 sum_j b_j (cos - sin)(2 pi j . x / n) of a real array b is a Hartley
 transform, computed from one real forward FFT F of b (the values of
 `rfftn`, to the bit) as Re F + Im F on the stored half-spectrum and
@@ -41,8 +42,11 @@ The band: a plan keeps the lattice radii up to the largest, K, whose
 summed (finest-stage) weight exceeds 1e-32 of the largest, an amplitude
 of 1e-16 of the largest, which float64 cannot resolve against it.  Every
 shell's weight beyond K is 0, and the lattice variance is the kept weight;
-the dropped variance is recorded on the plan.  The transform leaves out
-the lines that then hold only zeros (in d >= 2; d = 1 is one line).
+the dropped variance is recorded on the plan.  In d >= 2 (d = 1 is one
+line) a plan holds amplitudes only on the axis-0 rows j0^2 <= K, the
+normals are multiplied only on the lines that can hold a mode with
+k2 <= K, and the transform runs only on those lines, into a buffer of
+the band's axis-0 rows.
 
 The sum is built and transformed in slabs of rows along axis 0
 (`_slabs`): each shell draws a slab's normals from its own stream, and
@@ -53,7 +57,8 @@ of its region's bounding slab, so a sample can be drawn on such a window
 (one slice of nodes per axis): the transform keeps only the columns and
 rows that the window and its mirror image read (`_hartley`; the whole
 grid is the window that reads every row), and only the lines inside the
-band.  The windowed values equal the whole grid's to the bit.
+band; its axis-0 pass runs a few columns at a time through one n-row
+scratch.  The windowed values equal the whole grid's to the bit.
 
 Randomness: counter-based Philox streams keyed by (seed, replica, shell),
 so replicas and shells are reproducible and order-independent.
@@ -271,83 +276,78 @@ class FieldSample:
             self._spectrum.setflags(write=False)
 
 
+def _fold(n):
+    """Lattice modes per folded index m = 0..n/2 of one axis: 1 at m = 0
+    and m = n/2, else 2 (j and n - j)."""
+    m = np.arange(n // 2 + 1)
+    return np.where((m == 0) | (m == n // 2), 1, 2)
+
+
 def _half_lattice(grid: GridSpec):
-    """(index, fold, radii) on the half-lattice: the leading d - 1 axes
-    folded to m = min(j, n - j) in 0..n/2 by the lattice's mirror symmetry,
-    the last axis whole (in d = 1 the whole line).  `index` is each mode's
-    entry in the table `radii` of lattice radii |xi|: d >= 2 indexes by the
-    integer k2 = sum_i j_i^2 (d (n/2)^2 + 1 radii, not all of them on the
-    lattice); d = 1 indexes by |j| (n/2 + 1 radii), where a k2 table would
-    need (n/2)^2 entries.  `fold`, broadcastable to `index`, counts the
-    lattice modes each mode stands for: per folded axis 1 at m = 0 and
-    m = n/2, else 2."""
+    """(index, fold, radii): the table `radii` of lattice radii |xi| and
+    how the half-lattice reads it.  In d = 1 the half-lattice is the whole
+    line, `index` each mode's entry, by |j| (n/2 + 1 radii, where a k2
+    table would need (n/2)^2 entries), and `fold` 1.  In d >= 2 the table
+    is by the integer k2 = sum_i j_i^2 (d (n/2)^2 + 1 radii, not all of
+    them on the lattice) and the half-lattice folds the leading d - 1 axes
+    to m = min(j, n - j) in 0..n/2 by the lattice's mirror symmetry, the
+    last axis whole; `index` and `fold` describe one of its axis-0 rows,
+    shape (n/2+1,)*(d-2) + (n,): row m0 reads the table at m0^2 + index,
+    and each of its modes stands for _fold(n)[m0] * fold lattice modes
+    (`fold` broadcastable to `index`)."""
     d, h = grid.dimension, grid.n // 2
     j = np.fft.ifftshift(np.arange(-h, h))
     if d == 1:
         return np.abs(j), 1.0, np.arange(h + 1) / grid.length
     m = np.arange(h + 1)
-    fold = functools.reduce(np.multiply.outer,
-                            [np.where((m == 0) | (m == h), 1, 2)] * (d - 1))
-    index = sum(np.meshgrid(*([m * m] * (d - 1)), j * j, indexing="ij",
+    fold = functools.reduce(np.multiply.outer, [_fold(grid.n)] * (d - 2),
+                            np.array(1))
+    index = sum(np.meshgrid(*([m * m] * (d - 2)), j * j, indexing="ij",
                             sparse=True))
     return (index, fold[..., None],
             np.sqrt(np.arange(d * h * h + 1)) / grid.length)
 
 
-def _mirror_blocks(n, d, lo=0, hi=None, top=None):
+def _mirror_blocks(n, d, lo=0, hi=None, band=None):
     """(dst, src) slice pairs that expand a half-lattice array onto the
     lattice rows lo..hi-1 (default every row) along axis 0 of the n^d
     lattice, dst counting rows from lo: along each leading axis, lattice
     rows 0..n/2 read rows 0..n/2 and rows n/2+1..n-1 read rows n/2-1..1
-    (m = min(j, n - j)).  With `top`, only the axis-0 rows with m <= top
-    are covered.  Every row range gives at most 2^(d-1) pairs; in d = 1
-    one pair of empty tuples."""
+    (m = min(j, n - j)).  With `band`, only the lines that can hold a mode
+    with k2 = sum_i m_i^2 <= band are covered: the axis-0 rows with
+    m^2 <= band and, in d = 3, for each run of them, the axis-1 columns
+    with m^2 <= band - m0^2, m0 the run's row nearest 0 (the last axis is
+    whole).  These are the lines `_hartley` transforms.  Every row range
+    gives at most 2^(d-1) pairs; in d = 1 one pair of empty tuples."""
     if d == 1:
         return [((), ())]
     h, hi = n // 2, n if hi is None else hi
-    top = h if top is None else min(top, h)
-    rows = []
+    top = h if band is None else min(math.isqrt(band), h)
+    rows = []                                    # (dst, src, m0 nearest 0)
     a, z = lo, min(hi, top + 1)                  # rows read where they are
     if a < z:
-        rows.append((slice(a - lo, z - lo), slice(a, z)))
+        rows.append((slice(a - lo, z - lo), slice(a, z), a))
     a, z = max(lo, h + 1, n - top), hi           # rows read at n - j
     if a < z:
-        rows.append((slice(a - lo, z - lo), slice(n - a, n - z, -1)))
-    return [((dst,) + d_rest, (src,) + s_rest) for dst, src in rows
-            for d_rest, s_rest in _mirror_blocks(n, d - 1)]
+        rows.append((slice(a - lo, z - lo), slice(n - a, n - z, -1),
+                     n - z + 1))
+    return [((dst,) + d_rest, (src,) + s_rest) for dst, src, m0 in rows
+            for d_rest, s_rest in _mirror_blocks(
+                n, d - 1, band=None if band is None else band - m0 * m0)]
 
 
-_SLAB_ROWS = 8    # axis-0 rows per slab of a spectral sum and per r2c call
-
-
-def _reach(n, k2, lo=0, hi=None):
-    """The indices lo..hi-1 (default every index) along one axis of the
-    n^d lattice whose frequency j = min(i, n - i) has j^2 <= k2, as at
-    most two slices: 0..J and n-J..n-1 with J = isqrt(k2), cut to lo..hi.
-    An axis with J >= n/2 is reached whole."""
-    hi = n if hi is None else hi
-    top = math.isqrt(k2)
-    if 2 * top + 1 >= n:
-        return [slice(lo, hi)] if lo < hi else []
-    return [slice(a, z) for a, z in ((lo, min(hi, top + 1)),
-                                     (max(lo, n - top), hi)) if a < z]
+_SLAB_ROWS = 8    # axis-0 rows per slab, axis-1 columns per axis-0 c2c
 
 
 def _slabs(n, d, band):
-    """(rows, kept, blocks) for each slab of the n^d lattice, in order:
-    `rows` is a slice of _SLAB_ROWS rows along axis 0 (d = 1: the whole
-    line, one slab), `kept` the slices of its rows, counted from its
-    first, whose j0^2 <= band (d = 1: the line) and `blocks` the
-    `_mirror_blocks` of those rows."""
-    if d == 1:
-        yield slice(0, n), [slice(0, n)], _mirror_blocks(n, d)
-        return
-    for lo in range(0, n, _SLAB_ROWS):
-        hi = min(n, lo + _SLAB_ROWS)
-        kept = [slice(r.start - lo, r.stop - lo)
-                for r in _reach(n, band, lo, hi)]
-        yield (slice(lo, hi), kept,
-               _mirror_blocks(n, d, lo, hi, top=math.isqrt(band)))
+    """(rows, blocks) for each slab of the n^d lattice, in order: `rows`
+    is a slice of _SLAB_ROWS rows along axis 0 (d = 1: the whole line,
+    one slab) and `blocks` the `_mirror_blocks` of its lines that can
+    hold a mode with k2 <= band."""
+    step = n if d == 1 else _SLAB_ROWS
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        yield slice(lo, hi), _mirror_blocks(n, d, lo, hi, band)
 
 
 def _window(grid: GridSpec, window):
@@ -435,23 +435,26 @@ def _hartley(slabs, shape, window=None, band=None):
     in d >= 2 each slab is read once, before the next is asked for, so a
     slab may be a buffer that the next one overwrites.  In d >= 2 b must
     be zero at every mode whose k2 = sum_i j_i^2 (j_i = min(i, n - i))
-    exceeds `band` (default the whole lattice), and its rows with
-    j0^2 > band are never read, so they may hold anything.
+    exceeds `band` (default the whole lattice), and only the lines of
+    `_mirror_blocks(..., band)` are read, so the others may hold anything.
 
     The transform F holds sum_j b_j (cos - i sin), so the sum is Re F +
     Im F at a node x whose last index m <= n/2 (stored), and Re F - Im F
     at (-x mod n) otherwise, whose last index n - m is stored (F(-x) =
     conj F(x) for real b).  F is computed line by line as `rfftn`
-    computes it: an r2c along the last axis, run slab by slab, each
-    keeping only the columns the window reads, so neither b nor the whole
-    r2c output is ever built; then a c2c along each of the axes 0..d-2 in
-    that order, keeping the rows that the window and its mirror image read
-    (every row and every stored column for the whole grid).  Lines that
-    hold only zeros are left out, their transforms being zeros: the r2c
-    runs on the rows j0^2 <= band in d = 2 and, of those, on the lines
-    j0^2 + j1^2 <= band in d = 3 (bounded per slab by its row nearest
-    j0 = 0), and in d = 3 the first c2c on the columns j1^2 <= band.  So
-    the values equal those unfolded from `rfftn(b)`, to the bit.
+    computes it: an r2c along the last axis, run slab by slab on the lines
+    of `_mirror_blocks(..., band)`, each keeping only the columns the
+    window reads, into a band buffer that holds only the axis-0 rows with
+    j0^2 <= band (those at n - j0 after those at j0), so neither b nor the
+    whole r2c output is ever built; then a c2c along each of the axes
+    0..d-2 in that order, keeping the rows that the window and its mirror
+    image read (every row and every stored column for the whole grid).
+    The axis-0 c2c runs through an n-row scratch on at most _SLAB_ROWS
+    axis-1 columns at a time, in d = 3 only on the columns j1^2 <= band
+    (the others hold only zeros), and its kept rows go back into the band
+    buffer when it has room for them.  Lines that hold only zeros are
+    left out, their transforms being zeros, so the values equal those
+    unfolded from `rfftn(b)`, to the bit.
     """
     d, n = len(shape), shape[-1]
     band = d * (n // 2) ** 2 if band is None else band
@@ -462,34 +465,53 @@ def _hartley(slabs, shape, window=None, band=None):
         (out,) = slabs            # the line, and the whole grid's result
         f = sfft.rfft(out)[read[-1]]
     else:
-        f = np.zeros(shape[:-1] + np.arange(n // 2 + 1)[read[-1]].shape,
-                     complex)
-        lo = 0
+        top = math.isqrt(band)    # lattice rows beyond it sit `shift` up
+        rows = min(n, 2 * top + 1)                # the band's axis-0 rows
+        f = np.zeros((rows,) + shape[1:-1]
+                     + np.arange(n // 2 + 1)[read[-1]].shape, complex)
+        shift, lo = n - rows, 0
         for slab in slabs:
-            for rows in _reach(n, band, lo, lo + len(slab)):
-                j0 = min(rows.start, n - rows.start,
-                         rows.stop - 1, n - rows.stop + 1)
-                lines = ([()] if d == 2 else
-                         [(c,) for c in _reach(n, band - j0 * j0)])
-                for ln in lines:
-                    f[(rows,) + ln] = sfft.rfft(
-                        slab[(slice(rows.start - lo, rows.stop - lo),) + ln],
-                        axis=-1)[..., read[-1]]
+            for dst, _ in _mirror_blocks(n, d, lo, lo + len(slab), band):
+                a = lo + dst[0].start
+                a -= shift if a > top else 0
+                f[(slice(a, a + dst[0].stop - dst[0].start),) + dst[1:]] = \
+                    sfft.rfft(slab[dst], axis=-1)[..., read[-1]]
             lo += len(slab)
-        del slab                  # let the last slab go before `out`
-    for ax in range(d - 1):
-        # in d = 3 the axis-0 columns with j1^2 > band hold only zeros
-        cols = _reach(n, band) if ax + 2 < d else [slice(None)]
-        for c in cols:
-            at = (slice(None),) * (ax + 1) + (c,)
-            f[at] = sfft.fft(f[at], axis=ax, overwrite_x=True)
-        f = f[(slice(None),) * ax + (read[ax],)]
+        del slab                  # let the last slab go before the c2c
+        # in d = 3 only the axis-1 columns with j1^2 <= band hold data
+        cols = ([dst for (dst,), _ in _mirror_blocks(n, 2, band=band)]
+                if d == 3 else [slice(0, f.shape[1])])
+        f = _rows_c2c(f, n, top, read[0], cols)
+        if d == 3:
+            f = sfft.fft(f, axis=1, overwrite_x=True)[:, read[1]]
     re, im = f.real, f.imag
     if out is None or window is not None:
         out = np.empty([z - a for a, z in bounds])
     for op, dst, src in blocks:
         op(re[src], im[src], out=out[dst])
     return out
+
+
+def _rows_c2c(f, n, top, rows, cols):
+    """The c2c along axis 0 of a band buffer `f` (the lattice rows 0..top,
+    then those at n - top..n - 1), run on the axis-1 column slices `cols`
+    at most _SLAB_ROWS columns at a time through an n-row scratch whose
+    other rows are zero; returns the lattice rows `rows` of the result,
+    written back into `f` when it has that many rows."""
+    span = rows.stop - rows.start
+    res = f[:span] if len(f) >= span else np.zeros((span,) + f.shape[1:],
+                                                    complex)
+    scratch = np.empty((n, _SLAB_ROWS) + f.shape[2:], complex)
+    k, gap = top + 1, n - len(f) + top + 1    # scratch rows k..gap-1 are 0
+    for c in cols:
+        for a in range(c.start, c.stop, _SLAB_ROWS):
+            blk = slice(a, min(a + _SLAB_ROWS, c.stop))
+            s = scratch[:, :blk.stop - a]
+            s[:k] = f[:k, blk]
+            s[k:gap] = 0
+            s[gap:] = f[k:, blk]
+            res[:, blk] = sfft.fft(s, axis=0, overwrite_x=True)[rows]
+    return res
 
 
 class SpectralPlan:
@@ -499,12 +521,16 @@ class SpectralPlan:
     stage from it with `sample` and `refine`.  The plan evaluates the
     shells' radial weights once per distinct lattice radius (see
     `_half_lattice`), with one evaluation of fhat for all of them, and
-    gathers the amplitudes sqrt(w / L^d) onto the half-lattice: `amps`
-    holds one (n/2+1,)*(d-1) + (n,) array per stage, the leading axes
-    folded by the lattice's mirror symmetry.  The per-radius mode counts
-    weigh each half-lattice mode by the lattice modes it stands for.  A
-    shell is then a Philox stream of standard normals g and the product
-    g * amp, through the mirrored blocks of `_mirror_blocks`; `sample`
+    gathers the amplitudes sqrt(w / L^d) onto the half-lattice, one
+    axis-0 row at a time: `amps` holds one array per stage, the leading
+    axes folded by the lattice's mirror symmetry, of shape (n,) in d = 1
+    and (top + 1,) + (n/2+1,)*(d-2) + (n,) in d >= 2, with
+    top = min(isqrt(band), n/2): the rows beyond hold only zero weight and
+    are not stored.  The per-radius mode counts weigh each half-lattice
+    mode by the lattice modes it stands for, one row's counts moved to
+    each row's m0^2, so no lattice-sized index exists.  A shell is then
+    a Philox stream of standard normals g and the product g * amp,
+    through the mirrored blocks of `_mirror_blocks`; `sample`
     adds the shells' products in stage order, one slab of axis-0 rows at
     a time, and runs one real FFT on the sum as the slabs arrive, which
     gives the (cos - sin) sum (see `_coefficients` and `_hartley`).
@@ -522,9 +548,10 @@ class SpectralPlan:
     set to 0 before the amplitudes are gathered, so `amps`,
     `stage_variance` and `discrete_covariance` hold the kept weight, and
     `dropped_variance` is the lattice variance the cut removed.  In d >= 2
-    a slab's rows with j0^2 > K are not multiplied, and `_hartley` reads
-    only the lines inside the band.  Every shell still draws its normals
-    on the whole lattice, so no normal depends on the band.
+    only the lines of a slab that `_hartley` transforms, those that can
+    hold a mode with k2 <= K (`_mirror_blocks`), are multiplied.  Every
+    shell still draws its normals on the whole lattice, so no normal
+    depends on the band.
     """
 
     def __init__(self, ladder: ShellLadder, grid: GridSpec):
@@ -536,6 +563,11 @@ class SpectralPlan:
         modes = np.bincount(index.ravel(),                        # per radius
                             np.broadcast_to(fold, index.shape).ravel(),
                             radii.size).astype(np.int64)
+        if grid.dimension > 1:        # one row's counts, moved to each row
+            row, modes = modes, np.zeros_like(modes)
+            at = np.flatnonzero(row)
+            for m0, f0 in enumerate(_fold(grid.n)):
+                modes[at + m0 * m0] += f0 * row[at]
         cell = 1.0 / grid.length ** grid.dimension   # spectral cell d xi
         rem = ladder.kernel.remainder
         tables = []                         # clipped radial weight per shell
@@ -563,12 +595,25 @@ class SpectralPlan:
             w[self.band + 1:] = 0.0
             self.stage_variance.append(float(modes @ w) * cell)
             w *= cell
-            self.amps.append(np.sqrt(w, out=w)[index])
+            self.amps.append(self._gather(np.sqrt(w, out=w), index))
         trace = self.total_variance + self.dropped_variance
         if clipped > 1e-8 * max(trace, 1e-300):
             raise GateError("embedding weights substantially negative",
                             clipped_mass=clipped, trace=trace)
         self._check_resolution()
+
+    def _gather(self, table, index):
+        """A radial `table` read at a `_half_lattice` index: in d = 1 at
+        every mode; in d >= 2 on the axis-0 rows m0 <= min(isqrt(band),
+        n/2) only (`_mirror_blocks` reads no other), row m0 at
+        m0^2 + index, one row at a time."""
+        if self.grid.dimension == 1:
+            return table[index]
+        top = min(math.isqrt(self.band), self.grid.n // 2)
+        out = np.empty((top + 1,) + index.shape)
+        for m0 in range(top + 1):
+            out[m0] = table[index + m0 * m0]
+        return out
 
     def _check_resolution(self):
         """Nyquist must carry the finest shell: the continuum spectral mass
@@ -601,15 +646,16 @@ class SpectralPlan:
         `base`, a sample's kept sum.  Each shell draws its normals g_k slab
         by slab from its own Philox stream, and consecutive draws continue
         the stream as one draw on the whole lattice would, so each slab is
-        that of the whole-lattice sum, to the bit, in its rows with
-        j0^2 <= band; the other rows, which `_hartley` does not read, are
-        not multiplied.  With `keep`, a zeroed lattice array, the kept rows
-        of the sum are also written there.  The slabs share one buffer."""
+        that of the whole-lattice sum, to the bit, on the lines that
+        `_hartley` transforms (the `_mirror_blocks` of the band); the other
+        lines, which it does not read, are not multiplied.  With `keep`, a
+        zeroed lattice array, those lines of the sum are also written
+        there.  The slabs share one buffer."""
         n, d = self.grid.n, self.grid.dimension
         gens = [_philox(seed, replica, k) for k in shells]
         amps = [self.amps[k] for k in shells]
         slab = g = None
-        for rows, kept, blocks in _slabs(n, d, self.band):
+        for rows, blocks in _slabs(n, d, self.band):
             size = (rows.stop - rows.start,) + self.grid.shape[1:]
             for i, (gen, amp) in enumerate(zip(gens, amps)):
                 c = gen.standard_normal(size, out=g if i else slab)
@@ -623,8 +669,8 @@ class SpectralPlan:
             if base is not None:
                 slab += base[rows]
             if keep is not None:
-                for r in kept:
-                    keep[rows][r] = slab[r]
+                for dst, _ in blocks:
+                    keep[rows][dst] = slab[dst]
             yield slab
 
     def _field_sample(self, seed, replica, stage, window, base=None):
@@ -683,9 +729,10 @@ class SpectralPlan:
         grid = self.grid
         index, _, _ = _half_lattice(grid)
         cell = 1.0 / grid.length ** grid.dimension
-        half = (self._spectrum * cell)[index]
-        b = np.empty(grid.shape)
-        for dst, src in _mirror_blocks(grid.n, grid.dimension):
+        half = self._gather(self._spectrum * cell, index)
+        b = np.zeros(grid.shape)
+        for dst, src in _mirror_blocks(grid.n, grid.dimension,
+                                       band=self.band):
             b[dst] = half[src]
         return _hartley([b], grid.shape, band=self.band)
 

@@ -13,12 +13,14 @@ in gmclab goes through one pair: `_region_weights` checks a region
 against a grid and builds its weights once, and `_RegionWeights.mass`
 contracts the masses of the region's selected cells with them;
 `_tile_masses` sums the whole-cell tiles of the moment-scaling window.
-The weights carry the region's bounding slab as a `window` and the
-region's cells within it as `local`: cell masses of a whole grid enter
-as `masses[window][local]`, and samples drawn for one region are drawn
-on the window (`SpectralPlan.sample(..., window=weights.window)`), so
-only the nodes the region reads are transformed and only its cells are
-exponentiated (`values[local]`).  `convergence_trace` is the one loop
+The weights carry the region's bounding slab as a `window` and, for a
+ball, the flat index of its cells within it as `local` (a box's cells
+are the whole window): `_RegionWeights.cells` selects them from values
+over the window, so cell masses of a whole grid enter as
+`cells(masses[window])`, and samples drawn for one region are drawn on
+the window (`SpectralPlan.sample(..., window=weights.window)`), so only
+the nodes the region reads are transformed and only its cells are
+exponentiated (`cells(values)`).  `convergence_trace` is the one loop
 that draws replicas this way and reduces them to region masses; the
 estimators' dissipation, scale invariance and degeneracy ensembles all
 come from it.
@@ -77,8 +79,11 @@ class ChaosMeasure:
 
 
 def _cell_masses(values, variance, cell_volume):
-    """m_eps(cell) = exp(X(x_cell) - v/2) * cell_volume."""
-    return np.exp(values - variance / 2.0) * cell_volume
+    """m_eps(cell) = exp(X(x_cell) - v/2) * cell_volume, in one array."""
+    t = values - variance / 2.0
+    np.exp(t, out=t)
+    t *= cell_volume
+    return t
 
 
 def exponentiate(sample: FieldSample) -> ChaosMeasure:
@@ -174,15 +179,16 @@ def _slab(grid: GridSpec, lo, hi):
 
 
 _SUBDIV = 3  # per-axis subsampling of boundary cells of a ball
+_CHUNK = 4096  # boundary cells whose subsamples are evaluated at once
 
 
 def _ball_weights(grid: GridSpec, ball: Ball):
-    """(slab, cell index arrays, weights) for the covered-volume fractions:
-    the ball's bounding slab, which is the only part scanned (no cell
-    outside it is covered), and in it the cells wholly inside, then the
-    boundary cells, each in flat order and indexed from the slab's start.
-    A boundary cell's 3^d subsample distances add the per-axis squares in
-    axis order, broadcast over the subsamples of every axis."""
+    """(slab, flat index, weights) for the covered-volume fractions: the
+    ball's bounding slab, which is the only part scanned (no cell outside
+    it is covered), and the flat index, within it, of the cells wholly
+    inside, then of the boundary cells, each in flat order.  A boundary
+    cell's 3^d subsample distances add the per-axis squares in axis order,
+    broadcast over the subsamples of every axis, _CHUNK cells at a time."""
     d = grid.dimension
     h = grid.step
     slab, _ = _slab(grid, *ball.bounds())
@@ -194,21 +200,23 @@ def _ball_weights(grid: GridSpec, ball: Ball):
     # a cell lies wholly inside only when the ball can hold its diagonal
     inside = (ball.radius >= half_diag) \
         & (dist2 <= (ball.radius - half_diag) ** 2)
-    maybe = (dist2 < (ball.radius + half_diag) ** 2) & ~inside
-    coords = np.nonzero(maybe)
+    boundary = np.flatnonzero((dist2 < (ball.radius + half_diag) ** 2)
+                              & ~inside)
     sub = ((np.arange(_SUBDIV) + 0.5) / _SUBDIV - 0.5) * h
-    sub2 = 0.0                 # (cells, subsample of axis 0, ..., of d-1)
-    for ax in range(d):
-        x = axes[ax][coords[ax]][:, None] + sub       # (cells, subsample)
-        sub2 = sub2 + (x * x).reshape((-1,) + (1,) * ax + (_SUBDIV,)
-                                      + (1,) * (d - 1 - ax))
-    frac = np.mean((sub2 <= ball.radius ** 2).reshape(
-        len(coords[0]), _SUBDIV ** d), axis=1)
+    frac = np.empty(boundary.size)
+    for a in range(0, boundary.size, _CHUNK):
+        coords = np.unravel_index(boundary[a:a + _CHUNK], dist2.shape)
+        sub2 = 0.0             # (cells, subsample of axis 0, ..., of d-1)
+        for ax in range(d):
+            x = axes[ax][coords[ax]][:, None] + sub   # (cells, subsample)
+            sub2 = sub2 + (x * x).reshape((-1,) + (1,) * ax + (_SUBDIV,)
+                                          + (1,) * (d - 1 - ax))
+        frac[a:a + _CHUNK] = np.mean((sub2 <= ball.radius ** 2).reshape(
+            len(coords[0]), _SUBDIV ** d), axis=1)
     keep = frac > 0
-    cells = tuple(np.concatenate([i_in, i_b[keep]])
-                  for i_in, i_b in zip(np.nonzero(inside), coords))
+    local = np.concatenate([np.flatnonzero(inside), boundary[keep]])
     weights = np.concatenate([np.ones(np.count_nonzero(inside)), frac[keep]])
-    return slab, cells, weights
+    return slab, local, weights
 
 
 @dataclass(frozen=True)
@@ -216,12 +224,13 @@ class _RegionWeights:
     """Covered volume fractions of the cells a region touches.  `window`
     is one slice(lo, hi) of nodes per axis that bounds those cells (the
     region's bounding slab), the window to draw a sample on
-    (`SpectralPlan.sample(..., window=...)`); `local` selects, within the
-    window, all of a Box's slab or a Ball's touched cells (as one flat
-    run), and each vector in `fractions` contracts one leading axis."""
+    (`SpectralPlan.sample(..., window=...)`); `local` is None for a Box,
+    whose cells are the whole window, and for a Ball the flat index of its
+    touched cells within the window (`cells` selects them as one run);
+    each vector in `fractions` contracts one leading axis."""
 
     window: tuple
-    local: tuple
+    local: np.ndarray
     fractions: tuple
     cell_volume: float
 
@@ -231,9 +240,15 @@ class _RegionWeights:
         return float(np.prod([np.sum(w) for w in self.fractions])) \
             * self.cell_volume
 
+    def cells(self, values):
+        """The region's cells of `values`, an array over the window: all
+        of it for a Box, a Ball's touched cells as one flat run."""
+        return values if self.local is None else \
+            values.reshape(-1)[self.local]
+
     def mass(self, cells):
         """Region mass from the masses of the selected cells,
-        `masses[window][local]`, contracted over a contiguous copy so
+        `cells(masses[window])`, contracted over a contiguous copy so
         that every caller rounds alike."""
         vals = np.ascontiguousarray(cells)
         for w in self.fractions:
@@ -256,11 +271,10 @@ def _region_weights(grid: GridSpec, region, margin) -> _RegionWeights:
         raise ValidationError("region must be a Box or a Ball")
     _check_region_inside(grid, region, margin)
     if isinstance(region, Ball):
-        slab, cells, w = _ball_weights(grid, region)
-        return _RegionWeights(slab, cells, (w,), grid.cell_volume)
+        slab, local, w = _ball_weights(grid, region)
+        return _RegionWeights(slab, local, (w,), grid.cell_volume)
     slab, fractions = _slab(grid, region.lo, region.hi)
-    return _RegionWeights(slab, (slice(None),) * grid.dimension, fractions,
-                          grid.cell_volume)
+    return _RegionWeights(slab, None, fractions, grid.cell_volume)
 
 
 def region_volume(grid: GridSpec, region):
@@ -275,7 +289,7 @@ def region_mass(measure: ChaosMeasure, region, margin=None):
     one mollification width (override with `margin`)."""
     margin = measure.epsilon if margin is None else margin
     weights = _region_weights(measure.grid, region, margin)
-    return weights.mass(measure.cell_masses[weights.window][weights.local])
+    return weights.mass(weights.cells(measure.cell_masses[weights.window]))
 
 
 # ----------------------------------------------------------------------
@@ -301,14 +315,14 @@ def convergence_trace(plan: SpectralPlan, region, seed, n_replicas):
     lad, grid = plan.ladder, plan.grid
     masses = np.empty((n_replicas, lad.n_stages))
     weights = _region_weights(grid, region, 0.0)
-    local, cell_volume = weights.local, grid.cell_volume
+    cell_volume = grid.cell_volume
     for rep in range(n_replicas):
         sample = plan.sample(seed, rep, stage=0, window=weights.window)
         for k in range(lad.n_stages):
             if k:
                 sample = plan.refine(sample)
             masses[rep, k] = weights.mass(_cell_masses(
-                sample.values[local], sample.variance, cell_volume))
+                weights.cells(sample.values), sample.variance, cell_volume))
     return TraceResult(masses=masses, volume=weights.volume)
 
 

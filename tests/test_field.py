@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -291,9 +292,14 @@ def lattice_radii(grid):
 
 def on_lattice(plan, half):
     """A half-lattice array of `plan` (its leading axes folded to
-    m = min(j, n - j)) expanded onto the whole lattice."""
+    m = min(j, n - j); in d >= 2 stored only on the first axis-0 rows)
+    expanded onto the whole lattice, zero on the rows beyond those
+    stored."""
     n, d = plan.grid.n, plan.grid.dimension
     j = np.arange(n)
+    if d > 1:
+        half = np.concatenate([half, np.zeros((n // 2 + 1 - len(half),)
+                                              + half.shape[1:])])
     return half[np.ix_(*[np.minimum(j, n - j)] * (d - 1), j)]
 
 
@@ -374,7 +380,11 @@ def test_every_amplitude_beyond_the_band_is_zero(d, n):
     beyond = (np.abs(np.fft.fftfreq(n, 1 / n)) if d == 1
               else lattice_k2(d, n)) > plan.band
     assert 0 < np.count_nonzero(beyond) < n ** d
+    # d >= 2 stores the axis-0 rows m0 <= isqrt(band) and no others
+    rows = n if d == 1 else min(math.isqrt(plan.band), n // 2) + 1
+    assert rows < n // 2 + 1 or d == 1
     for amp in plan.amps:
+        assert len(amp) == rows
         assert np.all(on_lattice(plan, amp)[beyond] == 0.0)
     spectrum = plan._spectrum
     assert spectrum[plan.band] > 0 and not spectrum[plan.band + 1:].any()
@@ -492,10 +502,16 @@ def test_dissipation_plan_and_ball_sample_memory():
     column-pruned r2c a windowed sample peaked at 1.71, and a windowed
     refine that keeps its sum at 2.71 above the coarse sample.  Streaming
     the normals slab by slab into the r2c takes them to 0.76 (the window's
-    columns, one slab and its r2c) and 1.76 (plus the kept sum); each of
-    these bounds sits between the two.  The whole grid, at 2.16 for a
-    sample and 3.16 for a refine that keeps its sum (2.12 and 3.12 now),
-    must not grow."""
+    columns, one slab and its r2c) and 1.76 (plus the kept sum).  Holding
+    the amplitudes only on the band's axis-0 rows takes the plan to 0.165,
+    and an r2c buffer of the band's axis-0 rows with an axis-0 c2c through
+    an n-row scratch takes the windowed sample to 0.51 and the refine to
+    1.51; each of these bounds sits between the last two measurements.
+    The whole grid, at 2.16 for a sample and 3.16 for a refine that keeps
+    its sum (2.12 and 3.12 now, and 2.12 for a sample whose band is the
+    whole lattice), must not grow.  A Ball's weights held 0.25 as three
+    index arrays and hold 0.125 as one flat index; the bound sits
+    between."""
     import tracemalloc
 
     n, l = 64, 0.5
@@ -507,6 +523,9 @@ def test_dissipation_plan_and_ball_sample_memory():
                                epsilons)
 
     one, three = ladder((0.4 * l,)), ladder((0.8 * l, 0.6 * l, 0.4 * l))
+    full = fd.build_ladder(kn.KernelSpec(3, 0.2, 1.0),
+                           kn.MollifierSpec("gaussian", 0.06, 3), (0.06,))
+    assert fd.SpectralPlan(full, grid).band == 3 * (n // 2) ** 2
     window = ms._region_weights(grid, ms.Ball((0.0, 0.0, 0.0), l),
                                 0.0).window
     fd.SpectralPlan(one, grid).sample(1, 0, window=window)   # warm caches
@@ -538,12 +557,17 @@ def test_dissipation_plan_and_ball_sample_memory():
 
     held, windowed = peak(lambda: fd.SpectralPlan(one, grid),
                           lambda plan: plan.sample(1, 0, window=window))
-    assert held < 0.6
-    assert windowed < 1.3
-    assert peak(coarse(window), refine)[1] < 2.2
+    assert held < 0.22
+    assert windowed < 0.62
+    assert peak(coarse(window), refine)[1] < 1.62
     assert peak(lambda: fd.SpectralPlan(one, grid),
                 lambda plan: plan.sample(1, 0))[1] < 2.2
+    assert peak(lambda: fd.SpectralPlan(full, grid),
+                lambda plan: plan.sample(1, 0))[1] < 2.2
     assert peak(coarse(None), refine)[1] < 3.2
+    ball = ms.Ball((0.0, 0.0, 0.0), l)
+    assert peak(lambda: ms._region_weights(grid, ball, 0.0),
+                lambda weights: None)[0] < 0.19
 
 
 # ----------------------------------------------------------------------

@@ -109,28 +109,47 @@ def _whole_grid_ball_weights(grid, ball):
     (2, 2 ** 7, (-0.5, 0.33), 0.05),
     (3, 2 ** 5, (0.1, -0.05, 0.02), 0.3),
     (3, 2 ** 3, (0.01, 0.02, 0.03), 0.1),
-])
+    (3, 2 ** 6, (0.01, -0.02, 0.03), 1.0),   # more boundary cells than
+])                                            # one subsampling chunk
 def test_ball_weights_match_whole_grid_subsampling(d, n, center, radius):
     grid = fd.GridSpec(d, n, 3.0)
     ball = ms.Ball(center, radius)
     weights = ms._region_weights(grid, ball, 0.0)
     cells, fractions = _whole_grid_ball_weights(grid, ball)
-    got = [i + s.start for i, s in zip(weights.local, weights.window)]
+    if d == 3 and n == 2 ** 6:
+        assert np.count_nonzero(fractions < 1) > ms._CHUNK
+    shape = [s.stop - s.start for s in weights.window]
+    got = [i + s.start for i, s in
+           zip(np.unravel_index(weights.local, shape), weights.window)]
     assert len(got) == d
     for g, want in zip(got, cells):
         assert np.array_equal(g, want)
     assert np.array_equal(weights.fractions[0], fractions)
 
 
+def dissipation_plan(l, n, epsilons):
+    """`estimators.run_dissipation`'s plan for the ball of radius l (lam2
+    and R 1, the torus R + 2l + 0.1, the mollifier at 0.4 l) at n points
+    per side, on the ladder `epsilons`."""
+    ladder = fd.build_ladder(kn.KernelSpec(3, 1.0, 1.0),
+                             kn.MollifierSpec("gaussian", 0.4 * l, 3),
+                             epsilons)
+    return fd.SpectralPlan(ladder, fd.GridSpec(3, n, 1.0 + 2 * l + 0.1))
+
+
 @pytest.mark.parametrize("region", [
     ms.Box((-0.3, 0.1), (0.45, 0.2)),
     ms.Ball((0.013, -0.21), 0.41),
-], ids=["box", "ball"])
+    ms.Ball((0.0, 0.0, 0.0), 0.5),
+], ids=["box", "ball", "dissipation-ball"])
 def test_windowed_sample_mass_is_region_mass(region):
-    grid = fd.GridSpec(2, 2 ** 6, 3.0)
-    plan = fd.SpectralPlan(
-        fd.build_ladder(kn.KernelSpec(2, 0.5, 1.0),
-                        kn.MollifierSpec("gaussian", 0.2, 2), (0.2,)), grid)
+    if region.dimension == 3:
+        plan = dissipation_plan(region.radius, 2 ** 5, (0.4 * region.radius,))
+    else:
+        plan = fd.SpectralPlan(
+            fd.build_ladder(kn.KernelSpec(2, 0.5, 1.0),
+                            kn.MollifierSpec("gaussian", 0.2, 2), (0.2,)),
+            fd.GridSpec(2, 2 ** 6, 3.0))
     # the trace draws replica 1 on the region's window, the measure the
     # whole grid, and both reduce the same cells in the same order
     trace = ms.convergence_trace(plan, region, 4, 2)
@@ -234,13 +253,17 @@ def test_trace_martingale_mean_and_stability():
 
 
 @pytest.mark.parametrize("region", [ms.Box((-0.31,), (0.77,)),
-                                    ms.Ball((0.1,), 0.45)])
+                                    ms.Ball((0.1,), 0.45),
+                                    ms.Ball((0.0, 0.0, 0.0), 0.5)])
 def test_trace_matches_region_mass_of_each_stage(region):
-    kernel = kn.KernelSpec(1, 0.5, 1.0)
-    moll = kn.MollifierSpec("gaussian", 2 ** -7, 1)
-    plan = fd.SpectralPlan(fd.build_ladder(kernel, moll,
-                                           fd.geometric_schedule(2 ** -4, 3)),
-                           fd.GridSpec(1, 2 ** 10, 4.0))
+    if region.dimension == 3:
+        plan = dissipation_plan(region.radius, 2 ** 5, (0.4, 0.3, 0.2))
+    else:
+        kernel = kn.KernelSpec(1, 0.5, 1.0)
+        moll = kn.MollifierSpec("gaussian", 2 ** -7, 1)
+        plan = fd.SpectralPlan(
+            fd.build_ladder(kernel, moll, fd.geometric_schedule(2 ** -4, 3)),
+            fd.GridSpec(1, 2 ** 10, 4.0))
     tr = ms.convergence_trace(plan, region, seed=8, n_replicas=3)
     for r in range(3):
         for k in range(plan.ladder.n_stages):
