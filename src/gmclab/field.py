@@ -308,13 +308,13 @@ def _half_lattice(grid: GridSpec):
             np.sqrt(np.arange(d * h * h + 1)) / grid.length)
 
 
-def _mirror_blocks(n, d, lo=0, hi=None, band=None):
+def _mirror_blocks(n, d, lo=0, hi=None, *, band):
     """(dst, src) slice pairs that expand a half-lattice array onto the
     lattice rows lo..hi-1 (default every row) along axis 0 of the n^d
     lattice, dst counting rows from lo: along each leading axis, lattice
     rows 0..n/2 read rows 0..n/2 and rows n/2+1..n-1 read rows n/2-1..1
-    (m = min(j, n - j)).  With `band`, only the lines that can hold a mode
-    with k2 = sum_i m_i^2 <= band are covered: the axis-0 rows with
+    (m = min(j, n - j)).  Only the lines that can hold a mode with
+    k2 = sum_i m_i^2 <= band are covered: the axis-0 rows with
     m^2 <= band and, in d = 3, for each run of them, the axis-1 columns
     with m^2 <= band - m0^2, m0 the run's row nearest 0 (the last axis is
     whole).  These are the lines `_hartley` transforms.  Every row range
@@ -322,7 +322,7 @@ def _mirror_blocks(n, d, lo=0, hi=None, band=None):
     if d == 1:
         return [((), ())]
     h, hi = n // 2, n if hi is None else hi
-    top = h if band is None else min(math.isqrt(band), h)
+    top = min(math.isqrt(band), h)
     rows = []                                    # (dst, src, m0 nearest 0)
     a, z = lo, min(hi, top + 1)                  # rows read where they are
     if a < z:
@@ -333,7 +333,7 @@ def _mirror_blocks(n, d, lo=0, hi=None, band=None):
                      n - z + 1))
     return [((dst,) + d_rest, (src,) + s_rest) for dst, src, m0 in rows
             for d_rest, s_rest in _mirror_blocks(
-                n, d - 1, band=None if band is None else band - m0 * m0)]
+                n, d - 1, band=band - m0 * m0)]
 
 
 _SLAB_ROWS = 8    # axis-0 rows per slab, axis-1 columns per axis-0 c2c
@@ -347,7 +347,7 @@ def _slabs(n, d, band):
     step = n if d == 1 else _SLAB_ROWS
     for lo in range(0, n, step):
         hi = min(n, lo + step)
-        yield slice(lo, hi), _mirror_blocks(n, d, lo, hi, band)
+        yield slice(lo, hi), _mirror_blocks(n, d, lo, hi, band=band)
 
 
 def _window(grid: GridSpec, window):
@@ -426,7 +426,7 @@ def _unfolding(n, bounds):
     return tuple(read), tuple(blocks)
 
 
-def _hartley(slabs, shape, window=None, band=None):
+def _hartley(slabs, shape, window=None, *, band):
     """sum_j b_j (cos - sin)(2 pi j . x / n) at the nodes x of `window`
     (one slice(lo, hi) per axis, default every node) of a real float64
     array b of `shape`, n points per axis, read as `slabs`: its
@@ -435,7 +435,7 @@ def _hartley(slabs, shape, window=None, band=None):
     in d >= 2 each slab is read once, before the next is asked for, so a
     slab may be a buffer that the next one overwrites.  In d >= 2 b must
     be zero at every mode whose k2 = sum_i j_i^2 (j_i = min(i, n - i))
-    exceeds `band` (default the whole lattice), and only the lines of
+    exceeds `band` (d (n/2)^2 for the whole lattice), and only the lines of
     `_mirror_blocks(..., band)` are read, so the others may hold anything.
 
     The transform F holds sum_j b_j (cos - i sin), so the sum is Re F +
@@ -457,7 +457,6 @@ def _hartley(slabs, shape, window=None, band=None):
     unfolded from `rfftn(b)`, to the bit.
     """
     d, n = len(shape), shape[-1]
-    band = d * (n // 2) ** 2 if band is None else band
     bounds = tuple((s.start, s.stop) for s in window or (slice(0, n),) * d)
     read, blocks = _unfolding(n, bounds)
     out = None
@@ -471,7 +470,8 @@ def _hartley(slabs, shape, window=None, band=None):
                      + np.arange(n // 2 + 1)[read[-1]].shape, complex)
         shift, lo = n - rows, 0
         for slab in slabs:
-            for dst, _ in _mirror_blocks(n, d, lo, lo + len(slab), band):
+            for dst, _ in _mirror_blocks(n, d, lo, lo + len(slab),
+                                         band=band):
                 a = lo + dst[0].start
                 a -= shift if a > top else 0
                 f[(slice(a, a + dst[0].stop - dst[0].start),) + dst[1:]] = \
@@ -683,7 +683,7 @@ class SpectralPlan:
         shells = range(stage + 1) if base is None else (stage,)
         values = _hartley(self._coefficients(seed, replica, shells, base,
                                              keep),
-                          self.grid.shape, window, self.band)
+                          self.grid.shape, window, band=self.band)
         return FieldSample(grid=self.grid, epsilon=self.ladder.epsilons[stage],
                            values=values,
                            variance=self.variance_through(stage),

@@ -323,6 +323,7 @@ def convergence_trace(plan: SpectralPlan, region, seed, n_replicas):
                 sample = plan.refine(sample)
             masses[rep, k] = weights.mass(_cell_masses(
                 weights.cells(sample.values), sample.variance, cell_volume))
+        del sample   # let it go before the next replica is drawn
     return TraceResult(masses=masses, volume=weights.volume)
 
 

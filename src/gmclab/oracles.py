@@ -363,7 +363,7 @@ def log_convolution_tail(theta_abs, a_list, decay_c, decay_gamma):
 
 
 # ----------------------------------------------------------------------
-# aggregated run for the command line
+# the battery of `gmclab oracles` and of acceptance criterion 9
 # ----------------------------------------------------------------------
 
 _PAIR_SCALE = 0.6  # entry scale of the random admissible covariances
@@ -378,9 +378,26 @@ def _random_admissible_pair(rng, n):
             GaussianVectorSpec(cx + bump, np.ones(n)))
 
 
-def run_all(seed=0, mc_samples=400_000, n_random=20):
-    """The full oracle battery; returns a list of OracleVerdicts."""
-    rng = _philox(seed, 9)
+def _sup_pair(rng, n):
+    """Specs (X, Y) for the sup comparison: Y lifts every covariance of X
+    by a positive rank-one term, then takes X's diagonal back, and both
+    get the identity times max(0, 1e-9 - eigmin(cy)) so that Y is PSD."""
+    base = rng.standard_normal((n, n)) * 0.5 / np.sqrt(n)
+    cx = base @ base.T
+    lift = 0.3 + np.abs(rng.standard_normal((n, 1))) * 0.4
+    cy = cx + lift @ lift.T
+    cy = cy - np.diag(np.diag(cy) - np.diag(cx))   # equalize diagonals
+    bump = max(0.0, 1e-9 - float(np.linalg.eigvalsh(cy).min()))
+    return (GaussianVectorSpec(cx + np.eye(n) * bump),
+            GaussianVectorSpec(cy + np.eye(n) * bump))
+
+
+def _battery(rng, n_random, sup_seed, sup_samples, growth):
+    """The oracle battery, every instance drawn from `rng` in order: four
+    interpolation cases, `n_random` convex and `n_random` sup instances
+    (sup instance i on Monte Carlo seed sup_seed + i with `sup_samples`
+    draws), sup-moment growth at lam2 = 1 and 4 with the (seed, samples)
+    pairs of `growth`, and the log-convolution tail."""
     verdicts = []
 
     # interpolation derivative on fixed instances
@@ -401,27 +418,15 @@ def run_all(seed=0, mc_samples=400_000, n_random=20):
         verdicts.append(v)
 
     for i in range(n_random):
-        n = int(rng.integers(2, 5))
-        base = rng.standard_normal((n, n)) * 0.5 / np.sqrt(n)
-        cx = base @ base.T
-        d = np.diag(cx).copy()
-        lift = 0.3 + np.abs(rng.standard_normal((n, 1))) * 0.4
-        cy = cx + lift @ lift.T
-        cy = cy - np.diag(np.diag(cy) - d)   # equalize diagonals exactly
-        ey = float(np.linalg.eigvalsh(cy).min())
-        if ey < 1e-10:
-            cx = cx + np.eye(n) * (1e-10 - ey)
-            cy = cy + np.eye(n) * (1e-10 - ey)
-        v = sup_comparison_check(GaussianVectorSpec(cx), GaussianVectorSpec(cy),
-                                 ("positive_part",), seed=seed + i,
-                                 n_samples=mc_samples)
+        sx, sy = _sup_pair(rng, int(rng.integers(2, 5)))
+        v = sup_comparison_check(sx, sy, ("positive_part",),
+                                 seed=sup_seed + i, n_samples=sup_samples)
         v.name += f"#{i}"
         verdicts.append(v)
 
-    verdicts.append(sup_moment_growth(1.0, 1.5, seed=seed,
-                                      n_samples=mc_samples))
-    verdicts.append(sup_moment_growth(4.0, 0.9, seed=seed + 1,
-                                      n_samples=mc_samples))
+    for (lam2, p), (seed, samples) in zip([(1.0, 1.5), (4.0, 0.9)], growth):
+        verdicts.append(sup_moment_growth(lam2, p, seed=seed,
+                                          n_samples=samples))
 
     gauss = lambda v: np.exp(-v * v / 2.0) / np.sqrt(2.0 * np.pi)
     sups = log_convolution_tail(gauss, (10.0, 100.0, 1000.0),
@@ -433,6 +438,14 @@ def run_all(seed=0, mc_samples=400_000, n_random=20):
         margin=min(a - b for a, b in zip(vals, vals[1:])) if dec else -1.0,
         budget=0.0, detail={"sup_by_A": {str(k): v for k, v in sups.items()}}))
     return verdicts
+
+
+def run_all(seed=0, mc_samples=400_000, n_random=20):
+    """The full oracle battery; returns a list of OracleVerdicts.  The
+    acceptance suite (criterion 9) runs the same battery on its own
+    stream, seeds and budgets."""
+    return _battery(_philox(seed, 9), n_random, seed, mc_samples,
+                    [(seed, mc_samples), (seed + 1, mc_samples)])
 
 
 def verdicts_to_json(verdicts, path=None):

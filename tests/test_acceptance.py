@@ -250,61 +250,24 @@ def test_mrw_time_change():
 # ----------------------------------------------------------------------
 
 def test_oracle_battery():
-    rng = np.random.Generator(np.random.Philox(9))
-    ok = True
-    notes = []
-
-    # interpolation-derivative residuals below budget, n <= 3
-    for n, phi, t in [(1, ("power", 0.4), 0.3), (2, ("power", 0.4), 0.5),
-                      (2, ("exp_neg",), 0.7), (3, ("power", 0.25), 0.5)]:
-        sx, sy = oc._random_admissible_pair(rng, n)
-        v = oc.interpolation_derivative_check(sx, sy, phi, t)
-        ok &= v.passed
-    notes.append("interpolation residuals within budget")
-
-    # convex comparison: 20 randomized instances, positive certified margin
-    worst = np.inf
-    for i in range(20):
-        n = int(rng.integers(1, 4))
-        sx, sy = oc._random_admissible_pair(rng, n)
-        F = [("square",), ("call", 1.0), ("power15",)][i % 3]
-        v = oc.convex_comparison_check(sx, sy, F)
-        ok &= v.passed and v.margin > v.budget
-        worst = min(worst, v.margin)
-    notes.append(f"convex margins > 0 (min {worst:.3g})")
-
-    # sup comparison: 20 randomized instances, certified margin
-    worst = np.inf
-    for i in range(20):
-        n = int(rng.integers(2, 5))
-        base = rng.standard_normal((n, n)) * 0.5 / np.sqrt(n)
-        cx = base @ base.T
-        lift = 0.3 + np.abs(rng.standard_normal((n, 1))) * 0.4
-        cy = cx + lift @ lift.T
-        cy = cy - np.diag(np.diag(cy) - np.diag(cx))
-        bump = max(0.0, 1e-9 - float(np.linalg.eigvalsh(cy).min()))
-        cx = cx + np.eye(n) * bump
-        cy = cy + np.eye(n) * bump
-        v = oc.sup_comparison_check(oc.GaussianVectorSpec(cx),
-                                    oc.GaussianVectorSpec(cy),
-                                    ("positive_part",), seed=1000 + i,
-                                    n_samples=10 ** 6)
-        ok &= v.passed and v.certified
-        worst = min(worst, v.margin)
-    notes.append(f"sup margins certified (min {worst:.3g})")
-
-    # sup-moment growth in both regimes
-    v1 = oc.sup_moment_growth(1.0, 1.5, seed=41, n_samples=600000)
-    v2 = oc.sup_moment_growth(4.0, 0.9, seed=42, n_samples=2500000)
-    ok &= v1.passed and v1.certified and v2.passed and v2.certified
-    notes.append(f"growth x_hat {v1.detail['x_hat']:.3f}, "
-                 f"{v2.detail['x_hat']:.3f} < 1")
-
-    # log-convolution tail decreasing over A = 10, 100, 1000
-    gauss = lambda u: np.exp(-u * u / 2.0) / np.sqrt(2.0 * np.pi)
-    sups = oc.log_convolution_tail(gauss, (10.0, 100.0, 1000.0), 0.6, 2.0)
-    vals = [sups[a] for a in sorted(sups)]
-    ok &= vals[2] < vals[1] < vals[0]
-    notes.append(f"tail sups {['%.2e' % v for v in vals]} decreasing")
-
+    # the battery of `gmclab oracles`, on its own stream, seeds and budgets
+    verdicts = oc._battery(np.random.Generator(np.random.Philox(9)), 20,
+                           sup_seed=1000, sup_samples=10 ** 6,
+                           growth=[(41, 600000), (42, 2500000)])
+    interp, convex, sup, growth = (
+        [v for v in verdicts if v.name.startswith(kind)]
+        for kind in ("interpolation-derivative", "convex-comparison",
+                     "sup-comparison", "sup-moment-growth"))
+    (tail,) = [v for v in verdicts if v.name == "log-convolution-tail"]
+    vals = list(tail.detail["sup_by_A"].values())   # A = 10, 100, 1000
+    ok = (all(v.passed for v in interp)
+          and all(v.passed and v.margin > v.budget for v in convex)
+          and all(v.passed and v.certified for v in sup + growth)
+          and tail.passed)
+    notes = ["interpolation residuals within budget",
+             f"convex margins > 0 (min {min(v.margin for v in convex):.3g})",
+             f"sup margins certified (min {min(v.margin for v in sup):.3g})",
+             f"growth x_hat {growth[0].detail['x_hat']:.3f}, "
+             f"{growth[1].detail['x_hat']:.3f} < 1",
+             f"tail sups {['%.2e' % v for v in vals]} decreasing"]
     assert report("9 oracle battery", ok, "; ".join(notes))

@@ -323,12 +323,15 @@ def test_shell_field_matches_direct_sum(d):
 
 def hartley(b, window=None, band=None):
     """`fd._hartley` of the whole array b, fed to it slab by slab as a
-    plan feeds it (in d = 1 one slab, a copy of the line)."""
+    plan feeds it (in d = 1 one slab, a copy of the line), on `band`
+    (default the whole band, d (n/2)^2: the unpruned transform)."""
+    if band is None:
+        band = b.ndim * (b.shape[-1] // 2) ** 2
     if b.ndim == 1:
-        return fd._hartley([b.copy()], b.shape, window, band)
+        return fd._hartley([b.copy()], b.shape, window, band=band)
     rows = fd._SLAB_ROWS
     return fd._hartley((b[i:i + rows] for i in range(0, len(b), rows)),
-                       b.shape, window, band)
+                       b.shape, window, band=band)
 
 
 def _rfftn_hartley(b):

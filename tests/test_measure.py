@@ -271,6 +271,31 @@ def test_trace_matches_region_mass_of_each_stage(region):
             assert tr.masses[r, k] == ms.region_mass(m, region, margin=0.0)
 
 
+def test_trace_holds_one_replica_at_a_time():
+    """tracemalloc peak of a trace on run_dissipation's l = 0.5 plan and
+    ball at 128^3, in n^3 float64 lattices: 0.520 at one replica, and
+    0.628 at two and three while a replica's windowed sample stayed alive
+    through the next draw.  More replicas must not raise it (at 64^3 the
+    peak is set elsewhere and cannot show this)."""
+    import tracemalloc
+
+    n, ball = 128, ms.Ball((0.0, 0.0, 0.0), 0.5)
+    plan = dissipation_plan(ball.radius, n, (0.2,))
+    ms.convergence_trace(plan, ball, 555, 1)   # warm caches
+
+    def peak(n_replicas):
+        tracemalloc.start()
+        try:
+            ms.convergence_trace(plan, ball, 555, n_replicas)
+            return tracemalloc.get_traced_memory()[1] / (8 * n ** 3)
+        finally:
+            tracemalloc.stop()
+
+    one = peak(1)
+    for n_replicas in (2, 3):
+        assert abs(peak(n_replicas) - one) <= 0.01 * one, n_replicas
+
+
 # ----------------------------------------------------------------------
 # multifractal random walk
 # ----------------------------------------------------------------------

@@ -202,18 +202,8 @@ def test_sup_n2_closed_form_margin():
 
 
 def test_sup_n3_random_admissible_holds():
-    rng = np.random.Generator(np.random.Philox(11))
-    base = rng.standard_normal((3, 3)) * 0.5
-    cx = base @ base.T
-    lift = 0.4 + np.abs(rng.standard_normal((3, 1)))
-    cy = cx + lift @ lift.T
-    cy = cy - np.diag(np.diag(cy) - np.diag(cx))
-    bump = max(0.0, 1e-9 - float(np.linalg.eigvalsh(cy).min()))
-    cx = cx + np.eye(3) * bump
-    cy = cy + np.eye(3) * bump
-    v = oc.sup_comparison_check(oc.GaussianVectorSpec(cx),
-                                oc.GaussianVectorSpec(cy),
-                                ("positive_part",), seed=5,
+    sx, sy = oc._sup_pair(np.random.Generator(np.random.Philox(11)), 3)
+    v = oc.sup_comparison_check(sx, sy, ("positive_part",), seed=5,
                                 n_samples=300000)
     assert v.passed
     assert v.certified
