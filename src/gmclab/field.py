@@ -24,11 +24,14 @@ is the normalizer that makes the measure mean exactly Lebesgue.
 The weights are radial, so a plan evaluates the ladder once per distinct
 lattice radius: on |j| / L in d = 1, and on sqrt(k2) / L for every integer
 k2 = sum_i j_i^2 up to d (n/2)^2 in d >= 2.  All shells share one
-evaluation of fhat there (`ShellLadder.weights`).  The amplitudes are
-gathered from that table onto the half-lattice, the leading d - 1 axes
-folded to min(j, n - j) and the last axis whole, one axis-0 row at a time
-and only on the rows the band reaches, and each shell's normals are
-multiplied through its mirrored blocks (`_mirror_blocks`).  The sum
+evaluation of fhat there (`ShellLadder.weights`).  In d = 1 that table,
+on the half line |j| = 0..n/2, is the amplitudes itself.  In d >= 2 the
+amplitudes are gathered from it onto the half-lattice, the leading d - 1
+axes folded to min(j, n - j) and the last axis whole, one axis-0 row at a
+time and only on the rows the band reaches.  Each shell's normals are
+multiplied through mirrored blocks (`_slabs`): lattice entries j read the
+half-lattice at min(j, n - j), on the whole line in d = 1 and on the
+leading axes in d >= 2 (`_mirror_blocks`).  The sum
 sum_j b_j (cos - sin)(2 pi j . x / n) of a real array b is a Hartley
 transform, computed from one real forward FFT F of b (the values of
 `rfftn`, to the bit) as Re F + Im F on the stored half-spectrum and
@@ -71,6 +74,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -285,9 +289,11 @@ def _fold(n):
 
 def _half_lattice(grid: GridSpec):
     """(index, fold, radii): the table `radii` of lattice radii |xi| and
-    how the half-lattice reads it.  In d = 1 the half-lattice is the whole
-    line, `index` each mode's entry, by |j| (n/2 + 1 radii, where a k2
-    table would need (n/2)^2 entries), and `fold` 1.  In d >= 2 the table
+    how the half-lattice reads it.  In d = 1 the table is by |j| (n/2 + 1
+    radii, where a k2 table would need (n/2)^2 entries) and the
+    half-lattice is the half line m = min(j, n - j) = 0..n/2, the table's
+    own entries: `index` is m and `fold` _fold(n), the lattice modes each
+    entry stands for.  In d >= 2 the table
     is by the integer k2 = sum_i j_i^2 (d (n/2)^2 + 1 radii, not all of
     them on the lattice) and the half-lattice folds the leading d - 1 axes
     to m = min(j, n - j) in 0..n/2 by the lattice's mirror symmetry, the
@@ -296,10 +302,10 @@ def _half_lattice(grid: GridSpec):
     and each of its modes stands for _fold(n)[m0] * fold lattice modes
     (`fold` broadcastable to `index`)."""
     d, h = grid.dimension, grid.n // 2
-    j = np.fft.ifftshift(np.arange(-h, h))
-    if d == 1:
-        return np.abs(j), 1.0, np.arange(h + 1) / grid.length
     m = np.arange(h + 1)
+    if d == 1:
+        return m, _fold(grid.n), m / grid.length
+    j = np.fft.ifftshift(np.arange(-h, h))
     fold = functools.reduce(np.multiply.outer, [_fold(grid.n)] * (d - 2),
                             np.array(1))
     index = sum(np.meshgrid(*([m * m] * (d - 2)), j * j, indexing="ij",
@@ -341,12 +347,19 @@ _SLAB_ROWS = 8    # axis-0 rows per slab, axis-1 columns per axis-0 c2c
 
 def _slabs(n, d, band):
     """(rows, blocks) for each slab of the n^d lattice, in order: `rows`
-    is a slice of _SLAB_ROWS rows along axis 0 (d = 1: the whole line,
-    one slab) and `blocks` the `_mirror_blocks` of its lines that can
-    hold a mode with k2 <= band."""
-    step = n if d == 1 else _SLAB_ROWS
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
+    is a slice of _SLAB_ROWS rows along axis 0 and `blocks` the
+    `_mirror_blocks` of its lines that can hold a mode with k2 <= band.
+    In d = 1 the one slab is the whole line, and its blocks expand the
+    half line onto it: entries 0..n/2 read where they are and entries
+    n/2+1..n-1 read at n - j (the line is transformed whole, so every
+    entry is multiplied)."""
+    if d == 1:
+        h = n // 2
+        yield slice(0, n), [((slice(0, h + 1),), (slice(0, h + 1),)),
+                            ((slice(h + 1, n),), (slice(h - 1, 0, -1),))]
+        return
+    for lo in range(0, n, _SLAB_ROWS):
+        hi = min(n, lo + _SLAB_ROWS)
         yield slice(lo, hi), _mirror_blocks(n, d, lo, hi, band=band)
 
 
@@ -521,16 +534,18 @@ class SpectralPlan:
     stage from it with `sample` and `refine`.  The plan evaluates the
     shells' radial weights once per distinct lattice radius (see
     `_half_lattice`), with one evaluation of fhat for all of them, and
-    gathers the amplitudes sqrt(w / L^d) onto the half-lattice, one
-    axis-0 row at a time: `amps` holds one array per stage, the leading
-    axes folded by the lattice's mirror symmetry, of shape (n,) in d = 1
-    and (top + 1,) + (n/2+1,)*(d-2) + (n,) in d >= 2, with
-    top = min(isqrt(band), n/2): the rows beyond hold only zero weight and
-    are not stored.  The per-radius mode counts weigh each half-lattice
-    mode by the lattice modes it stands for, one row's counts moved to
-    each row's m0^2, so no lattice-sized index exists.  A shell is then
-    a Philox stream of standard normals g and the product g * amp,
-    through the mirrored blocks of `_mirror_blocks`; `sample`
+    holds the amplitudes sqrt(w / L^d) on the half-lattice: `amps` holds
+    one array per stage, folded by the lattice's mirror symmetry.  In
+    d = 1 it is the stage's radial table itself, shape (n/2 + 1,), indexed
+    by |j|, computed in place.  In d >= 2 it is gathered from the table one
+    axis-0 row at a time, the leading axes folded, shape
+    (top + 1,) + (n/2+1,)*(d-2) + (n,), with top = min(isqrt(band), n/2):
+    the rows beyond hold only zero weight and are not stored.  The
+    per-radius mode counts weigh each half-lattice mode by the lattice
+    modes it stands for (in d >= 2 one row's counts, moved to each row's
+    m0^2), so no lattice-sized index exists.  A shell is then a Philox
+    stream of standard normals g and the product g * amp, through the
+    mirrored blocks of `_slabs`; `sample`
     adds the shells' products in stage order, one slab of axis-0 rows at
     a time, and runs one real FFT on the sum as the slabs arrive, which
     gives the (cos - sin) sum (see `_coefficients` and `_hartley`).
@@ -603,12 +618,12 @@ class SpectralPlan:
         self._check_resolution()
 
     def _gather(self, table, index):
-        """A radial `table` read at a `_half_lattice` index: in d = 1 at
-        every mode; in d >= 2 on the axis-0 rows m0 <= min(isqrt(band),
-        n/2) only (`_mirror_blocks` reads no other), row m0 at
-        m0^2 + index, one row at a time."""
+        """A radial `table` read at a `_half_lattice` index: in d = 1 the
+        table itself, which is the half line; in d >= 2 on the axis-0 rows
+        m0 <= min(isqrt(band), n/2) only (`_mirror_blocks` reads no
+        other), row m0 at m0^2 + index, one row at a time."""
         if self.grid.dimension == 1:
-            return table[index]
+            return table
         top = min(math.isqrt(self.band), self.grid.n // 2)
         out = np.empty((top + 1,) + index.shape)
         for m0 in range(top + 1):
@@ -731,9 +746,9 @@ class SpectralPlan:
         cell = 1.0 / grid.length ** grid.dimension
         half = self._gather(self._spectrum * cell, index)
         b = np.zeros(grid.shape)
-        for dst, src in _mirror_blocks(grid.n, grid.dimension,
-                                       band=self.band):
-            b[dst] = half[src]
+        for rows, blocks in _slabs(grid.n, grid.dimension, self.band):
+            for dst, src in blocks:
+                b[rows][dst] = half[src]
         return _hartley([b], grid.shape, band=self.band)
 
 
@@ -742,26 +757,33 @@ class SpectralPlan:
 # ----------------------------------------------------------------------
 
 def write_grid_file(path, grid: GridSpec, values, header_extra):
+    """The header line, then the payload written from the contiguous <f8
+    array's own buffer (no copy of it as bytes)."""
     header = {"format": "gmclab-grid-v1", "grid": grid.to_json()}
     header.update(header_extra)
     data = np.ascontiguousarray(values, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.write(data.tobytes())
+        fh.write(data)
 
 
 def read_grid_file(path):
+    """(header, grid, values), the payload read straight into `values`
+    once its length, from the file's size, is exactly the grid's."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
-        raw = fh.read()
-    if header.get("format") != "gmclab-grid-v1":
-        raise ValidationError(f"not a gmclab grid file: {path}")
-    grid = GridSpec.from_json(header["grid"])
-    need = 8 * grid.n ** grid.dimension
-    if len(raw) != need:
-        raise ValidationError(f"grid file {path}: {len(raw)} payload bytes, "
-                              f"its header's grid needs {need}")
-    values = np.frombuffer(raw, dtype="<f8").reshape(grid.shape).copy()
+        if header.get("format") != "gmclab-grid-v1":
+            raise ValidationError(f"not a gmclab grid file: {path}")
+        grid = GridSpec.from_json(header["grid"])
+        need = 8 * grid.n ** grid.dimension
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != need:
+            raise ValidationError(f"grid file {path}: {size} payload bytes, "
+                                  f"its header's grid needs {need}")
+        values = np.empty(grid.shape, dtype="<f8")
+        if fh.readinto(values) != need:
+            raise ValidationError(f"grid file {path}: payload shorter than "
+                                  f"its size")
     return header, grid, values
 
 

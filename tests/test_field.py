@@ -291,15 +291,16 @@ def lattice_radii(grid):
 
 
 def on_lattice(plan, half):
-    """A half-lattice array of `plan` (its leading axes folded to
-    m = min(j, n - j); in d >= 2 stored only on the first axis-0 rows)
-    expanded onto the whole lattice, zero on the rows beyond those
-    stored."""
+    """A half-lattice array of `plan` (in d = 1 the half line, read at
+    m = min(j, n - j); in d >= 2 its leading axes folded to m and stored
+    only on the first axis-0 rows) expanded onto the whole lattice, zero
+    on the rows beyond those stored."""
     n, d = plan.grid.n, plan.grid.dimension
     j = np.arange(n)
-    if d > 1:
-        half = np.concatenate([half, np.zeros((n // 2 + 1 - len(half),)
-                                              + half.shape[1:])])
+    if d == 1:
+        return half[np.minimum(j, n - j)]
+    half = np.concatenate([half, np.zeros((n // 2 + 1 - len(half),)
+                                          + half.shape[1:])])
     return half[np.ix_(*[np.minimum(j, n - j)] * (d - 1), j)]
 
 
@@ -383,8 +384,8 @@ def test_every_amplitude_beyond_the_band_is_zero(d, n):
     beyond = (np.abs(np.fft.fftfreq(n, 1 / n)) if d == 1
               else lattice_k2(d, n)) > plan.band
     assert 0 < np.count_nonzero(beyond) < n ** d
-    # d >= 2 stores the axis-0 rows m0 <= isqrt(band) and no others
-    rows = n if d == 1 else min(math.isqrt(plan.band), n // 2) + 1
+    # d = 1 stores the half line, d >= 2 the axis-0 rows m0 <= isqrt(band)
+    rows = n // 2 + 1 if d == 1 else min(math.isqrt(plan.band), n // 2) + 1
     assert rows < n // 2 + 1 or d == 1
     for amp in plan.amps:
         assert len(amp) == rows
@@ -571,6 +572,24 @@ def test_dissipation_plan_and_ball_sample_memory():
     ball = ms.Ball((0.0, 0.0, 0.0), l)
     assert peak(lambda: ms._region_weights(grid, ball, 0.0),
                 lambda weights: None)[0] < 0.19
+
+
+def test_d1_plan_holds_one_half_line_per_stage():
+    """tracemalloc: a d = 1 plan holds each stage's amplitudes and its
+    summed spectrum on the half line, n/2 + 1 float64 each, where
+    whole-line amplitudes held n per stage, about twice as much."""
+    import tracemalloc
+
+    plan, ladder, grid = make_plan(shells=6, n=2 ** 14)   # warms caches
+    h = grid.n // 2
+    tracemalloc.start()
+    try:
+        plan = fd.SpectralPlan(ladder, grid)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [amp.shape for amp in plan.amps] == [(h + 1,)] * ladder.n_stages
+    assert held <= (ladder.n_stages + 1) * (h + 1) * 8 + 4096
 
 
 # ----------------------------------------------------------------------
@@ -820,6 +839,28 @@ def test_truncated_grid_file_refused(tmp_path_factory, cut):
     path.write_bytes(data[:-cut])
     with pytest.raises(ValidationError):
         fd.read_grid_file(path)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("layout", [
+    lambda v: v, lambda v: v.T, lambda v: v.astype(np.float32)],
+    ids=["float64", "transposed", "float32"])
+def test_grid_file_is_the_header_line_then_the_payload(tmp_path, d, layout):
+    grid = fd.GridSpec(d, 8, 3.0)
+    values = layout(np.random.default_rng(d).normal(size=grid.shape))
+    path = tmp_path / "g.bin"
+    fd.write_grid_file(path, grid, values, {"kind": "field"})
+    header = json.dumps({"format": "gmclab-grid-v1", "grid": grid.to_json(),
+                         "kind": "field"}, sort_keys=True).encode() + b"\n"
+    payload = values.astype("<f8").tobytes()
+    assert path.read_bytes() == header + payload
+    assert np.array_equal(fd.read_grid_file(path)[2], values)
+    need = 8 * grid.n ** d
+    for bad in (payload[:-1], payload + b"\0"):
+        path.write_bytes(header + bad)
+        with pytest.raises(ValidationError, match=f": {len(bad)} payload "
+                           f"bytes, its header's grid needs {need}$"):
+            fd.read_grid_file(path)
 
 
 def test_read_rejects_wrong_kind(tmp_path):
