@@ -34,8 +34,9 @@ half-lattice at min(j, n - j), on the whole line in d = 1 and on the
 leading axes in d >= 2 (`_mirror_blocks`).  The sum
 sum_j b_j (cos - sin)(2 pi j . x / n) of a real array b is a Hartley
 transform, computed from one real forward FFT F of b (the values of
-`rfftn`, to the bit) as Re F + Im F on the stored half-spectrum and
-Re F - Im F on its mirror image (Hermitian symmetry).
+numpy.fft's `rfftn` with the c2c on axis 0 first, to the bit) as Re F +
+Im F on the stored half-spectrum and Re F - Im F on its mirror image
+(Hermitian symmetry).
 The transform is linear, so a sample at stage K adds its shells'
 coefficients b_k = amp_k g_k in stage order and transforms the sum once;
 `refine` continues that sum.  `SYNTHESIS` names this algorithm in every
@@ -78,7 +79,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import GateError, ValidationError
 from .kernels import KernelSpec, MollifierSpec, kernel_hat, spec_to_json
@@ -98,7 +98,7 @@ __all__ = [
     "read_field",
 ]
 
-SYNTHESIS = "rfftn-hartley-3"
+SYNTHESIS = "rfftn-hartley-4"
 
 # a plan keeps the lattice radii whose weight exceeds this fraction of its
 # largest: the amplitude threshold 1e-16, below float64's resolution
@@ -106,8 +106,8 @@ _BAND_FLOOR = 1e-32
 
 
 def default_workers():
-    """The FFT worker count, always 1: `_hartley` runs scipy.fft on one
-    worker.  Kept only for the benchmark's environment record, which
+    """The FFT worker count, always 1: `_hartley` runs numpy.fft, which
+    has one.  Kept only for the benchmark's environment record, which
     reads it."""
     return 1
 
@@ -205,12 +205,14 @@ class ShellLadder:
         """Stages 0..K; stage k has mollification scale epsilons[k]."""
         return len(self.epsilons)
 
-    def weights(self, xi):
+    def weights(self, xi, fh=None):
         """Every shell's radial weight on |xi| values, in stage order, from
-        one evaluation of fhat and one of theta_hat(eps_k .) per scale;
-        only the previous scale's theta_hat is held between shells."""
+        one evaluation of fhat (or `fh`, fhat on xi, when the caller has
+        it) and one of theta_hat(eps_k .) per scale; only the previous
+        scale's theta_hat is held between shells."""
         xi = np.asarray(xi, dtype=float)
-        fh = self._fhat(xi)
+        if fh is None:
+            fh = self._fhat(xi)
         prev = None
         for eps in self.epsilons:
             th = self.mollifier.theta_hat(eps * xi)
@@ -218,9 +220,14 @@ class ShellLadder:
             prev = th
 
     def telescoped(self, stage, xi):
-        """Total density after `stage` refinements: fhat * theta_hat(eps_k .)."""
+        """Total density after `stage` refinements: fhat * theta_hat(eps_k .),
+        fhat evaluated only where theta_hat is not 0 (the product is 0
+        there already)."""
         xi = np.asarray(xi, dtype=float)
-        return self._fhat(xi) * self.mollifier.theta_hat(self.epsilons[stage] * xi)
+        th = self.mollifier.theta_hat(self.epsilons[stage] * xi)
+        live = th > 0.0
+        th[live] *= self._fhat(xi[live])
+        return th
 
     def to_json(self):
         doc = spec_to_json(self.kernel, self.mollifier)
@@ -240,8 +247,10 @@ def build_ladder(kernel: KernelSpec, mollifier: MollifierSpec, epsilons):
     beyond -1e-12 (signals a non-monotone theta_hat or a negative fhat)."""
     ladder = ShellLadder(kernel, mollifier, epsilons)
     probe = np.geomspace(1e-3 / kernel.scale, 4.0 / epsilons[-1], 512)
-    scale0 = float(np.max(np.abs(ladder.telescoped(ladder.n_stages - 1, probe)))) + 1e-300
-    for k, w in enumerate(ladder.weights(probe)):
+    fh = ladder._fhat(probe)      # for the finest density and every shell
+    finest = fh * mollifier.theta_hat(ladder.epsilons[-1] * probe)
+    scale0 = float(np.max(np.abs(finest))) + 1e-300
+    for k, w in enumerate(ladder.weights(probe, fh)):
         if np.min(w) < -1e-12 * scale0:
             raise GateError("negative shell weight", stage=k,
                             min_weight=float(np.min(w)))
@@ -454,9 +463,9 @@ def _hartley(slabs, shape, window=None, *, band):
     The transform F holds sum_j b_j (cos - i sin), so the sum is Re F +
     Im F at a node x whose last index m <= n/2 (stored), and Re F - Im F
     at (-x mod n) otherwise, whose last index n - m is stored (F(-x) =
-    conj F(x) for real b).  F is computed line by line as `rfftn`
-    computes it: an r2c along the last axis, run slab by slab on the lines
-    of `_mirror_blocks(..., band)`, each keeping only the columns the
+    conj F(x) for real b).  F is computed line by line with numpy.fft: an
+    r2c along the last axis, run slab by slab on the lines of
+    `_mirror_blocks(..., band)`, each keeping only the columns the
     window reads, into a band buffer that holds only the axis-0 rows with
     j0^2 <= band (those at n - j0 after those at j0), so neither b nor the
     whole r2c output is ever built; then a c2c along each of the axes
@@ -467,7 +476,9 @@ def _hartley(slabs, shape, window=None, *, band):
     (the others hold only zeros), and its kept rows go back into the band
     buffer when it has room for them.  Lines that hold only zeros are
     left out, their transforms being zeros, so the values equal those
-    unfolded from `rfftn(b)`, to the bit.
+    unfolded from numpy's `rfftn(b)`, to the bit, when it is given the
+    leading axes in the order d-2..0 (it runs their c2c last listed
+    first).
     """
     d, n = len(shape), shape[-1]
     bounds = tuple((s.start, s.stop) for s in window or (slice(0, n),) * d)
@@ -475,7 +486,7 @@ def _hartley(slabs, shape, window=None, *, band):
     out = None
     if d == 1:
         (out,) = slabs            # the line, and the whole grid's result
-        f = sfft.rfft(out)[read[-1]]
+        f = np.fft.rfft(out)[read[-1]]
     else:
         top = math.isqrt(band)    # lattice rows beyond it sit `shift` up
         rows = min(n, 2 * top + 1)                # the band's axis-0 rows
@@ -488,7 +499,7 @@ def _hartley(slabs, shape, window=None, *, band):
                 a = lo + dst[0].start
                 a -= shift if a > top else 0
                 f[(slice(a, a + dst[0].stop - dst[0].start),) + dst[1:]] = \
-                    sfft.rfft(slab[dst], axis=-1)[..., read[-1]]
+                    np.fft.rfft(slab[dst], axis=-1)[..., read[-1]]
             lo += len(slab)
         del slab                  # let the last slab go before the c2c
         # in d = 3 only the axis-1 columns with j1^2 <= band hold data
@@ -496,7 +507,7 @@ def _hartley(slabs, shape, window=None, *, band):
                 if d == 3 else [slice(0, f.shape[1])])
         f = _rows_c2c(f, n, top, read[0], cols)
         if d == 3:
-            f = sfft.fft(f, axis=1, overwrite_x=True)[:, read[1]]
+            f = np.fft.fft(f, axis=1, out=f)[:, read[1]]
     re, im = f.real, f.imag
     if out is None or window is not None:
         out = np.empty([z - a for a, z in bounds])
@@ -523,7 +534,7 @@ def _rows_c2c(f, n, top, rows, cols):
             s[:k] = f[:k, blk]
             s[k:gap] = 0
             s[gap:] = f[k:, blk]
-            res[:, blk] = sfft.fft(s, axis=0, overwrite_x=True)[rows]
+            res[:, blk] = np.fft.fft(s, axis=0, out=s)[rows]
     return res
 
 
@@ -633,7 +644,7 @@ class SpectralPlan:
     def _check_resolution(self):
         """Nyquist must carry the finest shell: the continuum spectral mass
         beyond the axis Nyquist frequency stays below 1e-4 of the
-        variance."""
+        variance.  Returns that tail mass."""
         lad, grid = self.ladder, self.grid
         d = grid.dimension
         nyq = grid.nyquist
@@ -646,6 +657,7 @@ class SpectralPlan:
             raise GateError("grid cannot resolve the ladder's spectral "
                             "support (raise n or stop the ladder earlier)",
                             tail_mass=tail, variance=total, nyquist=nyq)
+        return tail
 
     @property
     def total_variance(self):

@@ -34,6 +34,7 @@ module only writes them (`write_dissipation_csv`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,12 +169,15 @@ def _slab(grid: GridSpec, lo, hi):
     [x_i - h/2, x_i + h/2) in it."""
     h, cells, fractions = grid.step, [], []
     for ax in range(grid.dimension):
-        x = grid.axis_coordinates(ax)
+        # only the cells that can touch [lo, hi], with one to spare a side
+        a = max(math.floor((lo[ax] - grid.origin[ax]) / h) - 1, 0)
+        z = min(math.ceil((hi[ax] - grid.origin[ax]) / h) + 2, grid.n)
+        x = grid.origin[ax] + h * np.arange(a, z)
         cover = (np.minimum(x + h / 2.0, hi[ax])
                  - np.maximum(x - h / 2.0, lo[ax]))
         w = np.clip(cover / h, 0.0, 1.0)
         nz = np.flatnonzero(w > 0)
-        cells.append(slice(int(nz[0]), int(nz[-1]) + 1))
+        cells.append(slice(a + int(nz[0]), a + int(nz[-1]) + 1))
         fractions.append(w[nz[0]:nz[-1] + 1])
     return tuple(cells), tuple(fractions)
 
@@ -354,10 +358,13 @@ def mrw_path(measure: ChaosMeasure, times, seed):
 def _cumulative_mass(measure: ChaosMeasure, positions):
     """m[0, p] for each position, linear in p within a cell: the cumulative
     cell masses at the n + 1 cell edges, interpolated (clamped outside)."""
-    grid = measure.grid
-    left = grid.axis_coordinates(0) - grid.step / 2.0
-    edges = np.append(left, left[-1] + grid.step)
-    cum = np.concatenate([[0.0], np.cumsum(measure.cell_masses)])
+    grid, n = measure.grid, measure.grid.n
+    edges = np.empty(n + 1)
+    edges[:n] = grid.axis_coordinates(0)
+    edges[:n] -= grid.step / 2.0
+    edges[n] = edges[n - 1] + grid.step
+    cum = np.zeros(n + 1)
+    np.cumsum(measure.cell_masses, out=cum[1:])
     return np.interp(positions, edges, cum) - np.interp(0.0, edges, cum)
 
 

@@ -27,7 +27,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ValidationError
 from .estimators import _wls_line
@@ -293,6 +292,8 @@ def sup_moment_growth(lam2, p, seed=0, n_samples=400_000):
         return OracleVerdict(name="sup-moment-growth", passed=False,
                              certified=False, margin=0.0, budget=np.inf,
                              detail={"reason": "no Monte Carlo budget"})
+    # imported where it runs, so no other path loads scipy
+    from scipy.special import ndtri
     rng = _philox(seed, 4)
     lens, means, ses = [], [], []
     n_values = [2 ** k for k in range(6, 17, 2)]

@@ -239,9 +239,9 @@ def test_mrw_time_change():
         rms[every] = float(np.sqrt(np.mean((arr - 1.0) ** 2)))
         ok_qv &= abs(arr.mean() - 1.0) <= 0.02
     ok_qv &= rms[1] < rms[2] < rms[4]
+    means = [float(round(np.mean(ratios[e]), 4)) for e in (4, 2, 1)]
     detail = (f"E[X(t)^2] z-scores {['%.2f' % z for z in zs]}; QV mean "
-              f"ratios {[round(np.mean(ratios[e]), 4) for e in (4, 2, 1)]}, "
-              f"rms {[round(rms[e], 3) for e in (4, 2, 1)]}")
+              f"ratios {means}, rms {[round(rms[e], 3) for e in (4, 2, 1)]}")
     assert report("8 MRW time change", ok_var and ok_qv, detail)
 
 

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.fft as sfft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -109,6 +108,42 @@ def test_ladder_weights_are_the_shell_formula_bit_for_bit():
     assert len(got) == ladder.n_stages
     for k in range(ladder.n_stages):
         assert np.array_equal(got[k], want[k])
+
+
+@pytest.mark.parametrize("kind, eps", [("gaussian", 2.0 ** -9),
+                                       ("fejer", 1.0 / 2100.0)])
+def test_plan_gates_read_fhat_once_and_only_where_theta_hat_lives(
+        kind, eps, monkeypatch):
+    # build_ladder evaluates fhat once on its 512-point probe, and the
+    # resolution tail only where theta_hat(eps xi) is not 0 (the product is
+    # 0 there); the gates' scale0 and tail equal those from fhat on every
+    # point, to the bit
+    kernel = kn.KernelSpec(1, 0.5, 1.0)
+    moll = kn.MollifierSpec(kind, eps, 1)
+    grid = fd.GridSpec(1, 2 ** 14, 4.0)
+    fhat = kn.kernel_hat(kernel)
+    points = []
+
+    def counting_kernel_hat(spec):
+        def counted(s):
+            points.append(np.size(s))
+            return fhat(s)
+        return counted
+
+    monkeypatch.setattr(fd, "kernel_hat", counting_kernel_hat)
+    ladder = fd.build_ladder(kernel, moll, (eps,))
+    assert points == [512]
+    probe = np.geomspace(1e-3, 4.0 / eps, 512)
+    assert np.array_equal(ladder.telescoped(0, probe),
+                          fhat(probe) * moll.theta_hat(eps * probe))
+    points.clear()
+    plan = fd.SpectralPlan(ladder, grid)
+    s = np.geomspace(grid.nyquist, grid.nyquist * 64.0, 2048)
+    live = int(np.count_nonzero(moll.theta_hat(eps * s)))
+    assert 0 < live < s.size
+    assert points == [grid.n // 2 + 1, live]
+    every = np.maximum(fhat(s) * moll.theta_hat(eps * s), 0.0)
+    assert plan._check_resolution() == float(np.trapezoid(2.0 * every, s))
 
 
 def test_ladder_rejects_bad_schedules():
@@ -338,9 +373,11 @@ def hartley(b, window=None, band=None):
 def _rfftn_hartley(b):
     """The (cos - sin) sum of b from one F = rfftn(b): Re F + Im F on the
     stored half of the last axis, and Re F - Im F read at the mirrored
-    node -x mod n beyond it (F(-x) = conj F(x) for real b)."""
-    n, h = b.shape[-1], b.shape[-1] // 2
-    f = sfft.rfftn(b)
+    node -x mod n beyond it (F(-x) = conj F(x) for real b).  numpy's rfftn
+    runs the c2c of its leading axes last listed first, so they are listed
+    d-2..0: axis 0 first, as `_hartley` runs them."""
+    d, n, h = b.ndim, b.shape[-1], b.shape[-1] // 2
+    f = np.fft.rfftn(b, axes=(*range(d - 2, -1, -1), d - 1))
     out = np.empty_like(b)
     out[..., :h + 1] = f.real + f.imag
     mirrored = f[tuple(-np.indices(b.shape)[..., h + 1:] % n)]
@@ -802,7 +839,7 @@ def test_field_and_measure_headers_carry_the_same_provenance(tmp_path):
         assert fh.readline() == (
             common + '"kind": "field", "ladder_digest": "0123456789abcdef", '
             '"replica": 2, "seed": 7, "stage": 1, "synthesis": '
-            '"rfftn-hartley-3", "variance": 0.5}\n').encode()
+            '"rfftn-hartley-4", "variance": 0.5}\n').encode()
     with open(tmp_path / "m.bin", "rb") as fh:
         assert fh.readline() == (
             common + '"kind": "measure", "ladder_digest": '

@@ -11,13 +11,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SRC = os.path.join(ROOT, "src")
-
-# scipy.integrate and what it pulls in; gmclab needs only scipy.fft and
-# scipy.special until a quadrature runs
-HEAVY = ["scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg",
-         "scipy.spatial"]
 
 
 def run_fresh(code, *args):
@@ -30,26 +27,70 @@ def run_fresh(code, *args):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-CLI_RUN = """
+SCIPY_LOADED = """
 import json, sys
-import gmclab, gmclab.cli as cli
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] == "scipy")))
+"""
+
+# d = 1 and d = 3 run on numpy alone: the FFTs are numpy.fft's and the sine
+# integral is gmclab's own
+NUMPY_ONLY_RUNS = {
+    "import-cli": "import gmclab.cli\n",
+    "cli-d1-simulate-estimate": """
+import json, sys
+import gmclab.cli as cli
 cfg, out = sys.argv[1], sys.argv[2]
+with open(cfg, "w") as fh:
+    json.dump({"kernel": {"dimension": 1, "lambda2": 0.5, "scale": 1.0},
+               "grid": {"n": 2 ** 12, "length": 4.0}, "replicas": 2,
+               "seed": 3}, fh)
 codes = [cli.main(["simulate", "--config", cfg, "--replicas", "1",
                    "--out", out + "/simulate"]),
          cli.main(["estimate", "--config", cfg, "--kind", "zeta",
                    "--out", out + "/zeta"])]
-print(json.dumps({"codes": codes, "loaded": sorted(sys.modules)}))
-"""
+assert codes == [0, 0], codes
+""",
+    "dissipation-d3": """
+from gmclab import estimators
+samples, _ = estimators.run_dissipation(1.0, 1.0, [0.5, 0.25], seed=1,
+                                        n_replicas=1, n_side=32,
+                                        eps_ratio=0.8)
+assert len(samples) == 2
+""",
+}
 
 
-def test_cli_runs_load_no_quadrature_modules(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "kernel": {"dimension": 1, "lambda2": 0.5, "scale": 1.0},
-        "grid": {"n": 2 ** 12, "length": 4.0}, "replicas": 2, "seed": 3}))
-    got = run_fresh(CLI_RUN, str(cfg), str(tmp_path))
-    assert got["codes"] == [0, 0]
-    assert [m for m in HEAVY if m in got["loaded"]] == []
+@pytest.mark.parametrize("run", sorted(NUMPY_ONLY_RUNS))
+def test_d1_and_d3_runs_load_no_scipy(run, tmp_path):
+    got = run_fresh(NUMPY_ONLY_RUNS[run] + SCIPY_LOADED,
+                    str(tmp_path / "cfg.json"), str(tmp_path))
+    assert got == []
+
+
+# the d = 2 and d = 4 transforms need scipy.special's Bessel functions and
+# the sup-moment oracle its inverse normal CDF, imported where they run
+SPECIAL_CALLERS = {
+    "logplus-hat-d2": ("from gmclab import spectral",
+                       "spectral.logplus_hat(1.0, 2)"),
+    "sup-moment-growth": ("from gmclab import oracles",
+                          "oracles.sup_moment_growth(1.0, 0.5, "
+                          "n_samples=1000).detail['x_hat']"),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(SPECIAL_CALLERS))
+def test_special_function_callers_load_scipy_special_on_first_use(caller):
+    imports, call = SPECIAL_CALLERS[caller]
+    got = run_fresh(f"""
+import json, math, sys
+{imports}
+before = "scipy.special" in sys.modules
+value = float({call})
+print(json.dumps([before, "scipy.special" in sys.modules,
+                  math.isfinite(value)]))
+""")
+    assert got == [False, True, True]
 
 
 QUAD_CALLERS = """

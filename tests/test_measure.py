@@ -181,6 +181,38 @@ def test_regions_refuse_non_finite_bounds(make, bad):
         make(bad)
 
 
+def _whole_axis_slab(grid, lo, hi):
+    """`measure._slab` as the cover formula on every node of each axis."""
+    h, cells, fractions = grid.step, [], []
+    for ax in range(grid.dimension):
+        x = grid.axis_coordinates(ax)
+        w = np.clip((np.minimum(x + h / 2.0, hi[ax])
+                     - np.maximum(x - h / 2.0, lo[ax])) / h, 0.0, 1.0)
+        nz = np.flatnonzero(w > 0)
+        cells.append(slice(int(nz[0]), int(nz[-1]) + 1))
+        fractions.append(w[nz[0]:nz[-1] + 1])
+    return tuple(cells), tuple(fractions)
+
+
+@pytest.mark.parametrize("d, n", [(1, 64), (1, 2 ** 14), (2, 64), (3, 32)])
+def test_slab_scans_only_the_cells_near_the_region(d, n):
+    # the cells of a box, and their covered fractions, equal those of the
+    # whole-axis scan to the bit, for boxes reaching both ends of the grid
+    grid = fd.GridSpec(d, n, 4.0)
+    gmin, gmax = -2.0 - grid.step / 2.0, 2.0 - grid.step / 2.0
+    rng = np.random.default_rng(n + d)
+    boxes = [((gmin,) * d, (gmax,) * d),
+             ((gmin + 1e-12,) * d, (gmin + grid.step,) * d),
+             ((gmax - 0.7 * grid.step,) * d, (gmax,) * d)]
+    for _ in range(50):
+        lo = rng.uniform(gmin, gmax, d)
+        boxes.append((tuple(lo), tuple(rng.uniform(lo, gmax))))
+    for lo, hi in boxes:
+        got, want = ms._slab(grid, lo, hi), _whole_axis_slab(grid, lo, hi)
+        assert got[0] == want[0]
+        assert all(np.array_equal(g, w) for g, w in zip(got[1], want[1]))
+
+
 def test_fractional_boundary_cells():
     g = fd.GridSpec(1, 2 ** 6, 4.0)
     # box ends midway through cells: volume still exact

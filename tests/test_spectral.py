@@ -13,6 +13,22 @@ def test_si_minus_sin_nonnegative_and_cubic():
     assert np.all(l >= -1e-12)
     # l(x) = x^3/9 - x^5/150 + ...
     assert abs(sp.si_minus_sin(1e-3) / 1e-9 - 1.0 / 9.0) < 1e-6
+    # Si is odd, so l is too
+    assert np.array_equal(sp.si_minus_sin(-x), -l)
+
+
+def test_si_matches_scipy_sici():
+    from scipy.special import sici
+    # 0, the piece edges 4, 8, 16, 32 and 64 and their float neighbours,
+    # a dense linear grid to 100 and to 1e7, and a log grid from 1e-300
+    edges = np.array([4.0, 8.0, 16.0, 32.0, 64.0])
+    x = np.unique(np.concatenate([
+        [0.0], edges, np.nextafter(edges, 0.0), np.nextafter(edges, 128.0),
+        np.linspace(0.0, 100.0, 400_001), np.linspace(0.0, 1e7, 400_001),
+        np.geomspace(1e-300, 1e7, 100_001)]))
+    got, want = sp._si(x), sici(x)[0]
+    assert got[0] == 0.0 and x[0] == 0.0
+    assert np.max(np.abs(got[1:] - want[1:]) / want[1:]) <= 1e-15
 
 
 @pytest.mark.parametrize("d,expected", [
