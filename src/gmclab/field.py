@@ -98,7 +98,7 @@ __all__ = [
     "read_field",
 ]
 
-SYNTHESIS = "rfftn-hartley-4"
+SYNTHESIS = "rfftn-hartley-5"
 
 # a plan keeps the lattice radii whose weight exceeds this fraction of its
 # largest: the amplitude threshold 1e-16, below float64's resolution
@@ -604,14 +604,15 @@ class SpectralPlan:
                 w[0] += rem.value * grid.length ** grid.dimension  # radius 0
             neg = w < 0
             if np.any(neg):
-                clipped += -float(modes[neg] @ w[neg]) * cell
+                clipped -= float(np.einsum("i,i->", modes[neg],
+                                           w[neg])) * cell
                 w = np.where(neg, 0.0, w)
             tables.append(w)
             spectrum = spectrum + w
         heavy = np.flatnonzero(spectrum > _BAND_FLOOR * spectrum.max())
         self.band = int(heavy[-1]) if heavy.size else 0
-        self.dropped_variance = float(modes[self.band + 1:]
-                                      @ spectrum[self.band + 1:]) * cell
+        self.dropped_variance = float(np.einsum(
+            "i,i->", modes[self.band + 1:], spectrum[self.band + 1:])) * cell
         spectrum[self.band + 1:] = 0.0
         self._spectrum = spectrum           # kept weight, all shells
         self.amps = []
@@ -619,7 +620,8 @@ class SpectralPlan:
         while tables:                       # each table goes once gathered
             w = tables.pop(0)
             w[self.band + 1:] = 0.0
-            self.stage_variance.append(float(modes @ w) * cell)
+            self.stage_variance.append(float(np.einsum("i,i->", modes, w))
+                                       * cell)
             w *= cell
             self.amps.append(self._gather(np.sqrt(w, out=w), index))
         trace = self.total_variance + self.dropped_variance

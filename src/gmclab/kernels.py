@@ -357,13 +357,19 @@ def _table_key(spec: KernelSpec):
 
 def _certify_table(spec: KernelSpec):
     """Positivity gate of a table-remainder kernel, once per (lam2, table
-    key) per process: the transform of f must be certified nonnegative."""
+    key) per process: the density `kernel_hat` hands the plans, lam2 times
+    the closed-form transform of ln+(R/r) plus the table's transform,
+    must be certified nonnegative on `default_check_grid(R)`.  The bounds
+    are the table quadrature's (`radial_fourier_grid` over the table's
+    support); the closed form carries none."""
     key = (spec.lam2,) + _table_key(spec)
     if key not in _VERDICTS:
-        rep = spectral.check_positive_definite(
-            lambda r: eval_kernel(spec, np.maximum(r, 1e-12)),
-            spec.dimension, support=spec.scale)
-        _VERDICTS[key] = rep.certificate
+        rem, d, R = spec.remainder, spec.dimension, spec.scale
+        xi = spectral.default_check_grid(R)
+        ghat, errs = spectral.radial_fourier_grid(rem, d, xi,
+                                                  float(rem.radii[-1]))
+        vals = spec.lam2 * spectral.logplus_hat(xi, d, T=R) + ghat
+        _VERDICTS[key] = spectral.certify_sign(xi, vals, errs, R)
     if _VERDICTS[key] != spectral.CERT_NONNEGATIVE:
         raise GateError("positivity gate: kernel spectral density is not "
                         "certified nonnegative", certificate=_VERDICTS[key])

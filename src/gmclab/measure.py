@@ -253,10 +253,11 @@ class _RegionWeights:
     def mass(self, cells):
         """Region mass from the masses of the selected cells,
         `cells(masses[window])`, contracted over a contiguous copy so
-        that every caller rounds alike."""
+        that every caller rounds alike; the contractions run without
+        BLAS, so no mass depends on its thread count."""
         vals = np.ascontiguousarray(cells)
         for w in self.fractions:
-            vals = np.tensordot(vals, w, axes=([0], [0]))
+            vals = np.einsum("i...,i->...", vals, w)
         return float(vals)
 
 

@@ -14,7 +14,11 @@ d = 1..4 (built from the sine integral in d = 1 and 3 and from Bessel
 J0/J1 in d = 2 and 4, with series below a = 0.5 where the closed forms
 cancel), a panel quadrature that splits at the oscillation period (on a
 grid of frequencies it evaluates the profile once per run of equal
-panels), and a grid-based positive-definiteness checker.
+panels; in d = 1 and 3 its uniform panels take their cosines and sines
+by angle addition, one per panel midpoint and one per Gauss offset), and
+a grid-based positive-definiteness checker with one sign rule,
+`certify_sign`.  No sum runs through BLAS, so no value depends on the
+BLAS thread count.
 
 The sine integral is the module's own (`_si`, numpy only), so d = 1 and
 d = 3 never load scipy; scipy.special's J0 and J1 are imported on first
@@ -24,6 +28,7 @@ use, by d = 2 and d = 4.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +43,7 @@ __all__ = [
     "radial_fourier_grid",
     "sphere_area",
     "SpectralProfile",
+    "certify_sign",
     "check_positive_definite",
     "default_check_grid",
 ]
@@ -267,11 +273,16 @@ def logplus_hat(xi, d, T=1.0):
 # ----------------------------------------------------------------------
 
 _QUAD_ORDER = 16  # Gauss-Legendre nodes per panel (the bound uses 16 and 28)
+_ORDERS = (slice(0, _QUAD_ORDER), slice(_QUAD_ORDER, None))
 
 
 @functools.lru_cache(maxsize=None)
-def _gauss(order):
-    return np.polynomial.legendre.leggauss(order)
+def _gauss():
+    """The Gauss-Legendre offsets of both orders, 16 and 28, in one row
+    (`_ORDERS` slices them), and their weights."""
+    rules = [np.polynomial.legendre.leggauss(o)
+             for o in (_QUAD_ORDER, _QUAD_ORDER + 12)]
+    return tuple(np.concatenate(parts) for parts in zip(*rules))
 
 
 def _panel_count(xi, support):
@@ -290,23 +301,111 @@ def _panel_edges(n, support):
     return np.concatenate([[0.0], graded, base[1:]])
 
 
-class _Panels:
-    """Gauss-Legendre nodes `r` of one panel set at one order, and the
-    profile's values `f` on them."""
+# elements of the largest (frequencies x nodes) block a run transforms at
+# once, so that a long run of equal panels holds a few MB
+_BLOCK = 1 << 17
 
-    def __init__(self, profile, edges, order):
-        x, self.weights = _gauss(order)
+
+class _Panels:
+    """Gauss-Legendre nodes of the n + 36 panels of `_panel_edges` at both
+    orders, side by side (`_ORDERS`), and the profile's values on them,
+    for a transform in d.
+
+    In d = 2 and 4 every panel is held node by node: nodes `r` and values
+    `f`, one row per panel of half-width `half`.  In d = 1 and 3 only the
+    37 graded panels are, their weighted values in `wf` (one row per
+    order, zero on the other's nodes); the n - 1 uniform panels, of
+    half-width `h` and midpoints `mid`, hold their nodes and values
+    transposed, `ru` and `fu` of shape (44, n - 1).  In d = 3 `f` and
+    `fu` hold rho f(rho), the weight of sin(2 pi xi rho) in the elementary
+    J_1/2 form.  The profile is evaluated once, on all the nodes.
+    """
+
+    def __init__(self, profile, n, support, d):
+        self.d = d
+        self.t, self.weights = _gauss()
+        edges = _panel_edges(n, support)
+        self.fu = None
+        if d in (1, 3):               # the graded panels, then the uniform
+            edges, base = edges[:38], edges[37:]
+            self.h = 0.5 * support / n
+            self.mid = 0.5 * (base[1:] + base[:-1])
         mid = 0.5 * (edges[1:] + edges[:-1])
         self.half = 0.5 * (edges[1:] - edges[:-1])
-        nodes = mid[:, None] + self.half[:, None] * x[None, :]
-        self.shape = nodes.shape
-        self.r = nodes.ravel()
-        self.f = profile(self.r)
+        self.r = mid[:, None] + self.half[:, None] * self.t
+        if d in (2, 4):
+            self.f = profile(self.r.ravel()).reshape(self.r.shape)
+            return
+        nodes = np.empty(self.r.size + self.t.size * self.mid.size)
+        nodes[:self.r.size] = self.r.ravel()
+        self.ru = nodes[self.r.size:].reshape(self.t.size, self.mid.size)
+        np.multiply(self.h, self.t[:, None], out=self.ru)
+        self.ru += self.mid
+        f = profile(nodes)
+        if d == 3:
+            f *= nodes
+        self.f = f[:self.r.size].reshape(self.r.shape)
+        self.fu = f[self.r.size:].reshape(self.ru.shape)
+        weighted = self.f * self.weights * self.half[:, None]
+        self.wf = np.zeros((2,) + self.r.shape)
+        for w, o in zip(self.wf, _ORDERS):
+            w[:, o] = weighted[:, o]
+        self.wf = self.wf.reshape(2, -1)
 
     def integrate(self, vals):
-        """Integral of the integrand whose node values are `vals`."""
-        vals = vals.reshape(self.shape)
-        return float(np.sum(vals @ self.weights * self.half))
+        """The integrals at the two orders, over the node-by-node panels,
+        of the integrand whose node values are `vals`."""
+        return tuple(float(np.einsum("p,p->", np.einsum(
+            "pq,q->p", vals[:, o], self.weights[o]), self.half))
+            for o in _ORDERS)
+
+    def moment(self, k):
+        """The integrals at the two orders of rho^k times the held values
+        over every panel."""
+        total = self.integrate(self.r ** k * self.f)
+        if self.fu is None:
+            return total
+        vals = self.ru ** k * self.fu
+        return tuple(t + self.h * float(np.einsum(
+            "qp,q->", vals[o], self.weights[o]))
+            for t, o in zip(total, _ORDERS))
+
+    def integrals(self, x):
+        """The integrals at the two orders, shape (2, len(x)), of the
+        transform's integrand at each frequency of the 1-d array x > 0:
+        cos(a rho) f(rho) (d = 1), sin(a rho) rho f(rho) (d = 3) or
+        rho^(d/2) J(a rho) f(rho) (d = 2, 4), a = 2 pi x.
+
+        d = 2 and 4 take one Bessel value per node and frequency, as do
+        the graded panels of d = 1 and 3 with the cosine or sine.  On the
+        uniform panels the angle a (m + h t) adds up: one cosine and one
+        sine per midpoint m, shared by both orders, and one per Gauss
+        offset t.  Each frequency's sums run in the same order whatever
+        the other frequencies are.
+        """
+        a = 2.0 * np.pi * x
+        if self.fu is None:
+            bessel = _bessel(self.d)
+            power = np.power(self.r, self.d / 2.0)
+            return np.array([self.integrate(power * bessel(ak * self.r)
+                                            * self.f)
+                             for ak in a.tolist()]).reshape(-1, 2).T
+        am = np.multiply.outer(a, self.mid)
+        c, s = np.cos(am), np.sin(am)
+        # the rows of cos(a(m + h t)) (d = 1) or sin(a(m + h t)) (d = 3)
+        # against cos(a h t) and sin(a h t)
+        rot = np.stack((c, -s) if self.d == 1 else (s, c), axis=1)
+        near = (np.cos if self.d == 1 else np.sin)(
+            np.multiply.outer(a, self.r.ravel()))
+        out = np.einsum("kn,jn->jk", near, self.wf)
+        ph = np.multiply.outer(a * self.h, self.t)
+        offsets = np.stack((np.cos(ph), np.sin(ph)), axis=1)
+        offsets *= self.weights
+        for j, o in enumerate(_ORDERS):
+            per_panel = np.einsum("kiq,qp->kip", offsets[:, :, o],
+                                  self.fu[o])
+            out[j] += self.h * np.einsum("kip,kip->k", rot, per_panel)
+        return out
 
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi, 4: 2.0 * np.pi ** 2}
@@ -318,14 +417,9 @@ def sphere_area(d):
 
 
 def _bessel(d):
-    """J_nu, nu = (d - 2) / 2, for d = 2, 3, 4, and None in d = 1, which
-    uses the cosine.  J_1/2 (d = 3) in its elementary form, because scipy's
-    general-order Bessel function is markedly slower there; scipy.special's
-    J0 and J1 (d = 2 and 4) are imported here, on first use."""
-    if d == 1:
-        return None
-    if d == 3:
-        return lambda x: np.sqrt(2.0 / (np.pi * x)) * np.sin(x)
+    """J_nu, nu = (d - 2) / 2, of d = 2 and 4: scipy.special's J0 and J1,
+    imported here, on first use.  d = 1 and 3 take the cosine and the
+    elementary J_1/2 (`_Panels.integrals`)."""
     from scipy.special import j0, j1
     return j0 if d == 2 else j1
 
@@ -355,47 +449,53 @@ def radial_fourier_grid(profile, d, xi, support):
     call.
 
     Neighbouring frequencies with the same panel count share their panels,
-    so `profile` is evaluated once per run of equal panels at each of the
-    two orders; only the current run is held.  An increasing grid makes
-    the runs long.  Supports d = 1..4, as `logplus_hat` does.
+    so `profile` is evaluated once per run of equal panels, on the nodes
+    of both orders; only the current run is held.  An increasing grid makes
+    the runs long.  In d = 1 (cos) and d = 3 (sin, the elementary J_1/2)
+    the uniform panels take one cosine and one sine per panel midpoint and
+    per Gauss offset, not one per node (`_Panels.integrals`); d = 2
+    and 4 (J0, J1) take one Bessel value per node.  Every sum is
+    contracted without BLAS, so no value depends on its thread count.
+    Supports d = 1..4, as `logplus_hat` does.
     """
     if d not in (1, 2, 3, 4):
         raise ValidationError("radial_fourier_grid supports d in 1..4")
     xi = np.asarray(xi, dtype=float)
     if np.any(xi < 0):
         raise ValidationError("xi must be nonnegative")
-    nu = (d - 2) / 2.0
-    bessel = _bessel(d)
     vals = np.empty_like(xi)
     errs = np.empty_like(xi)
-    run = None                    # panel count of the current run
-    for i, x in enumerate(xi.tolist()):
-        n = _panel_count(x, support)
-        if n != run:
-            run, edges = n, _panel_edges(n, support)
-            panels = [_Panels(profile, edges, o)
-                      for o in (_QUAD_ORDER, _QUAD_ORDER + 12)]
-            if d > 1:
-                power = [np.power(p.r, d / 2.0) for p in panels]
-        if x == 0.0:
+    start = 0
+    for n, run in itertools.groupby(_panel_count(x, support)
+                                    for x in xi.tolist()):
+        run = np.arange(start, start + len(list(run)))
+        start = run[-1] + 1
+        panels = _Panels(profile, n, support, d)
+        zero = xi[run] == 0.0
+        if zero.any():
+            k = 1 if d == 3 else d - 1      # d = 3 holds rho f already
+            lo, hi = panels.moment(k)
             surf = sphere_area(d)
-            lo, hi = (p.integrate(np.power(p.r, d - 1) * p.f) for p in panels)
-            vals[i], errs[i] = surf * hi, surf * abs(hi - lo) + 1e-300
-            continue
-        if d == 1:
-            lo, hi = (p.integrate(2.0 * np.cos(2.0 * np.pi * x * p.r) * p.f)
-                      for p in panels)
-            scale = 1.0
-        else:
-            lo, hi = (p.integrate(pw * bessel(2.0 * np.pi * x * p.r) * p.f)
-                      for p, pw in zip(panels, power))
-            scale = 2.0 * np.pi / x ** nu
-        err = scale * abs(hi - lo) + 1e-300
-        val = scale * hi
-        if err > 1e-3 * (abs(val) + 1.0):
-            raise GateError("radial transform did not converge",
-                            value=val, error_bound=err, xi=x)
-        vals[i], errs[i] = val, err
+            vals[run[zero]] = surf * hi
+            errs[run[zero]] = surf * abs(hi - lo) + 1e-300
+        run = run[~zero]
+        step = max(1, _BLOCK // (panels.r.size + 2 * n))
+        for b in range(0, len(run), step):
+            idx = run[b:b + step]
+            x = xi[idx]
+            lo, hi = panels.integrals(x)
+            # 2 pi / xi^((d-2)/2), and 2 / xi in d = 3, where the
+            # integrand holds the elementary J_1/2
+            scale = (2.0 if d % 2 else 2.0 * np.pi) / (x if d > 2 else 1.0)
+            err = scale * np.abs(hi - lo) + 1e-300
+            val = scale * hi
+            bad = np.flatnonzero(err > 1e-3 * (np.abs(val) + 1.0))
+            if bad.size:
+                raise GateError("radial transform did not converge",
+                                value=float(val[bad[0]]),
+                                error_bound=float(err[bad[0]]),
+                                xi=float(x[bad[0]]))
+            vals[idx], errs[idx] = val, err
     return vals, errs
 
 
@@ -431,17 +531,36 @@ def default_check_grid(support):
     step = 1.0 / (4.0 * support)
     windows = [xi_max * hi_frac - step * np.arange(48)[::-1]
                for hi_frac in (0.06, 0.3, 1.0)]
-    return np.unique(np.concatenate([spine] + windows))
+    xi = np.sort(np.concatenate([spine] + windows))
+    # the distinct values: np.unique would import numpy.ma on first use
+    return xi[np.concatenate(([True], xi[1:] != xi[:-1]))]
+
+
+def certify_sign(xi, vals, errs, support):
+    """The sign certificate of a radial spectral density with values
+    `vals` and pointwise error bounds `errs` on the increasing grid `xi`
+    of a kernel of support `support`.
+
+    'nonnegative-on-grid' when every value clears -(its bound); otherwise
+    'sign-oscillating' when values beyond their bounds take both signs in
+    the upper half (by frequency) of the oscillatory range
+    xi * support >= 10; 'indeterminate' otherwise.  Each bound is widened
+    by 1e-12 of max(|value|, 1).
+    """
+    bound = errs + 1e-12 * np.maximum(np.abs(vals), 1.0)
+    if not np.any(vals < -bound):
+        return CERT_NONNEGATIVE
+    osc_idx = np.flatnonzero(xi * support >= 10.0)
+    upper = osc_idx[len(osc_idx) // 2:]
+    pos_up = np.any(vals[upper] > bound[upper])
+    neg_up = np.any(vals[upper] < -bound[upper])
+    return CERT_OSCILLATING if (pos_up and neg_up) else CERT_INDETERMINATE
 
 
 def check_positive_definite(profile, d, support):
     """Evaluate the radial transform of `profile` on
-    `default_check_grid(support)` and certify its sign pattern.
-
-    Certificate rules: 'nonnegative-on-grid' when every value clears
-    -(pointwise quadrature bound); 'sign-oscillating' when values beyond
-    their bounds take both signs in the upper half (by frequency) of the
-    oscillatory range; 'indeterminate' otherwise.
+    `default_check_grid(support)` and certify its sign pattern with
+    `certify_sign`.
 
     The grid spans 1000 oscillation periods (xi_max * support = 1e3) and
     its dense windows sample the oscillatory range (xi * support >= 10)
@@ -453,18 +572,5 @@ def check_positive_definite(profile, d, support):
     """
     xi = default_check_grid(support)
     vals, errs = radial_fourier_grid(profile, d, xi, support)
-
-    bound = errs + 1e-12 * np.maximum(np.abs(vals), 1.0)
-    negative = vals < -bound
-    if not np.any(negative):
-        cert = CERT_NONNEGATIVE
-    else:
-        osc = xi * support >= 10.0
-        # both signs must show up in the upper half of the oscillatory range
-        osc_idx = np.where(osc)[0]
-        upper = osc_idx[len(osc_idx) // 2:]
-        pos_up = np.any(vals[upper] > bound[upper])
-        neg_up = np.any(vals[upper] < -bound[upper])
-        cert = CERT_OSCILLATING if (pos_up and neg_up) else CERT_INDETERMINATE
-
-    return SpectralProfile(xi=xi, fhat=vals, certificate=cert)
+    return SpectralProfile(xi=xi, fhat=vals,
+                           certificate=certify_sign(xi, vals, errs, support))

@@ -688,13 +688,13 @@ def test_table_kernel_certificate_refuses_before_the_weight_probe():
 
 def test_table_certificate_runs_once_per_kernel(monkeypatch):
     calls = []
-    check = sp.check_positive_definite
+    certify = sp.certify_sign
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
-        return check(*args, **kwargs)
+        calls.append(args[0].size)
+        return certify(*args, **kwargs)
 
-    monkeypatch.setattr(sp, "check_positive_definite", counted)
+    monkeypatch.setattr(sp, "certify_sign", counted)
     monkeypatch.setattr(kn, "_VERDICTS", {})
     radii = np.linspace(0.0, 1.0, 9)
     values = 0.13 * np.cos(radii)
@@ -839,7 +839,7 @@ def test_field_and_measure_headers_carry_the_same_provenance(tmp_path):
         assert fh.readline() == (
             common + '"kind": "field", "ladder_digest": "0123456789abcdef", '
             '"replica": 2, "seed": 7, "stage": 1, "synthesis": '
-            '"rfftn-hartley-4", "variance": 0.5}\n').encode()
+            '"rfftn-hartley-5", "variance": 0.5}\n').encode()
     with open(tmp_path / "m.bin", "rb") as fh:
         assert fh.readline() == (
             common + '"kind": "measure", "ladder_digest": '

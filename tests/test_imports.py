@@ -93,6 +93,22 @@ print(json.dumps([before, "scipy.special" in sys.modules,
     assert got == [False, True, True]
 
 
+def test_table_gate_loads_no_numpy_ma():
+    # np.unique imports numpy.ma on first use (numpy 2.4), 8-18 ms of a
+    # set-up; the gate's check grid and transforms must not
+    got = run_fresh("""
+import json, sys
+from gmclab import field, kernels
+before = "numpy.ma" in sys.modules
+kernel = kernels.KernelSpec(1, 0.5, 1.0,
+                            kernels.cone_remainder_table(0.5, 1.0, 1))
+field.build_ladder(kernel, kernels.MollifierSpec("gaussian", 2 ** -8, 1),
+                   (2 ** -4, 2 ** -8))
+print(json.dumps([before, "numpy.ma" in sys.modules]))
+""")
+    assert got[1] == got[0]
+
+
 QUAD_CALLERS = """
 import json, sys
 import numpy as np

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from gmclab import kernels as kn
+from gmclab import spectral as sp
 from gmclab.errors import GateError, ValidationError
 
 
@@ -334,3 +335,55 @@ def test_remainder_transform_cached_on_table_contents():
     assert len(kn._HAT_CACHE) == before + 2
     assert a(0.0) == b(0.0)
     assert a(0.0) != c(0.0)
+
+
+def _gate_verdict(spec):
+    try:
+        kn._certify_table(spec)
+    except GateError as exc:
+        return exc.detail["certificate"]
+    return sp.CERT_NONNEGATIVE
+
+
+@pytest.mark.parametrize("make", [
+    lambda: kn.KernelSpec(1, 0.5, 1.0, kn.cone_remainder_table(0.5, 1.0, 1)),
+    lambda: kn.KernelSpec(2, 0.5, 1.0, kn.cone_remainder_table(0.5, 1.0, 2)),
+    lambda: kn.KernelSpec(3, 0.5, 1.0, kn.cone_remainder_table(0.5, 1.0, 3)),
+    lambda: kn.KernelSpec(1, 0.5, 1.0, kn.Remainder(
+        "table", radii=[0.0, 0.3, 0.7, 1.0], values=[0.4, 0.25, 0.1, 0.0])),
+    # 0.1 ln+(1/r) - 0.3 (1 - r)_+: negative at xi = 0, positive beyond
+    lambda: kn.KernelSpec(1, 0.1, 1.0, kn.Remainder(
+        "table", radii=[0.0, 1.0], values=[-0.3, 0.0])),
+], ids=["cone-d1", "cone-d2", "cone-d3", "table-d1", "indeterminate-d1"])
+def test_table_gate_verdict_matches_the_full_profile_certificate(
+        make, monkeypatch):
+    # the gate certifies lam2 logplus_hat + the table's transform; the full
+    # profile through eval_kernel and the quadrature gives the same verdict
+    monkeypatch.setattr(kn, "_VERDICTS", {})
+    spec = make()
+    full = sp.check_positive_definite(
+        lambda r: kn.eval_kernel(spec, np.maximum(r, 1e-12)),
+        spec.dimension, support=spec.scale).certificate
+    assert _gate_verdict(spec) == full
+    if spec.lam2 == 0.1:
+        assert full == sp.CERT_INDETERMINATE
+    else:
+        assert full == sp.CERT_NONNEGATIVE
+
+
+def test_table_gate_integrates_the_table_beyond_the_log_scale(monkeypatch):
+    # a remainder that reaches past R: the gate transforms all of it, as
+    # kernel_hat does, and agrees with the full profile integrated over the
+    # table's support; the profile cut at R jumps there and oscillates
+    monkeypatch.setattr(kn, "_VERDICTS", {})
+    rem = kn.Remainder("table", radii=[0.0, 0.5, 1.5],
+                       values=[-0.05, -0.02, 0.0])
+    spec = kn.KernelSpec(3, 0.5, 1.0, rem)
+
+    def full(support):
+        return sp.check_positive_definite(
+            lambda r: kn.eval_kernel(spec, np.maximum(r, 1e-12)), 3,
+            support=support).certificate
+
+    assert _gate_verdict(spec) == full(1.5) == sp.CERT_NONNEGATIVE
+    assert full(1.0) == sp.CERT_OSCILLATING

@@ -100,6 +100,30 @@ def _log_profile(r):
                     np.log(1.0 / np.maximum(r, 1e-300)), 0.0)
 
 
+def test_trig_panels_match_closed_forms_out_to_a_thousand_periods():
+    # the angle-addition panels of d = 1 and 3 on the certificate's grid,
+    # xi * support up to 1000: (1 - r)_+ in d = 1 against (sin pi xi /
+    # pi xi)^2, and ln+(1/r) in d = 1 and 3 against logplus_hat
+    xi = sp.default_check_grid(1.0)
+    assert xi[-1] == 1e3
+    tri, _ = sp.radial_fourier_grid(lambda r: np.maximum(1.0 - r, 0.0),
+                                    1, xi, 1.0)
+    np.testing.assert_allclose(tri, np.sinc(xi) ** 2, rtol=0, atol=1e-12)
+    for d in (1, 3):
+        vals, errs = sp.radial_fourier_grid(_log_profile, d, xi, 1.0)
+        exact = sp.logplus_hat(xi, d)
+        np.testing.assert_allclose(vals, exact, rtol=0, atol=1e-8)
+        assert np.all(np.abs(vals - exact) <= errs + 1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_zero_table_transforms_to_exactly_zero(d):
+    table = kn.Remainder("table", radii=[0.0, 0.5, 1.0], values=[0.0] * 3)
+    xi = np.concatenate([[0.0], sp.default_check_grid(1.0)])
+    vals, errs = sp.radial_fourier_grid(table, d, xi, 1.0)
+    assert np.all(vals == 0.0) and np.all(errs == 1e-300)
+
+
 _TABLE = kn.Remainder("table", radii=[0.0, 0.3, 0.7, 1.0],
                       values=[0.4, 0.25, 0.1, 0.0])
 
