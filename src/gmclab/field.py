@@ -98,7 +98,7 @@ __all__ = [
     "read_field",
 ]
 
-SYNTHESIS = "rfftn-hartley-5"
+SYNTHESIS = "rfftn-hartley-6"
 
 # a plan keeps the lattice radii whose weight exceeds this fraction of its
 # largest: the amplitude threshold 1e-16, below float64's resolution

@@ -173,8 +173,6 @@ def _lens(d, radius, dist):
     dist = np.asarray(dist, dtype=float)
     open_ = dist < 2.0 * radius
     out = np.zeros(np.broadcast(radius, dist).shape)
-    if not np.any(open_):
-        return out
     r = np.broadcast_to(radius, out.shape)[open_]
     s = np.broadcast_to(dist, out.shape)[open_]
     if d == 2:
@@ -345,57 +343,52 @@ class MollifierSpec:
 # spectral density of a kernel and the mollified covariance
 # ----------------------------------------------------------------------
 
-_HAT_CACHE = {}
-_VERDICTS = {}
+_TABLE_HATS = {}
 
 
-def _table_key(spec: KernelSpec):
-    rem = spec.remainder
-    return (spec.dimension, spec.scale, rem.radii.tobytes(),
-            rem.values.tobytes())
+def _table_hat(spec: KernelSpec):
+    """The density of a table-remainder kernel, lam2 times the closed-form
+    transform of ln+(R/r) plus the table's, once it is certified, cached
+    on (lam2, d, R, table) so that equal kernels share one entry.
 
-
-def _certify_table(spec: KernelSpec):
-    """Positivity gate of a table-remainder kernel, once per (lam2, table
-    key) per process: the density `kernel_hat` hands the plans, lam2 times
-    the closed-form transform of ln+(R/r) plus the table's transform,
-    must be certified nonnegative on `default_check_grid(R)`.  The bounds
-    are the table quadrature's (`radial_fourier_grid` over the table's
-    support); the closed form carries none."""
-    key = (spec.lam2,) + _table_key(spec)
-    if key not in _VERDICTS:
-        rem, d, R = spec.remainder, spec.dimension, spec.scale
-        xi = spectral.default_check_grid(R)
-        ghat, errs = spectral.radial_fourier_grid(rem, d, xi,
-                                                  float(rem.radii[-1]))
-        vals = spec.lam2 * spectral.logplus_hat(xi, d, T=R) + ghat
-        _VERDICTS[key] = spectral.certify_sign(xi, vals, errs, R)
-    if _VERDICTS[key] != spectral.CERT_NONNEGATIVE:
-        raise GateError("positivity gate: kernel spectral density is not "
-                        "certified nonnegative", certificate=_VERDICTS[key])
-
-
-def _remainder_hat(spec: KernelSpec):
-    """Interpolant of the transform of a tabulated remainder, cached on
-    the table's contents so that equal tables share one entry."""
-    rem, d = spec.remainder, spec.dimension
-    key = _table_key(spec)
-    if key in _HAT_CACHE:
-        return _HAT_CACHE[key]
+    One `radial_fourier_grid` call over the table's support transforms
+    the table on `default_check_grid(R)` and on the 401 points of its
+    interpolant, together (each entry as a one-point call gives it).
+    The density must be certified nonnegative on the check grid, with
+    the table quadrature's bounds (the closed form carries none), or
+    GateError is raised and nothing is cached; the plans then sample the
+    interpolant."""
+    rem, d, R, lam2 = spec.remainder, spec.dimension, spec.scale, spec.lam2
+    key = (lam2, d, R, rem.radii.tobytes(), rem.values.tobytes())
+    if key in _TABLE_HATS:
+        return _TABLE_HATS[key]
     support = float(rem.radii[-1])
-    s_grid = np.concatenate([[0.0], np.geomspace(1e-3 / support, 60.0 / support, 400)])
-    vals = spectral.radial_fourier_grid(rem, d, s_grid, support)[0]
+    check = spectral.default_check_grid(R)
+    s_grid = np.concatenate([[0.0], np.geomspace(1e-3 / support,
+                                                 60.0 / support, 400)])
+    xi = np.concatenate([check, s_grid])
+    order = np.argsort(xi, kind="stable")
+    vals, errs = np.empty_like(xi), np.empty_like(xi)
+    vals[order], errs[order] = spectral.radial_fourier_grid(rem, d, xi[order],
+                                                            support)
+    cert = spectral.certify_sign(
+        check, lam2 * spectral.logplus_hat(check, d, T=R) + vals[:check.size],
+        errs[:check.size], R)
+    if cert != spectral.CERT_NONNEGATIVE:
+        raise GateError("positivity gate: kernel spectral density is not "
+                        "certified nonnegative", certificate=cert)
+    vals = vals[check.size:]
 
-    def ghat(s):
+    def fhat(s):
         s = np.asarray(s, dtype=float)
-        out = np.interp(s, s_grid, vals)
+        ghat = np.interp(s, s_grid, vals)
         # beyond the tabulated range the transform has decayed below the
         # table resolution; clamp to the last computed magnitude envelope
-        out = np.where(s > s_grid[-1], vals[-1] * (s_grid[-1] / np.maximum(s, s_grid[-1])) ** d, out)
-        return out
+        ghat = np.where(s > s_grid[-1], vals[-1] * (s_grid[-1] / np.maximum(s, s_grid[-1])) ** d, ghat)
+        return lam2 * spectral.logplus_hat(s, d, T=R) + ghat
 
-    _HAT_CACHE[key] = ghat
-    return ghat
+    _TABLE_HATS[key] = fhat
+    return fhat
 
 
 def kernel_hat(spec: KernelSpec):
@@ -403,21 +396,16 @@ def kernel_hat(spec: KernelSpec):
 
     The ln+ part is closed form; a tabulated remainder contributes through
     a cached quadrature interpolant once the kernel passes its positivity
-    certificate (`_certify_table`), so every plan gets that gate.  A
-    constant remainder carries a delta at 0 which is handled additively by
-    the covariance routines and is deliberately absent here.
+    certificate (`_table_hat`), so every plan gets that gate.  A constant
+    remainder carries a delta at 0 which is handled additively by the
+    covariance routines and is deliberately absent here.
     """
+    if spec.remainder.kind == "table":
+        return _table_hat(spec)
     lam2, R, d = spec.lam2, spec.scale, spec.dimension
 
-    if spec.remainder.kind == "table":
-        _certify_table(spec)
-        ghat = _remainder_hat(spec)
-
-        def fhat(s):
-            return lam2 * spectral.logplus_hat(s, d, T=R) + ghat(s)
-    else:
-        def fhat(s):
-            return lam2 * spectral.logplus_hat(s, d, T=R)
+    def fhat(s):
+        return lam2 * spectral.logplus_hat(s, d, T=R)
 
     return fhat
 

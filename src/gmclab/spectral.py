@@ -12,17 +12,18 @@ so for a radial profile f(|x|) in dimension d
 The module provides closed forms for the transform of ln+(T/r) in
 d = 1..4 (built from the sine integral in d = 1 and 3 and from Bessel
 J0/J1 in d = 2 and 4, with series below a = 0.5 where the closed forms
-cancel), a panel quadrature that splits at the oscillation period (on a
-grid of frequencies it evaluates the profile once per run of equal
-panels; in d = 1 and 3 its uniform panels take their cosines and sines
-by angle addition, one per panel midpoint and one per Gauss offset), and
+cancel), a panel quadrature that splits at the oscillation period (one
+node layout for d = 1..4: on a grid of frequencies it evaluates the
+profile once per run of equal panels, whose nodes meet the kernel, cos,
+J0, sin or J1, over a block of frequencies, except the uniform panels of
+d = 1 and 3, which take their cosines and sines by angle addition), and
 a grid-based positive-definiteness checker with one sign rule,
 `certify_sign`.  No sum runs through BLAS, so no value depends on the
 BLAS thread count.
 
 The sine integral is the module's own (`_si`, numpy only), so d = 1 and
 d = 3 never load scipy; scipy.special's J0 and J1 are imported on first
-use, by d = 2 and d = 4.
+use (`_kernel`), by d = 2 and d = 4.
 """
 
 from __future__ import annotations
@@ -196,6 +197,15 @@ def si_minus_sin(x):
     return out[0] if scalar else out
 
 
+def _kernel(d):
+    """The transform's kernel in d: cos, J0, sin (the elementary J_1/2)
+    or J1; scipy.special's J0 and J1 are imported on first use."""
+    if d % 2:
+        return np.cos if d == 1 else np.sin
+    from scipy.special import j0, j1
+    return j0 if d == 2 else j1
+
+
 def _one_minus_j0_over_a2(a):
     out = np.empty_like(a)
     small = np.abs(a) < 0.5
@@ -204,8 +214,7 @@ def _one_minus_j0_over_a2(a):
         - a2 * a2 * a2 / 147456.0 + a2 ** 4 / 14745600.0
     big = ~small
     if np.any(big):
-        from scipy.special import j0      # d = 2 only: loaded on first use
-        out[big] = (1.0 - j0(a[big])) / (a[big] * a[big])
+        out[big] = (1.0 - _kernel(2)(a[big])) / (a[big] * a[big])
     return out
 
 
@@ -217,9 +226,8 @@ def _d4_profile(a):
     out[small] = 1.0 / 32.0 - a2 / 576.0 + a2 * a2 / 24576.0
     big = ~small
     if np.any(big):
-        from scipy.special import j0, j1  # d = 4 only: loaded on first use
         ab = a[big]
-        out[big] = (2.0 - 2.0 * j0(ab) - ab * j1(ab)) / ab ** 4
+        out[big] = (2.0 - 2.0 * _kernel(2)(ab) - ab * _kernel(4)(ab)) / ab**4
     return out
 
 
@@ -309,95 +317,76 @@ _BLOCK = 1 << 17
 class _Panels:
     """Gauss-Legendre nodes of the n + 36 panels of `_panel_edges` at both
     orders, side by side (`_ORDERS`), and the profile's values on them,
-    for a transform in d.
+    for a transform in d: one node layout for every d.
 
-    In d = 2 and 4 every panel is held node by node: nodes `r` and values
-    `f`, one row per panel of half-width `half`.  In d = 1 and 3 only the
-    37 graded panels are, their weighted values in `wf` (one row per
-    order, zero on the other's nodes); the n - 1 uniform panels, of
-    half-width `h` and midpoints `mid`, hold their nodes and values
-    transposed, `ru` and `fu` of shape (44, n - 1).  In d = 3 `f` and
-    `fu` hold rho f(rho), the weight of sin(2 pi xi rho) in the elementary
-    J_1/2 form.  The profile is evaluated once, on all the nodes.
+    The panels that meet the kernel node by node (the 37 graded ones in
+    d = 1 and 3, all of them in d = 2 and 4) hold their nodes `r` and
+    their weighted values `wf` (one row per order, zero on the other's
+    nodes).  The n - 1 uniform panels of d = 1 and 3, of half-width `h`
+    and midpoints `mid`, hold their nodes and values transposed, `ru` and
+    `fu` of shape (44, n - 1); in d = 2 and 4 they hold none.  Every held
+    value is rho^(d // 2) f(rho): the rho^(d/2) of the transform in d = 2
+    and 4, and in d = 3 the rho that makes sin(2 pi xi rho) the elementary
+    J_1/2.  The profile is evaluated once, on all the nodes.
     """
 
     def __init__(self, profile, n, support, d):
         self.d = d
         self.t, self.weights = _gauss()
         edges = _panel_edges(n, support)
-        self.fu = None
-        if d in (1, 3):               # the graded panels, then the uniform
-            edges, base = edges[:38], edges[37:]
-            self.h = 0.5 * support / n
-            self.mid = 0.5 * (base[1:] + base[:-1])
+        split = 38 if d % 2 else edges.size   # node by node up to this edge
+        edges, base = edges[:split], edges[split - 1:]
+        self.h = 0.5 * support / n
+        self.mid = 0.5 * (base[1:] + base[:-1])
         mid = 0.5 * (edges[1:] + edges[:-1])
-        self.half = 0.5 * (edges[1:] - edges[:-1])
-        self.r = mid[:, None] + self.half[:, None] * self.t
-        if d in (2, 4):
-            self.f = profile(self.r.ravel()).reshape(self.r.shape)
-            return
-        nodes = np.empty(self.r.size + self.t.size * self.mid.size)
-        nodes[:self.r.size] = self.r.ravel()
-        self.ru = nodes[self.r.size:].reshape(self.t.size, self.mid.size)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        nodes = np.empty(self.t.size * (mid.size + self.mid.size))
+        r = nodes[:mid.size * self.t.size].reshape(mid.size, self.t.size)
+        np.multiply(half[:, None], self.t, out=r)
+        r += mid[:, None]
+        self.r = r.ravel()
+        self.ru = nodes[r.size:].reshape(self.t.size, self.mid.size)
         np.multiply(self.h, self.t[:, None], out=self.ru)
         self.ru += self.mid
         f = profile(nodes)
-        if d == 3:
-            f *= nodes
-        self.f = f[:self.r.size].reshape(self.r.shape)
-        self.fu = f[self.r.size:].reshape(self.ru.shape)
-        weighted = self.f * self.weights * self.half[:, None]
-        self.wf = np.zeros((2,) + self.r.shape)
+        if d > 1:
+            f *= nodes ** (d // 2)
+        self.fu = f[r.size:].reshape(self.ru.shape)
+        weighted = f[:r.size].reshape(r.shape) * self.weights * half[:, None]
+        self.wf = np.zeros((2,) + r.shape)
         for w, o in zip(self.wf, _ORDERS):
             w[:, o] = weighted[:, o]
         self.wf = self.wf.reshape(2, -1)
 
-    def integrate(self, vals):
-        """The integrals at the two orders, over the node-by-node panels,
-        of the integrand whose node values are `vals`."""
-        return tuple(float(np.einsum("p,p->", np.einsum(
-            "pq,q->p", vals[:, o], self.weights[o]), self.half))
-            for o in _ORDERS)
-
     def moment(self, k):
         """The integrals at the two orders of rho^k times the held values
         over every panel."""
-        total = self.integrate(self.r ** k * self.f)
-        if self.fu is None:
-            return total
-        vals = self.ru ** k * self.fu
-        return tuple(t + self.h * float(np.einsum(
-            "qp,q->", vals[o], self.weights[o]))
-            for t, o in zip(total, _ORDERS))
+        far = self.ru ** k * self.fu
+        return tuple(float(near) + self.h * float(np.einsum(
+            "qp,q->", far[o], self.weights[o]))
+            for near, o in zip(np.einsum("n,jn->j", self.r ** k, self.wf),
+                               _ORDERS))
 
     def integrals(self, x):
         """The integrals at the two orders, shape (2, len(x)), of the
-        transform's integrand at each frequency of the 1-d array x > 0:
-        cos(a rho) f(rho) (d = 1), sin(a rho) rho f(rho) (d = 3) or
-        rho^(d/2) J(a rho) f(rho) (d = 2, 4), a = 2 pi x.
+        kernel (`_kernel`) at a rho times the held values, a = 2 pi x, at
+        each frequency of the 1-d array x > 0.
 
-        d = 2 and 4 take one Bessel value per node and frequency, as do
-        the graded panels of d = 1 and 3 with the cosine or sine.  On the
-        uniform panels the angle a (m + h t) adds up: one cosine and one
-        sine per midpoint m, shared by both orders, and one per Gauss
-        offset t.  Each frequency's sums run in the same order whatever
-        the other frequencies are.
+        The node-by-node panels take one kernel value per node and
+        frequency.  On the uniform panels of d = 1 and 3 the angle
+        a (m + h t) adds up: one cosine and one sine per midpoint m,
+        shared by both orders, and one per Gauss offset t.  Each
+        frequency's sums run in the same order whatever the other
+        frequencies are.
         """
         a = 2.0 * np.pi * x
-        if self.fu is None:
-            bessel = _bessel(self.d)
-            power = np.power(self.r, self.d / 2.0)
-            return np.array([self.integrate(power * bessel(ak * self.r)
-                                            * self.f)
-                             for ak in a.tolist()]).reshape(-1, 2).T
+        out = np.einsum("kn,jn->jk", _kernel(self.d)(
+            np.multiply.outer(a, self.r)), self.wf)
         am = np.multiply.outer(a, self.mid)
         c, s = np.cos(am), np.sin(am)
         # the rows of cos(a(m + h t)) (d = 1) or sin(a(m + h t)) (d = 3)
         # against cos(a h t) and sin(a h t)
         rot = np.stack((c, -s) if self.d == 1 else (s, c), axis=1)
-        near = (np.cos if self.d == 1 else np.sin)(
-            np.multiply.outer(a, self.r.ravel()))
-        out = np.einsum("kn,jn->jk", near, self.wf)
         ph = np.multiply.outer(a * self.h, self.t)
         offsets = np.stack((np.cos(ph), np.sin(ph)), axis=1)
         offsets *= self.weights
@@ -414,14 +403,6 @@ _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi, 4: 2.0 * np.pi ** 2}
 def sphere_area(d):
     """Surface area of the unit sphere in R^d, d = 1..4 (2 in d = 1)."""
     return _SPHERE_AREA[d]
-
-
-def _bessel(d):
-    """J_nu, nu = (d - 2) / 2, of d = 2 and 4: scipy.special's J0 and J1,
-    imported here, on first use.  d = 1 and 3 take the cosine and the
-    elementary J_1/2 (`_Panels.integrals`)."""
-    from scipy.special import j0, j1
-    return j0 if d == 2 else j1
 
 
 def radial_fourier(profile, d, xi, support):
@@ -451,12 +432,13 @@ def radial_fourier_grid(profile, d, xi, support):
     Neighbouring frequencies with the same panel count share their panels,
     so `profile` is evaluated once per run of equal panels, on the nodes
     of both orders; only the current run is held.  An increasing grid makes
-    the runs long.  In d = 1 (cos) and d = 3 (sin, the elementary J_1/2)
-    the uniform panels take one cosine and one sine per panel midpoint and
-    per Gauss offset, not one per node (`_Panels.integrals`); d = 2
-    and 4 (J0, J1) take one Bessel value per node.  Every sum is
-    contracted without BLAS, so no value depends on its thread count.
-    Supports d = 1..4, as `logplus_hat` does.
+    the runs long.  Every panel takes one kernel value (cos in d = 1, J0
+    in d = 2, sin, the elementary J_1/2, in d = 3, J1 in d = 4) per node
+    and frequency, over a block of frequencies, except the uniform panels
+    of d = 1 and 3, which take one cosine and one sine per panel midpoint
+    and per Gauss offset (`_Panels.integrals`).  Every sum is contracted
+    without BLAS, so no value depends on its thread count.  Supports
+    d = 1..4, as `logplus_hat` does.
     """
     if d not in (1, 2, 3, 4):
         raise ValidationError("radial_fourier_grid supports d in 1..4")
@@ -473,8 +455,8 @@ def radial_fourier_grid(profile, d, xi, support):
         panels = _Panels(profile, n, support, d)
         zero = xi[run] == 0.0
         if zero.any():
-            k = 1 if d == 3 else d - 1      # d = 3 holds rho f already
-            lo, hi = panels.moment(k)
+            # rho^(d - 1) f, of which the panels hold rho^(d // 2) f
+            lo, hi = panels.moment((d - 1) // 2)
             surf = sphere_area(d)
             vals[run[zero]] = surf * hi
             errs[run[zero]] = surf * abs(hi - lo) + 1e-300

@@ -268,6 +268,10 @@ def _windows(d, n):
              "whole": slice(0, n)}
     out = {name: (s,) * d for name, s in kinds.items()}
     out["mixed"] = tuple(list(kinds.values())[ax] for ax in range(d))
+    if d > 1:
+        # node 0 alone on the leading axes: their mirrored read splits it
+        # into node 0 and an empty piece
+        out["one-row"] = (slice(0, 1),) * (d - 1) + (slice(1, n),)
     if d > 1 and n >= 32:
         # the last axis holds nodes on both sides of n/2, so the leading
         # axes read rows k+2, k+3 and, disjoint from them, their mirror
@@ -695,7 +699,7 @@ def test_table_certificate_runs_once_per_kernel(monkeypatch):
         return certify(*args, **kwargs)
 
     monkeypatch.setattr(sp, "certify_sign", counted)
-    monkeypatch.setattr(kn, "_VERDICTS", {})
+    monkeypatch.setattr(kn, "_TABLE_HATS", {})
     radii = np.linspace(0.0, 1.0, 9)
     values = 0.13 * np.cos(radii)
     moll = kn.MollifierSpec("gaussian", 2 ** -6, 1)
@@ -839,7 +843,7 @@ def test_field_and_measure_headers_carry_the_same_provenance(tmp_path):
         assert fh.readline() == (
             common + '"kind": "field", "ladder_digest": "0123456789abcdef", '
             '"replica": 2, "seed": 7, "stage": 1, "synthesis": '
-            '"rfftn-hartley-5", "variance": 0.5}\n').encode()
+            '"rfftn-hartley-6", "variance": 0.5}\n').encode()
     with open(tmp_path / "m.bin", "rb") as fh:
         assert fh.readline() == (
             common + '"kind": "measure", "ladder_digest": '

@@ -88,6 +88,7 @@ def test_cone_d1_is_pure_log():
 def test_cone_vanishes_at_scale(d):
     assert kn.eval_cone_kernel(1.0, 1.0, d, 1.0) == 0.0
     assert kn.eval_cone_kernel(1.0, 1.0, d, 1.7) == 0.0
+    assert kn.eval_cone_kernel(1.0, 1.0, d, 0.0) == np.inf
 
 
 def _cone_brute_force_d2(s, T=1.0, ny=301, nt=1200):
@@ -195,6 +196,12 @@ def test_mollifier_admissibility(kind, dim):
     assert moll.theta_hat(0.0) == 1.0
     th = moll.theta_hat(np.linspace(0.0, 4.0, 512))
     assert np.all(np.diff(th) <= 1e-15)
+    # theta transforms to theta_hat; the Fejer profile decays as 1/r^2, so
+    # its transform needs a long support and carries its truncation error
+    support, tol = (12.0, 1e-12) if kind == "gaussian" else (2000.0, 2e-4)
+    u = np.array([0.0, 0.3, 0.6, 1.2])
+    got, _ = sp.radial_fourier_grid(moll.theta, dim, u, support)
+    assert np.max(np.abs(got - moll.theta_hat(u))) < tol
 
 
 def test_fejer_restricted_to_d1():
@@ -328,18 +335,18 @@ def test_remainder_transform_cached_on_table_contents():
         return kn.KernelSpec(1, 0.5, 1.0, kn.Remainder(
             "table", radii=radii.copy(), values=values))
 
-    before = len(kn._HAT_CACHE)
+    before = len(kn._TABLE_HATS)
     a = kn.kernel_hat(spec(0.17 * np.cos(radii)))
     b = kn.kernel_hat(spec(0.17 * np.cos(radii)))
     c = kn.kernel_hat(spec(0.23 * np.cos(radii)))
-    assert len(kn._HAT_CACHE) == before + 2
+    assert len(kn._TABLE_HATS) == before + 2
     assert a(0.0) == b(0.0)
     assert a(0.0) != c(0.0)
 
 
 def _gate_verdict(spec):
     try:
-        kn._certify_table(spec)
+        kn._table_hat(spec)
     except GateError as exc:
         return exc.detail["certificate"]
     return sp.CERT_NONNEGATIVE
@@ -359,7 +366,7 @@ def test_table_gate_verdict_matches_the_full_profile_certificate(
         make, monkeypatch):
     # the gate certifies lam2 logplus_hat + the table's transform; the full
     # profile through eval_kernel and the quadrature gives the same verdict
-    monkeypatch.setattr(kn, "_VERDICTS", {})
+    monkeypatch.setattr(kn, "_TABLE_HATS", {})
     spec = make()
     full = sp.check_positive_definite(
         lambda r: kn.eval_kernel(spec, np.maximum(r, 1e-12)),
@@ -375,7 +382,7 @@ def test_table_gate_integrates_the_table_beyond_the_log_scale(monkeypatch):
     # a remainder that reaches past R: the gate transforms all of it, as
     # kernel_hat does, and agrees with the full profile integrated over the
     # table's support; the profile cut at R jumps there and oscillates
-    monkeypatch.setattr(kn, "_VERDICTS", {})
+    monkeypatch.setattr(kn, "_TABLE_HATS", {})
     rem = kn.Remainder("table", radii=[0.0, 0.5, 1.5],
                        values=[-0.05, -0.02, 0.0])
     spec = kn.KernelSpec(3, 0.5, 1.0, rem)

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -29,6 +33,18 @@ def test_si_matches_scipy_sici():
     got, want = sp._si(x), sici(x)[0]
     assert got[0] == 0.0 and x[0] == 0.0
     assert np.max(np.abs(got[1:] - want[1:]) / want[1:]) <= 1e-15
+
+
+def test_si_octave_fits_reproduce():
+    # tools/fit_si.py prints the octave fits as Python; they are the ones
+    # _si uses, to the last bit
+    pytest.importorskip("mpmath")
+    tool = Path(__file__).resolve().parents[1] / "tools" / "fit_si.py"
+    done = subprocess.run([sys.executable, str(tool)], capture_output=True,
+                          text=True, check=True)
+    printed = {"np": np}
+    exec(done.stdout, printed)
+    assert np.array_equal(printed["_SI_OCTAVES"], sp._SI_OCTAVES)
 
 
 @pytest.mark.parametrize("d,expected", [
